@@ -34,7 +34,7 @@ from .errors import (
     LengthMismatch,
     PoolTooLarge,
 )
-from .inference import joint_table, marginal, posterior
+from .inference import ancestor_closure, joint_table, marginal, posterior
 
 DEFAULT_MAX_EVALS = 100_000_000
 JOINT_CACHE_LIMIT = 4_000_000
@@ -51,17 +51,8 @@ def _entropy_bits(p: np.ndarray) -> float:
 def _d_connected_unconditionally(network: Network, a: str, b: str) -> bool:
     """With empty conditioning, two nodes are dependent only if they share
     an ancestor (a trail without colliders runs through a common ancestor)."""
-    def ancestors(name: str) -> set[str]:
-        out, stack = set(), [name]
-        while stack:
-            n = stack.pop()
-            if n in out:
-                continue
-            out.add(n)
-            stack.extend(network.parents(n))
-        return out
-
-    return bool(ancestors(a) & ancestors(b))
+    return bool(ancestor_closure(network.parents, [a])
+                & ancestor_closure(network.parents, [b]))
 
 
 def influence_strength(network: Network, source: str, target: str,
@@ -421,6 +412,8 @@ def spearman(scores_a: Sequence[float], scores_b: Sequence[float]) -> RankCompar
     b = np.asarray(scores_b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise LengthMismatch(f"paired score lists differ: {a.shape} vs {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DomainError("scores must be finite")
     n = a.shape[0]
     if n < 2:
         raise DomainError("need at least two paired scores")

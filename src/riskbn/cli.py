@@ -59,7 +59,10 @@ from .data import (
 )
 from .errors import (
     DomainError,
+    IllegalState,
     IncompleteAssignment,
+    InvalidOption,
+    NotUtf8,
     PoolTooLarge,
     RiskbnError,
     VariableSetMismatch,
@@ -108,7 +111,10 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise NotUtf8(f"{path} is not UTF-8 text (byte {exc.start})") from None
 
 
 def _load_model(path: str) -> Network:
@@ -389,12 +395,20 @@ def cmd_query(args) -> int:
 
 
 def _read_ranking_csv(path: str) -> dict[str, float]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "variable" not in reader.fieldnames \
-                or "score" not in reader.fieldnames:
-            raise VariableSetMismatch(f"{path} is not a strength CSV (variable/score columns)")
-        return {row["variable"]: float(row["score"]) for row in reader}
+    reader = csv.DictReader(io.StringIO(_read_text(path), newline=""))
+    if reader.fieldnames is None or "variable" not in reader.fieldnames \
+            or "score" not in reader.fieldnames:
+        raise VariableSetMismatch(f"{path} is not a strength CSV (variable/score columns)")
+    scores: dict[str, float] = {}
+    for i, row in enumerate(reader, start=1):
+        try:
+            score = float(row["score"])
+        except (TypeError, ValueError):
+            raise IllegalState(row["score"], i, "score") from None
+        if not math.isfinite(score):
+            raise IllegalState(row["score"], i, "score")
+        scores[row["variable"]] = score
+    return scores
 
 
 def cmd_compare(args) -> int:
@@ -423,6 +437,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.n < 1:
+        raise InvalidOption(f"--n must be at least 1, got {args.n}")
     seed = args.seed
     seeds_generated = False
     if seed is None:

@@ -371,6 +371,22 @@ def _topological(names: Sequence[str], dag: DagStructure) -> list[str]:
     return out
 
 
+def config_index(states: Sequence, cards: Sequence[int]) -> np.ndarray:
+    """Row-major index of a joint configuration, last variable fastest.
+
+    Over a node's parents this is its CPT row; with the node itself
+    appended, it is the flat (row, state) position in ``rows.ravel()``.
+    ``states`` holds one integer array or scalar per variable, and they
+    broadcast, so per-record and per-configuration parts may sit on
+    different axes. The index is linear in the states: zeroing different
+    variables splits it into parts that sum back to the whole.
+    """
+    index = np.zeros((), dtype=np.int64)
+    for state, card in zip(states, cards):
+        index = index * card + np.asarray(state, dtype=np.int64)
+    return index
+
+
 def topological_order(network: Network) -> tuple[str, ...]:
     """Parents before children; deterministic (declaration-order tie-break)."""
     return network._topo

@@ -179,13 +179,6 @@ class Dataset:
         for arr in self.response_times.values():
             arr.setflags(write=False)
 
-    def column(self, name: str) -> np.ndarray | None:
-        return self.columns.get(name)
-
-    def observed_count(self, name: str) -> int:
-        col = self.columns.get(name)
-        return 0 if col is None else int((col >= 0).sum())
-
     def record(self, i: int) -> dict[str, str]:
         """Observed cells of record ``i`` as {variable: state label}."""
         out: dict[str, str] = {}

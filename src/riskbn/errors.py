@@ -133,7 +133,15 @@ class MissingMetaColumn(RiskbnError):
     """A filter needs a meta column that the dataset does not carry."""
 
 
+class NotUtf8(RiskbnError):
+    """An input file is not UTF-8 text."""
+
+
 # --- CLI --------------------------------------------------------------------
 
 class VariableSetMismatch(RiskbnError):
     """Two rankings do not cover the same set of variables."""
+
+
+class InvalidOption(RiskbnError):
+    """A command-line option value is outside its allowed range."""

@@ -13,11 +13,11 @@ and safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import Distribution, Evidence, Network
+from .core import Distribution, Evidence, Network, config_index
 from .errors import (
     DomainError,
     IncompleteAssignment,
@@ -92,16 +92,24 @@ def _sum_out(factor: Factor, name: str) -> Factor:
     return Factor(scope, factor.values.sum(axis=axis))
 
 
-def _ancestor_closure(network: Network, names: Iterable[str]) -> set[str]:
-    closure: set[str] = set()
-    stack = list(names)
+def ancestor_closure(parents: Callable[[Hashable], Iterable[Hashable]],
+                     nodes: Iterable[Hashable]) -> set:
+    """``nodes`` and all their ancestors under the ``parents`` map."""
+    closure: set = set()
+    stack = list(nodes)
     while stack:
         n = stack.pop()
         if n in closure:
             continue
         closure.add(n)
-        stack.extend(network.parents(n))
+        stack.extend(parents(n))
     return closure
+
+
+def _relevant(network: Network, names: Iterable[str]) -> list[str]:
+    """Ancestor closure in canonical order, so factor products (and their
+    rounding) do not depend on set iteration order."""
+    return sorted(ancestor_closure(network.parents, names), key=network.index)
 
 
 def _elimination_order(network: Network, factors: Sequence[Factor],
@@ -144,10 +152,10 @@ def _query_factor(network: Network, targets: Sequence[str], evidence: Evidence) 
         network.spec(t)
         if t in evidence_idx:
             raise DomainError(f"query variable '{t}' is also evidence")
-    relevant = _ancestor_closure(network, list(targets) + list(evidence_idx))
+    relevant = _relevant(network, list(targets) + list(evidence_idx))
     factors = [_cpt_factor(network, name, evidence_idx) for name in relevant]
     keep = set(targets)
-    result = _eliminate_all(network, factors, relevant - keep - set(evidence_idx))
+    result = _eliminate_all(network, factors, set(relevant) - keep - set(evidence_idx))
     return _product(result, network)
 
 
@@ -171,9 +179,9 @@ def evidence_probability(network: Network, evidence: Evidence) -> float:
     evidence_idx = network.check_evidence(evidence)
     if not evidence_idx:
         return 1.0
-    relevant = _ancestor_closure(network, evidence_idx)
+    relevant = _relevant(network, evidence_idx)
     factors = [_cpt_factor(network, name, evidence_idx) for name in relevant]
-    result = _eliminate_all(network, factors, relevant - set(evidence_idx))
+    result = _eliminate_all(network, factors, set(relevant) - set(evidence_idx))
     return float(_product(result, network).values)
 
 
@@ -256,16 +264,6 @@ class SampleBatch:
         }
 
 
-def parent_strides(network: Network, name: str) -> np.ndarray:
-    """Row-index strides of a node's parents (last parent varies fastest)."""
-    parents = network.parents(name)
-    cards = [network.cardinality(p) for p in parents]
-    strides = np.ones(len(parents), dtype=np.int64)
-    for i in range(len(parents) - 2, -1, -1):
-        strides[i] = strides[i + 1] * cards[i + 1]
-    return strides
-
-
 def ancestral_sample(network: Network, n: int, seed: int) -> SampleBatch:
     """Draw ``n`` complete assignments by forward sampling in topological order.
 
@@ -280,15 +278,9 @@ def ancestral_sample(network: Network, n: int, seed: int) -> SampleBatch:
     states = np.zeros((n, len(variables)), dtype=np.int16)
     for name in network._topo:
         parents = network.parents(name)
-        rows = network.cpts[name].rows
-        if parents:
-            strides = parent_strides(network, name)
-            row_idx = np.zeros(n, dtype=np.int64)
-            for p, s in zip(parents, strides):
-                row_idx += states[:, col[p]].astype(np.int64) * s
-            probs = rows[row_idx]
-        else:
-            probs = np.broadcast_to(rows[0], (n, rows.shape[1]))
+        row_idx = config_index([states[:, col[p]] for p in parents],
+                               [network.cardinality(p) for p in parents])
+        probs = network.cpts[name].rows[np.broadcast_to(row_idx, (n,))]
         cdf = np.cumsum(probs, axis=1)
         cdf[:, -1] = 1.0
         u = rng.random(n)

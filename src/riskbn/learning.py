@@ -11,21 +11,52 @@ log theta_s``. The posterior-mean M-step is the exact maximizer of the
 penalized expected complete-data objective, so this quantity never
 decreases across iterations; the raw likelihood alone carries no such
 guarantee under a mean (rather than mode) update.
+
+Missing cells follow three rules:
+
+* In the objective (``log_likelihood`` and EM's monitored value) they are
+  marginalized: each record contributes log P(its observed cells).
+* In the counts they are deleted listwise per family: a family uses a
+  record only when none of its non-latent members is missing. Families
+  without a latent member are counted once; latent-touching families take
+  expected counts.
+* A missing cell with no observed descendant (outside the ancestor closure
+  of the record's observed cells and the latents) sums to one and is
+  dropped, the same rule :mod:`riskbn.inference` uses.
+
+One E-step serves every record (expected sufficient statistics; Koller &
+Friedman, *Probabilistic Graphical Models*, section 19.2), and
+``log_likelihood`` is the same routine with no latents. Records are
+grouped by missingness pattern; a pattern's hidden cells are the latents
+plus the missing cells that are not dropped. The missing cells are summed
+out first, in one (configurations of the hidden cells, keys) log table:
+the families that read them see a record only through their observed
+members, and a key is one combination of those. The rest is one
+(configurations of the kept cells, records) log table. The kept cells
+are the latents, plus the missing cells whose children are all observed
+where keeping them makes the tables smaller. A numpy log-sum-exp over it
+gives each record's log-likelihood and posterior, and each
+latent-touching family's expected counts come from one weighted
+``np.bincount`` per pattern over the flat (row, state) index.
+
+On the shipped DAG with ``Previous_CB_Offending`` latent, every summed-out
+cell and every observed cell its families read lie in that variable's
+family, so the first table never has more entries than that CPT (145,800)
+and the second has two per record.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .core import Cpt, DagStructure, Network, VariableSpec, build_network
+from .core import Cpt, DagStructure, Network, VariableSpec, build_network, config_index
 from .data import DEFAULT_OUTCOME, Dataset
 from .errors import SchemaMismatch
-from .inference import evidence_probability, marginal, posterior_joint
+from .inference import ancestor_closure, marginal
 
 DEFAULT_PRIOR_P = 0.1
 DEFAULT_ESS = 2.0
@@ -112,36 +143,197 @@ def _codes_matrix(schema: Sequence[VariableSpec], dataset: Dataset) -> np.ndarra
     return codes
 
 
-def _strides(cards: Sequence[int]) -> list[int]:
-    strides = [1] * len(cards)
-    for i in range(len(cards) - 2, -1, -1):
-        strides[i] = strides[i + 1] * cards[i + 1]
-    return strides
+@dataclass(frozen=True)
+class _Family:
+    """One CPT family: its child and parent names, and the dataset columns
+    and cardinalities of its members (parents in canonical order, then the
+    child)."""
+
+    name: str
+    parents: tuple[str, ...]
+    members: tuple[int, ...]
+    cards: tuple[int, ...]
+
+    @property
+    def n_rows(self) -> int:
+        return int(np.prod(self.cards[:-1], dtype=np.int64))
+
+    @property
+    def n_states(self) -> int:
+        return self.cards[-1]
 
 
-def _family_counts(codes: np.ndarray, child: int, parents: Sequence[int],
-                   parent_cards: Sequence[int], n_states: int,
-                   weights: np.ndarray | None = None) -> np.ndarray:
+def _families(schema: Sequence[VariableSpec], dag: DagStructure) -> tuple[_Family, ...]:
+    order = {v.name: i for i, v in enumerate(schema)}
+    families = []
+    for j, v in enumerate(schema):
+        parents = tuple(sorted(dag.parents_of(v.name), key=order.__getitem__))
+        members = tuple(order[p] for p in parents) + (j,)
+        families.append(_Family(v.name, parents, members,
+                                 tuple(schema[i].cardinality for i in members)))
+    return tuple(families)
+
+
+def _family_counts(codes: np.ndarray, family: _Family) -> np.ndarray:
     """Row/state counts for one family, listwise-deleting incomplete records."""
-    n_rows = int(np.prod(parent_cards)) if parents else 1
-    counts = np.zeros((n_rows, n_states))
-    mask = codes[:, child] >= 0
-    for p in parents:
-        mask &= codes[:, p] >= 0
-    if not mask.any():
-        return counts
-    child_codes = codes[mask, child]
-    rows = np.zeros(int(mask.sum()), dtype=np.int64)
-    for p, s in zip(parents, _strides(parent_cards)):
-        rows += codes[mask, p].astype(np.int64) * s
-    w = np.ones(rows.shape[0]) if weights is None else weights[mask]
-    np.add.at(counts, (rows, child_codes), w)
-    return counts
+    complete = (codes[:, list(family.members)] >= 0).all(axis=1)
+    flat = config_index([codes[complete, m] for m in family.members], family.cards)
+    counts = np.bincount(flat, minlength=family.n_rows * family.n_states)
+    return counts.reshape(family.n_rows, family.n_states).astype(np.float64)
 
 
 def _posterior_mean(counts: np.ndarray, mean_rows: np.ndarray, ess: float) -> np.ndarray:
     alpha = ess * mean_rows
     return (alpha + counts) / (ess + counts.sum(axis=1, keepdims=True))
+
+
+# --- the E-step -------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Pattern:
+    """Records that share one set of observed cells, and the layout of
+    their two log tables (see the module docstring).
+
+    ``shared_terms`` are the families that read a summed-out cell, evaluated
+    once per distinct key (record ``r`` has key ``keys[r]``) over all
+    ``n_shared * n_configs`` hidden configurations, summed-out cells varying
+    slowest. ``terms`` are the other families, evaluated per record over
+    the ``n_configs`` configurations of the kept cells. Each family maps to
+    a (record or key part, configuration part) pair of flat CPT indices,
+    shaped (1, records or keys) and (configurations, 1) or broadcastable to
+    them; their sum is the (row, state) cell the family reads.
+    """
+
+    records: np.ndarray
+    observed: frozenset[int]
+    n_configs: int
+    terms: dict[str, tuple[np.ndarray, np.ndarray]]
+    n_shared: int
+    keys: np.ndarray
+    shared_terms: dict[str, tuple[np.ndarray, np.ndarray]]
+
+    @property
+    def size(self) -> int:
+        """Entries of the two log tables."""
+        n_keys = int(self.keys.max()) + 1 if self.shared_terms else 0
+        return self.n_configs * (self.records.size + self.n_shared * n_keys)
+
+
+def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First index of each distinct row of a 2-D array, and each row's
+    position among the distinct rows."""
+    a = np.ascontiguousarray(a)
+    rows = a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    return first, inverse.ravel()
+
+
+def _configurations(columns: Sequence[int], cards: Mapping[int, int]
+                    ) -> tuple[int, dict[int, np.ndarray]]:
+    """Number of joint configurations of ``columns``, and each column's
+    state in every configuration (last column fastest)."""
+    if not columns:
+        return 1, {}
+    shape = [cards[c] for c in columns]
+    n = int(np.prod(shape, dtype=np.int64))
+    return n, dict(zip(columns, np.unravel_index(np.arange(n), shape)))
+
+
+def _layout(codes: np.ndarray, records: np.ndarray, seen: frozenset[int],
+            hidden: set[int], kept: set[int], families: Sequence[_Family]) -> _Pattern:
+    """The pattern's tables when the hidden cells outside ``kept`` are summed out first."""
+    cards = {f.members[-1]: f.n_states for f in families}
+    summed = sorted(hidden - kept)
+    n_configs, kept_states = _configurations(sorted(kept), cards)
+    n_all, all_states = _configurations(summed + sorted(kept), cards)
+    terms, shared_terms = {}, {}
+    for f in families:
+        if f.members[-1] not in seen and f.members[-1] not in hidden:
+            continue
+        rec = config_index([codes[records, m] if m in seen else 0 for m in f.members], f.cards)
+        if set(summed).isdisjoint(f.members):
+            cfg = config_index([kept_states.get(m, 0) for m in f.members], f.cards)
+            terms[f.name] = (rec.reshape(1, -1), cfg.reshape(-1, 1))
+        else:
+            cfg = config_index([all_states.get(m, 0) for m in f.members], f.cards)
+            shared_terms[f.name] = (np.broadcast_to(rec, records.shape), cfg.reshape(-1, 1))
+    keys = np.zeros(records.size, dtype=np.int64)
+    if shared_terms:
+        first_key, keys = _unique_rows(np.stack([rec for rec, _ in shared_terms.values()], axis=1))
+        shared_terms = {name: (rec[first_key].reshape(1, -1), cfg)
+                        for name, (rec, cfg) in shared_terms.items()}
+    return _Pattern(records, seen, n_configs, terms, n_all // n_configs, keys, shared_terms)
+
+
+def _patterns(codes: np.ndarray, families: Sequence[_Family],
+              latents: Collection[int]) -> list[_Pattern]:
+    """Group records by missingness pattern and lay out each pattern's tables.
+
+    The latents are always kept per record, since EM needs their
+    posterior. Missing cells whose children are all observed are kept too
+    when that makes the tables smaller: summing out such a cell first makes
+    the keys vary with its children's values.
+    """
+    observed = codes >= 0
+    first, inverse = _unique_rows(np.packbits(observed, axis=1))
+    groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
+    parents = {f.members[-1]: f.members[:-1] for f in families}
+    children: dict[int, set[int]] = {j: set() for j in parents}
+    for j, ps in parents.items():
+        for p in ps:
+            children[p].add(j)
+    patterns = []
+    for records, row in zip(groups, first):
+        seen = frozenset(np.nonzero(observed[row])[0].tolist())
+        hidden = ancestor_closure(parents.__getitem__, seen | set(latents)) - seen
+        childless = {h for h in hidden if h not in latents and not children[h] & hidden}
+        candidates = [set(latents)] + ([set(latents) | childless] if childless else [])
+        patterns.append(min((_layout(codes, records, seen, hidden, kept, families)
+                             for kept in candidates), key=lambda p: p.size))
+    return patterns
+
+
+def _log_cpts(cpts: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    with np.errstate(divide="ignore"):
+        return {name: np.log(rows).ravel() for name, rows in cpts.items()}
+
+
+def _log_table(pattern: _Pattern, log_cpts: Mapping[str, np.ndarray]) -> np.ndarray:
+    """(configurations, records) log P(observed cells, configuration) over
+    the pattern's per-record hidden cells, the others summed out."""
+    table = np.zeros((pattern.n_configs, pattern.records.size))
+    if pattern.shared_terms:
+        shared = sum(log_cpts[name][rec + cfg]
+                     for name, (rec, cfg) in pattern.shared_terms.items())
+        summed = _log_normalizer(shared.reshape(pattern.n_shared, -1))
+        table += summed.reshape(pattern.n_configs, -1)[:, pattern.keys]
+    for name, (rec, cfg) in pattern.terms.items():
+        table += log_cpts[name][rec + cfg]
+    return table
+
+
+def _log_normalizer(table: np.ndarray) -> np.ndarray:
+    """Log-sum-exp over the first axis, shifted by each column's finite max."""
+    shift = table.max(axis=0)
+    shift[~np.isfinite(shift)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(table - shift).sum(axis=0)) + shift
+
+
+def _e_step(patterns: Sequence[_Pattern], log_cpts: Mapping[str, np.ndarray],
+            n: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Per-record log P(observed cells), and per pattern the posterior over
+    its per-record hidden cells, shaped (configurations, records). A record
+    of probability zero gets -inf and an undefined (NaN) posterior."""
+    logp = np.empty(n)
+    posteriors = []
+    for pattern in patterns:
+        table = _log_table(pattern, log_cpts)
+        log_marginal = _log_normalizer(table)
+        logp[pattern.records] = log_marginal
+        with np.errstate(invalid="ignore"):
+            posteriors.append(np.exp(table - log_marginal))
+    return logp, posteriors
 
 
 # --- closed-form fitting ---------------------------------------------------------
@@ -155,23 +347,19 @@ def fit_cpts(schema: Sequence[VariableSpec], dag: DagStructure, dataset: Dataset
     """
     schema = tuple(schema)
     prior = prior if prior is not None else default_prior(schema)
-    order = {v.name: i for i, v in enumerate(schema)}
     codes = _codes_matrix(schema, dataset)
     cpts = []
-    for j, v in enumerate(schema):
-        parents = sorted(dag.parents_of(v.name), key=order.__getitem__)
-        parent_idx = [order[p] for p in parents]
-        parent_cards = [schema[i].cardinality for i in parent_idx]
-        counts = _family_counts(codes, j, parent_idx, parent_cards, v.cardinality)
-        mean = prior.mean_rows(v.name, counts.shape[0], v.cardinality)
-        cpts.append(Cpt(v.name, parents, _posterior_mean(counts, mean, prior.ess)))
+    for f in _families(schema, dag):
+        mean = prior.mean_rows(f.name, f.n_rows, f.n_states)
+        cpts.append(Cpt(f.name, f.parents,
+                        _posterior_mean(_family_counts(codes, f), mean, prior.ess)))
     return build_network(schema, dag, cpts)
 
 
 def log_likelihood(network: Network, dataset: Dataset) -> float:
     """Sum over records of log P(observed assignment).
 
-    Unobserved cells are marginalized by exact inference. Records with zero
+    Unobserved cells are marginalized exactly. Records with zero
     probability contribute -inf; their count is reported via a warning
     rather than being clamped away.
     """
@@ -179,30 +367,9 @@ def log_likelihood(network: Network, dataset: Dataset) -> float:
     codes = _codes_matrix(schema, dataset)
     if dataset.n == 0:
         return 0.0
-    full = (codes >= 0).all(axis=1)
-    logp = np.zeros(dataset.n)
-    if full.any():
-        sub = codes[full]
-        acc = np.zeros(sub.shape[0])
-        order = {v.name: i for i, v in enumerate(schema)}
-        for j, v in enumerate(schema):
-            parents = network.parents(v.name)
-            parent_idx = [order[p] for p in parents]
-            parent_cards = [schema[i].cardinality for i in parent_idx]
-            rows = np.zeros(sub.shape[0], dtype=np.int64)
-            for p, s in zip(parent_idx, _strides(parent_cards)):
-                rows += sub[:, p].astype(np.int64) * s
-            probs = network.cpts[v.name].rows[rows, sub[:, j]]
-            with np.errstate(divide="ignore"):
-                acc += np.log(probs)
-        logp[full] = acc
-    for i in np.nonzero(~full)[0]:
-        observed = {
-            schema[j].name: schema[j].states[codes[i, j]]
-            for j in range(len(schema)) if codes[i, j] >= 0
-        }
-        p = evidence_probability(network, observed)
-        logp[i] = np.log(p) if p > 0 else -np.inf
+    log_cpts = _log_cpts({name: cpt.rows for name, cpt in network.cpts.items()})
+    patterns = _patterns(codes, _families(schema, network.dag), ())
+    logp, _ = _e_step(patterns, log_cpts, dataset.n)
     zero = int(np.isneginf(logp).sum())
     if zero:
         warnings.warn(f"{zero} record(s) have probability zero under the network")
@@ -247,7 +414,7 @@ class EmTrace:
 
 
 class _EmProblem:
-    """Precomputed indexing shared by all restarts of one em_fit call."""
+    """Families and missingness patterns shared by all restarts of one em_fit call."""
 
     def __init__(self, schema: Sequence[VariableSpec], dag: DagStructure,
                  dataset: Dataset, latents: Sequence[str], prior: DirichletPrior):
@@ -268,181 +435,65 @@ class _EmProblem:
         self.latents = tuple(sorted(set(latents), key=order.__getitem__))
         if not self.latents:
             raise SchemaMismatch("em_fit needs at least one latent variable")
-        latent_set = set(self.latents)
+        latent_cols = {order[name] for name in self.latents}
 
-        self.codes = _codes_matrix(self.schema, dataset)
-        observed_cols = [j for j, v in enumerate(self.schema) if v.name not in latent_set]
-        self.fast = (self.codes[:, observed_cols] >= 0).all(axis=1)
-        self.slow_rows = np.nonzero(~self.fast)[0]
+        codes = _codes_matrix(self.schema, dataset)
+        self.n = dataset.n
+        self.families = _families(self.schema, dag)
+        self.patterns = _patterns(codes, self.families, latent_cols)
 
-        latent_cards = [self.schema[order[l]].cardinality for l in self.latents]
-        self.n_configs = int(np.prod(latent_cards))
-        self.config_states = np.stack(
-            np.unravel_index(np.arange(self.n_configs), latent_cards), axis=1
-        )
-        self.latent_col = {l: k for k, l in enumerate(self.latents)}
-
-        # Family layout: (name, child col, parent cols, parent cards, rows)
-        self.families = []
-        for j, v in enumerate(self.schema):
-            parents = sorted(dag.parents_of(v.name), key=order.__getitem__)
-            parent_idx = [order[p] for p in parents]
-            parent_cards = [self.schema[i].cardinality for i in parent_idx]
-            touches = v.name in latent_set or any(
-                self.schema[i].name in latent_set for i in parent_idx
-            )
-            self.families.append({
-                "name": v.name, "child": j, "parents": parents,
-                "parent_idx": parent_idx, "parent_cards": parent_cards,
-                "strides": _strides(parent_cards),
-                "n_rows": int(np.prod(parent_cards)) if parents else 1,
-                "n_states": v.cardinality, "latent": touches,
-            })
-
-        # Static families never change after the first M-step.
+        # Static families never change after the first M-step. Each
+        # latent-touching family is listed with the patterns it counts:
+        # those in which none of its non-latent members is missing.
         self.static_cpts: dict[str, np.ndarray] = {}
+        self.latent_families: list[tuple[_Family, list[int]]] = []
         for f in self.families:
-            if not f["latent"]:
-                counts = _family_counts(self.codes, f["child"], f["parent_idx"],
-                                        f["parent_cards"], f["n_states"])
-                mean = prior.mean_rows(f["name"], f["n_rows"], f["n_states"])
-                self.static_cpts[f["name"]] = _posterior_mean(counts, mean, prior.ess)
-
-        # Fast-row row indices split into an observed part (fixed) and a
-        # per-config latent offset.
-        fast_codes = self.codes[self.fast]
-        self.n_fast = fast_codes.shape[0]
-        for f in self.families:
-            if not f["latent"]:
-                continue
-            base = np.zeros(self.n_fast, dtype=np.int64)
-            offsets = np.zeros(self.n_configs, dtype=np.int64)
-            for i, stride in zip(f["parent_idx"], f["strides"]):
-                pname = self.schema[i].name
-                if pname in latent_set:
-                    offsets += self.config_states[:, self.latent_col[pname]] * stride
-                else:
-                    base += fast_codes[:, i].astype(np.int64) * stride
-            f["row_base"] = base
-            f["row_offsets"] = offsets
-            child_name = f["name"]
-            if child_name in latent_set:
-                f["child_config"] = self.config_states[:, self.latent_col[child_name]]
+            if latent_cols.isdisjoint(f.members):
+                mean = prior.mean_rows(f.name, f.n_rows, f.n_states)
+                self.static_cpts[f.name] = _posterior_mean(_family_counts(codes, f), mean,
+                                                           prior.ess)
             else:
-                f["child_codes"] = fast_codes[:, f["child"]]
+                counted = [k for k, p in enumerate(self.patterns)
+                           if all(m in p.observed or m in latent_cols for m in f.members)]
+                self.latent_families.append((f, counted))
 
     def init_theta(self, rng: np.random.Generator, jitter: float) -> dict[str, np.ndarray]:
         theta = {}
         for f in self.families:
-            mean = self.prior.mean_rows(f["name"], f["n_rows"], f["n_states"])
+            mean = self.prior.mean_rows(f.name, f.n_rows, f.n_states)
             if jitter > 0:
                 mean = mean * (1.0 + jitter * (2.0 * rng.random(mean.shape) - 1.0))
                 mean /= mean.sum(axis=1, keepdims=True)
-            theta[f["name"]] = mean
+            theta[f.name] = mean
         return theta
 
     def network(self, theta: Mapping[str, np.ndarray]) -> Network:
-        cpts = [Cpt(f["name"], tuple(f["parents"]), theta[f["name"]])
-                for f in self.families]
+        cpts = [Cpt(f.name, f.parents, theta[f.name]) for f in self.families]
         return build_network(self.schema, self.dag, cpts)
-
-    def latent_log_table(self, theta: Mapping[str, np.ndarray]) -> np.ndarray:
-        """(n_fast, n_configs) log of the latent-family product per record."""
-        table = np.zeros((self.n_fast, self.n_configs))
-        for f in self.families:
-            if not f["latent"]:
-                continue
-            with np.errstate(divide="ignore"):
-                log_rows = np.log(theta[f["name"]])
-            for c in range(self.n_configs):
-                ridx = f["row_base"] + f["row_offsets"][c]
-                if "child_config" in f:
-                    table[:, c] += log_rows[ridx, f["child_config"][c]]
-                else:
-                    table[:, c] += log_rows[ridx, f["child_codes"]]
-        return table
-
-    def static_log_sum(self, theta: Mapping[str, np.ndarray]) -> float:
-        """Sum over fast records of the static families' log-probabilities."""
-        fast_codes = self.codes[self.fast]
-        total = 0.0
-        for f in self.families:
-            if f["latent"]:
-                continue
-            rows = np.zeros(self.n_fast, dtype=np.int64)
-            for i, stride in zip(f["parent_idx"], f["strides"]):
-                rows += fast_codes[:, i].astype(np.int64) * stride
-            probs = theta[f["name"]][rows, fast_codes[:, f["child"]]]
-            with np.errstate(divide="ignore"):
-                total += float(np.log(probs).sum())
-        return total
 
     def prior_term(self, theta: Mapping[str, np.ndarray]) -> float:
         total = 0.0
         for f in self.families:
-            mean = self.prior.mean_rows(f["name"], f["n_rows"], f["n_states"])
+            mean = self.prior.mean_rows(f.name, f.n_rows, f.n_states)
             alpha = self.prior.ess * mean
-            t = theta[f["name"]]
+            t = theta[f.name]
             with np.errstate(divide="ignore", invalid="ignore"):
                 terms = np.where(alpha > 0, alpha * np.log(t), 0.0)
             total += float(terms.sum())
         return total
 
-    def slow_responsibilities(self, theta: Mapping[str, np.ndarray]
-                              ) -> tuple[np.ndarray, float]:
-        """Per slow record: latent posterior (flattened) and the record's
-        log-probability; exact inference on the assembled network."""
-        if self.slow_rows.size == 0:
-            return np.zeros((0, self.n_configs)), 0.0
-        net = self.network(theta)
-        resp = np.zeros((self.slow_rows.size, self.n_configs))
-        total = 0.0
-        for k, r in enumerate(self.slow_rows):
-            observed = {
-                self.schema[j].name: self.schema[j].states[self.codes[r, j]]
-                for j in range(len(self.schema)) if self.codes[r, j] >= 0
-            }
-            joint = posterior_joint(net, list(self.latents), observed)
-            resp[k] = joint.reshape(-1)
-            p = evidence_probability(net, observed)
-            total += float(np.log(p)) if p > 0 else -np.inf
-        return resp, total
-
-    def m_step(self, resp_fast: np.ndarray, resp_slow: np.ndarray
-               ) -> dict[str, np.ndarray]:
+    def m_step(self, posteriors: Sequence[np.ndarray]) -> dict[str, np.ndarray]:
         theta: dict[str, np.ndarray] = dict(self.static_cpts)
-        fast_codes = self.codes[self.fast]
-        for f in self.families:
-            if not f["latent"]:
-                continue
-            counts = np.zeros((f["n_rows"], f["n_states"]))
-            for c in range(self.n_configs):
-                ridx = f["row_base"] + f["row_offsets"][c]
-                if "child_config" in f:
-                    np.add.at(counts[:, f["child_config"][c]], ridx, resp_fast[:, c])
-                else:
-                    np.add.at(counts, (ridx, f["child_codes"]), resp_fast[:, c])
-            for k, r in enumerate(self.slow_rows):
-                ok = self.codes[r, f["child"]] >= 0 or f["name"] in self.latents
-                for i in f["parent_idx"]:
-                    pname = self.schema[i].name
-                    ok = ok and (pname in self.latents or self.codes[r, i] >= 0)
-                if not ok:
-                    continue
-                for c in range(self.n_configs):
-                    row = 0
-                    for i, stride in zip(f["parent_idx"], f["strides"]):
-                        pname = self.schema[i].name
-                        val = (self.config_states[c, self.latent_col[pname]]
-                               if pname in self.latents else self.codes[r, i])
-                        row += int(val) * stride
-                    if f["name"] in self.latents:
-                        state = int(self.config_states[c, self.latent_col[f["name"]]])
-                    else:
-                        state = int(self.codes[r, f["child"]])
-                    counts[row, state] += resp_slow[k, c]
-            mean = self.prior.mean_rows(f["name"], f["n_rows"], f["n_states"])
-            theta[f["name"]] = _posterior_mean(counts, mean, self.prior.ess)
+        for f, counted in self.latent_families:
+            counts = np.zeros(f.n_rows * f.n_states)
+            for k in counted:
+                rec, cfg = self.patterns[k].terms[f.name]
+                weights = posteriors[k]
+                flat = np.broadcast_to(rec + cfg, weights.shape)
+                counts += np.bincount(flat.ravel(), weights.ravel(), counts.size)
+            mean = self.prior.mean_rows(f.name, f.n_rows, f.n_states)
+            theta[f.name] = _posterior_mean(counts.reshape(f.n_rows, f.n_states), mean,
+                                            self.prior.ess)
         return theta
 
 
@@ -473,11 +524,8 @@ def em_fit(schema: Sequence[VariableSpec], dag: DagStructure, dataset: Dataset,
         converged = False
         prev = None
         for t in range(config.max_iterations + 1):
-            latent_logs = problem.latent_log_table(theta)
-            log_marg = logsumexp(latent_logs, axis=1)
-            resp_slow, slow_ll = problem.slow_responsibilities(theta)
-            objective = (problem.static_log_sum(theta) + float(log_marg.sum())
-                         + slow_ll + problem.prior_term(theta))
+            logp, posteriors = _e_step(problem.patterns, _log_cpts(theta), problem.n)
+            objective = float(logp.sum()) + problem.prior_term(theta)
             objectives.append(objective)
             if prev is not None and abs(objective - prev) <= config.tolerance * max(1.0, abs(prev)):
                 converged = True
@@ -485,8 +533,7 @@ def em_fit(schema: Sequence[VariableSpec], dag: DagStructure, dataset: Dataset,
             prev = objective
             if t == config.max_iterations:
                 break
-            resp_fast = np.exp(latent_logs - log_marg[:, None])
-            theta = problem.m_step(resp_fast, resp_slow)
+            theta = problem.m_step(posteriors)
         traces.append(tuple(objectives))
         converged_flags.append(converged)
         finals.append(theta)
@@ -509,17 +556,14 @@ def _align_binary_latents(problem: _EmProblem,
             continue
         net = problem.network(theta)
         m = marginal(net, latent).probabilities
-        fam = next(f for f in problem.families if f["name"] == latent)
-        anchor = float(problem.prior.mean_rows(latent, fam["n_rows"], 2).mean(axis=0)[0])
+        fam = next(f for f in problem.families if f.name == latent)
+        anchor = float(problem.prior.mean_rows(latent, fam.n_rows, 2).mean(axis=0)[0])
         if abs(m[0] - anchor) <= abs(m[1] - anchor):
             continue
         theta[latent] = theta[latent][:, ::-1].copy()
         for f in problem.families:
-            if latent not in f["parents"]:
+            if latent not in f.parents:
                 continue
-            axis = f["parents"].index(latent)
-            shape = tuple(f["parent_cards"]) + (f["n_states"],)
-            table = theta[f["name"]].reshape(shape)
-            table = np.flip(table, axis=axis)
-            theta[f["name"]] = table.reshape(f["n_rows"], f["n_states"]).copy()
+            table = np.flip(theta[f.name].reshape(f.cards), axis=f.parents.index(latent))
+            theta[f.name] = table.reshape(f.n_rows, f.n_states).copy()
     return theta

@@ -8,9 +8,19 @@ agreement between the two is a real cross-check.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 
+import riskbn
 from riskbn.core import Cpt, DagStructure, Network, VariableSpec, build_network
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """Environment for a child interpreter that imports this riskbn."""
+    paths = [str(Path(riskbn.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p), **extra)
 
 
 def chain_network() -> Network:

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from riskbn.core import parse_model, serialize_model
 from riskbn.data import build_default_generator
 from riskbn.learning import default_prior
 
-from helpers import chain_network
+from helpers import chain_network, child_env
 
 
 @pytest.fixture()
@@ -312,3 +314,31 @@ def test_summarize_stdout_without_out(tmp_path, capsys):
     data.write_text("Gender\nMale\nFemale\n")
     assert main(["summarize", "--data", str(data)]) == 0
     assert "Gender,Male,1,50" in capsys.readouterr().out
+
+
+# --- input boundary -------------------------------------------------------------------
+
+def _bad_input_argv(case, tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    _ranking_csv(a, [("x", 0.3), ("y", 0.2), ("z", 0.1)])
+    if case == "simulate_n_zero":
+        return ["simulate", "--n", "0", "--seed", "1", "--out", str(tmp_path / "d.csv")]
+    if case == "compare_non_numeric":
+        _ranking_csv(b, [("x", "abc"), ("y", 0.2), ("z", 0.1)])
+        return ["compare", str(a), str(b)]
+    if case == "compare_nan":
+        _ranking_csv(b, [("x", "nan"), ("y", "nan"), ("z", "nan")])
+        return ["compare", str(a), str(b)]
+    data = tmp_path / "latin1.csv"
+    data.write_bytes("Gender\nMale\n".encode() + b"F\xe9male\n")
+    return ["summarize", "--data", str(data)]
+
+
+@pytest.mark.parametrize("case", ["simulate_n_zero", "compare_non_numeric", "compare_nan",
+                                  "non_utf8_data"])
+def test_bad_input_exits_2_without_traceback(tmp_path, case):
+    proc = subprocess.run([sys.executable, "-m", "riskbn.cli", *_bad_input_argv(case, tmp_path)],
+                          capture_output=True, text=True, env=child_env(), timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")

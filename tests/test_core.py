@@ -9,6 +9,7 @@ from riskbn.core import (
     Distribution,
     VariableSpec,
     build_network,
+    config_index,
     parse_model,
     parse_model_parts,
     serialize_model,
@@ -238,3 +239,21 @@ def test_parse_model_parts_without_cpts():
     assert cpts == {}
     with pytest.raises(MissingCpt):
         parse_model(text)
+
+
+def test_config_index_matches_row_index_and_splits_linearly():
+    rng = np.random.default_rng(5)
+    net = random_network(rng, max_vars=6, max_states=4)
+    name = max(net.variables, key=lambda v: len(net.parents(v)))
+    parents = net.parents(name)
+    assert parents
+    cards = [net.cardinality(p) for p in parents]
+    states = [rng.integers(0, c, size=20) for c in cards]
+    rows = config_index(states, cards)
+    for i in range(20):
+        assignment = {p: net.spec(p).states[states[k][i]] for k, p in enumerate(parents)}
+        assert rows[i] == net.row_index(name, assignment)
+    # zeroing disjoint variables splits the index into parts that sum back
+    head = config_index([s if k % 2 else 0 for k, s in enumerate(states)], cards)
+    tail = config_index([0 if k % 2 else s for k, s in enumerate(states)], cards)
+    assert np.array_equal(head + tail, rows)

@@ -1,7 +1,11 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from riskbn.core import Cpt, DagStructure, VariableSpec, build_network
+from riskbn.core import Cpt, DagStructure, VariableSpec, build_network, serialize_model
+from riskbn.data import default_dag, default_schema, simulate_dataset
 from riskbn.errors import (
     DomainError,
     IncompleteAssignment,
@@ -18,8 +22,16 @@ from riskbn.inference import (
     posterior,
     posterior_joint,
 )
+from riskbn.learning import fit_cpts
 
-from helpers import JointOracle, chain_network, copy_network, random_evidence, random_network
+from helpers import (
+    JointOracle,
+    chain_network,
+    child_env,
+    copy_network,
+    random_evidence,
+    random_network,
+)
 
 
 def single_node(p1=0.3):
@@ -188,6 +200,32 @@ def test_posterior_joint_matches_oracle():
         expected = sub.sum(axis=axes)
         expected = expected / expected.sum()
         assert got == pytest.approx(expected, abs=1e-9)
+
+
+_QUERY = """
+import sys
+from riskbn.core import parse_model
+from riskbn.inference import evidence_probability, posterior
+net = parse_model(open(sys.argv[1]).read())
+evidence = {"Previous_CB_Victimization": "Yes", "Empathy": "Low"}
+print(repr(posterior(net, "Previous_CB_Offending", evidence).probabilities))
+print(repr(evidence_probability(net, evidence)))
+"""
+
+
+def test_query_bytes_do_not_depend_on_string_hash_seed(tmp_path):
+    # factors are multiplied in canonical order, not set order, so the
+    # last digits of a posterior repeat under any PYTHONHASHSEED
+    specs = default_schema().network_variables
+    model = tmp_path / "model.json"
+    model.write_text(serialize_model(fit_cpts(specs, default_dag(), simulate_dataset(5000, 3))))
+    outputs = set()
+    for hash_seed in ("1", "2", "3", "5"):
+        proc = subprocess.run([sys.executable, "-c", _QUERY, str(model)], capture_output=True,
+                              text=True, env=child_env(PYTHONHASHSEED=hash_seed), timeout=120,
+                              check=True)
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1, outputs
 
 
 # --- sampling --------------------------------------------------------------------

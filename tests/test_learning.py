@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskbn.core import Cpt, DagStructure, VariableSpec, build_network
 from riskbn.data import Dataset, Schema, dataset_from_batch, default_dag, default_schema, simulate_dataset
 from riskbn.errors import SchemaMismatch
-from riskbn.inference import ancestral_sample, joint_table
+from riskbn.inference import ancestral_sample, evidence_probability, joint_table
 from riskbn.learning import (
     DirichletPrior,
     EmConfig,
@@ -16,7 +19,7 @@ from riskbn.learning import (
     log_likelihood,
 )
 
-from helpers import chain_network, random_network
+from helpers import JointOracle, chain_network, random_network
 
 OUTCOME = "Previous_CB_Offending"
 
@@ -233,8 +236,7 @@ def test_em_monotone_objective_and_recovery():
     assert net.cpts["X2"].rows[0, 0] == pytest.approx(0.7, abs=0.08)
 
 
-def test_em_handles_incidental_missingness():
-    # records missing an observed cell go through the exact-inference path
+def incidental_missingness_fit():
     schema = (
         VariableSpec("L", ("Yes", "No"), "outcome"),
         VariableSpec("X1", ("a", "b")),
@@ -246,8 +248,27 @@ def test_em_handles_incidental_missingness():
     x2 = rng.integers(0, 2, size=60).astype(np.int16)
     x1[:5] = -1
     ds = Dataset(Schema(schema), 60, {"X1": x1, "X2": x2})
-    net, trace = em_fit(schema, dag, ds, ["L"],
-                        config=EmConfig(restarts=2, max_iterations=40, seed=6))
+    return em_fit(schema, dag, ds, ["L"], config=EmConfig(restarts=2, max_iterations=40, seed=6))
+
+
+def blanked_parent_fit():
+    # as --filter-action blank does to Previous_CB_Victimization, plus a
+    # blanked root parent of the latent and a blanked (barren) game leaf
+    ds = simulate_dataset(300, 3).without_columns([OUTCOME])
+    columns = dict(ds.columns)
+    for name, start, step in (("Previous_CB_Victimization", 0, 15), ("Empathy", 2, 11),
+                              ("A3Q7_HowToHelpPol", 1, 7)):
+        column = columns[name].copy()
+        column[start::step] = -1
+        columns[name] = column
+    ds = Dataset(ds.schema, ds.n, columns)
+    return em_fit(default_schema().network_variables, default_dag(), ds, [OUTCOME],
+                  config=EmConfig(restarts=2, max_iterations=6, tolerance=1e-9, seed=4))
+
+
+def test_em_handles_incidental_missingness():
+    # records missing an observed cell share the E-step with complete ones
+    net, trace = incidental_missingness_fit()
     assert np.abs(net.cpts["X1"].rows.sum(axis=1) - 1.0).max() < 1e-9
     for objectives in trace.log_likelihoods:
         assert (np.diff(objectives) >= -1e-9).all()
@@ -261,3 +282,99 @@ def test_em_not_converged_is_flagged_not_raised():
                         config=EmConfig(restarts=1, max_iterations=2, seed=1))
     assert trace.converged == (False,)
     assert net is not None
+
+
+# Objectives recorded from the per-record elimination E-step this package
+# used before the single vectorized one; both compute the same quantity.
+INCIDENTAL_TRACE = (
+    (
+        -86.85116327159616, -85.64904537899731, -85.64836042391475, -85.6478962577292,
+        -85.64757478791752, -85.64734523931916, -85.64717450344035, -85.64704090127789,
+        -85.64693014480991, -85.64683271838157, -85.64674217850262, -85.64665404821596,
+        -85.64656509652504, -85.64647286716286, -85.646375368715, -85.64627086900987,
+        -85.64615775672085, -85.64603444610766, -85.64589930925295, -85.64575062561602,
+        -85.6455865422827, -85.64540504060369, -85.64520390642889, -85.64498070214475,
+        -85.64473273939248, -85.64445705180728, -85.64415036746067, -85.64380908094942,
+        -85.6434292253105, -85.64300644415975, -85.64253596468629, -85.6420125723859,
+        -85.6414305887095, -85.64078385312838, -85.64006571149451, -85.63926901299433,
+        -85.6383861184577, -85.63740892326982, -85.63632889863642, -85.63513715542068,
+        -85.63382453516682,
+    ),
+    (
+        -86.53170062905619, -85.6496074458216, -85.64863812027419, -85.64800809268628,
+        -85.6475978978583, -85.64733019922876, -85.64715487936027, -85.64703943427006,
+        -85.6469627687114,
+    ),
+)
+
+BLANKED_PARENT_TRACE = (
+    (
+        -104059.68819110534, -103412.31057605807, -103412.08673043775,
+        -103411.5317488955, -103409.93987659781, -103405.19592932153,
+        -103395.09429963784,
+    ),
+    (
+        -104047.68287314434, -103412.38767437902, -103412.2389291688,
+        -103411.83382917696, -103410.50137307844, -103405.50159613989,
+        -103391.64806044477,
+    ),
+)
+
+
+@pytest.mark.parametrize("fit, expected, converged, selected", [
+    (incidental_missingness_fit, INCIDENTAL_TRACE, (False, True), 0),
+    (blanked_parent_fit, BLANKED_PARENT_TRACE, (False, False), 1),
+])
+def test_em_trace_matches_pinned_objectives(fit, expected, converged, selected):
+    _, trace = fit()
+    assert trace.converged == converged
+    assert trace.selected == selected
+    assert [len(r) for r in trace.log_likelihoods] == [len(r) for r in expected]
+    for got, want in zip(trace.log_likelihoods, expected):
+        assert got == pytest.approx(want, rel=1e-9, abs=0)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["cells", "columns", "leaves"]))
+@settings(max_examples=60, deadline=None)
+def test_log_likelihood_matches_oracle_under_missingness(seed, mode):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, max_vars=7, max_states=3, allow_zeros=True)
+    n = int(rng.integers(1, 40))
+    states = ancestral_sample(net, n, seed=int(rng.integers(2**31))).states
+    blank = np.zeros(states.shape, dtype=bool)
+    if mode == "cells":
+        blank = rng.random(states.shape) < 0.35
+    elif mode == "columns":
+        blank[:, rng.random(states.shape[1]) < 0.4] = True
+    else:
+        leaves = [j for j, v in enumerate(net.variables) if not net.children(v)]
+        blank[:, leaves] = rng.random((n, len(leaves))) < 0.5
+    columns = {name: np.where(blank[:, j], -1, states[:, j]).astype(np.int16)
+               for j, name in enumerate(net.variables) if not blank[:, j].all()}
+    ds = Dataset(Schema(net.schema), n, columns)
+    oracle = JointOracle(net)
+    expected = sum(math.log(oracle.evidence_probability(ds.record(i))) for i in range(n))
+    assert log_likelihood(net, ds) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
+PROFILING = tuple(v.name for v in default_schema().network_variables
+                  if v.kind in ("demographic", "psychological"))
+
+
+@pytest.mark.parametrize("absent", [PROFILING + (OUTCOME,), PROFILING,
+                                    ("Previous_CB_Victimization", OUTCOME)])
+def test_log_likelihood_with_absent_columns_matches_elimination_in_bounded_memory(absent):
+    # without the profiling columns every record hides 72,900 profiling
+    # configurations; summing them out per distinct key keeps the tables
+    # far below records x configurations (120 x 145,800 doubles = 140 MB)
+    net = fit_cpts(default_schema().network_variables, default_dag(), simulate_dataset(2000, 2))
+    ds = simulate_dataset(120, 1).without_columns(absent)
+    tracemalloc.start()
+    try:
+        value = log_likelihood(net, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = sum(math.log(evidence_probability(net, ds.record(i))) for i in range(ds.n))
+    assert value == pytest.approx(expected, rel=1e-9)
+    assert peak < 48e6
