@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .core import Network
 from .errors import (
@@ -404,10 +403,73 @@ class RankComparison:
     exact_extreme: bool = False
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks; each run of tied values gets the mean of its positions."""
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts_run = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    starts = np.flatnonzero(starts_run)
+    ends = np.append(starts[1:], x.shape[0])
+    ranks = np.empty(x.shape[0])
+    ranks[order] = ((starts + 1 + ends) / 2.0)[np.cumsum(starts_run) - 1]
+    return ranks
+
+
+def _beta_continued_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta function, evaluated with
+    the modified Lentz method; converges fast for x < (a + 1) / (a + b + 2)."""
+    tiny, eps = 1e-300, 1e-15
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 10_000):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            step = c * d
+            h *= step
+        if abs(step - 1.0) < eps:
+            return h
+    raise DomainError(f"incomplete beta continued fraction did not converge "
+                      f"(a={a}, b={b}, x={x})")
+
+
+def _student_t_two_sided(t: float, df: int) -> float:
+    """P(|T| >= |t|) for Student's t with ``df`` degrees of freedom.
+
+    This is the regularized incomplete beta I_x(df/2, 1/2) at
+    x = df / (df + t^2). The prefactor x^a (1-x)^b / B(a, b) is formed
+    in log space with ``math.lgamma``; the continued fraction runs on
+    whichever of x and 1 - x converges fast, so a small p is computed
+    directly rather than as a difference from one.
+    """
+    t2 = t * t
+    x = df / (df + t2)
+    y = t2 / (df + t2)
+    if y == 0.0:
+        return 1.0
+    a, b = df / 2.0, 0.5
+    log_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                 + a * math.log(x) + b * math.log(y))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return math.exp(log_front + math.log(_beta_continued_fraction(a, b, x) / a))
+    return 1.0 - math.exp(log_front + math.log(_beta_continued_fraction(b, a, y) / b))
+
+
 def spearman(scores_a: Sequence[float], scores_b: Sequence[float]) -> RankComparison:
     """Spearman rho with average ranks for ties; two-sided p-value from the
     t approximation with n - 2 degrees of freedom. |rho| = 1 reports the
-    limiting tail p = 0 and flags the exact case."""
+    limiting tail p = 0 and flags the exact case.
+
+    Ranks come from a stable argsort, each run of ties taking the mean of
+    its positions. The t tail is the regularized incomplete beta
+    I_{df/(df+t^2)}(df/2, 1/2), from a Lentz continued fraction with a
+    ``math.lgamma`` prefactor.
+    """
     a = np.asarray(scores_a, dtype=np.float64)
     b = np.asarray(scores_b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
@@ -417,8 +479,8 @@ def spearman(scores_a: Sequence[float], scores_b: Sequence[float]) -> RankCompar
     n = a.shape[0]
     if n < 2:
         raise DomainError("need at least two paired scores")
-    ra = stats.rankdata(a)
-    rb = stats.rankdata(b)
+    ra = _average_ranks(a)
+    rb = _average_ranks(b)
     if np.ptp(ra) == 0 or np.ptp(rb) == 0:
         raise DomainError("constant ranks: correlation undefined")
     if np.array_equal(ra, rb):
@@ -431,5 +493,4 @@ def spearman(scores_a: Sequence[float], scores_b: Sequence[float]) -> RankCompar
     if abs(rho) == 1.0 or n == 2:
         return RankComparison(rho, 0.0, n, exact_extreme=True)
     t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-    p = float(2.0 * stats.t.sf(abs(t), n - 2))
-    return RankComparison(rho, p, n)
+    return RankComparison(rho, _student_t_two_sided(t, n - 2), n)

@@ -407,7 +407,12 @@ def _read_ranking_csv(path: str) -> dict[str, float]:
             raise IllegalState(row["score"], i, "score") from None
         if not math.isfinite(score):
             raise IllegalState(row["score"], i, "score")
+        if row["variable"] in scores:
+            raise VariableSetMismatch(
+                f"{path}: variable {row['variable']!r} repeats in data row {i}")
         scores[row["variable"]] = score
+    if not scores:
+        raise VariableSetMismatch(f"{path} has no data rows")
     return scores
 
 

@@ -182,8 +182,7 @@ def _family_counts(codes: np.ndarray, family: _Family) -> np.ndarray:
     return counts.reshape(family.n_rows, family.n_states).astype(np.float64)
 
 
-def _posterior_mean(counts: np.ndarray, mean_rows: np.ndarray, ess: float) -> np.ndarray:
-    alpha = ess * mean_rows
+def _posterior_mean(counts: np.ndarray, alpha: np.ndarray, ess: float) -> np.ndarray:
     return (alpha + counts) / (ess + counts.sum(axis=1, keepdims=True))
 
 
@@ -350,9 +349,9 @@ def fit_cpts(schema: Sequence[VariableSpec], dag: DagStructure, dataset: Dataset
     codes = _codes_matrix(schema, dataset)
     cpts = []
     for f in _families(schema, dag):
-        mean = prior.mean_rows(f.name, f.n_rows, f.n_states)
+        alpha = prior.ess * prior.mean_rows(f.name, f.n_rows, f.n_states)
         cpts.append(Cpt(f.name, f.parents,
-                        _posterior_mean(_family_counts(codes, f), mean, prior.ess)))
+                        _posterior_mean(_family_counts(codes, f), alpha, prior.ess)))
     return build_network(schema, dag, cpts)
 
 
@@ -442,6 +441,18 @@ class _EmProblem:
         self.families = _families(self.schema, dag)
         self.patterns = _patterns(codes, self.families, latent_cols)
 
+        # Prior means and pseudo-counts (ess * mean) per family, read-only
+        # and shared by every restart and iteration.
+        self.means: dict[str, np.ndarray] = {}
+        self.alphas: dict[str, np.ndarray] = {}
+        for f in self.families:
+            mean = prior.mean_rows(f.name, f.n_rows, f.n_states)
+            alpha = prior.ess * mean
+            mean.setflags(write=False)
+            alpha.setflags(write=False)
+            self.means[f.name] = mean
+            self.alphas[f.name] = alpha
+
         # Static families never change after the first M-step. Each
         # latent-touching family is listed with the patterns it counts:
         # those in which none of its non-latent members is missing.
@@ -449,9 +460,8 @@ class _EmProblem:
         self.latent_families: list[tuple[_Family, list[int]]] = []
         for f in self.families:
             if latent_cols.isdisjoint(f.members):
-                mean = prior.mean_rows(f.name, f.n_rows, f.n_states)
-                self.static_cpts[f.name] = _posterior_mean(_family_counts(codes, f), mean,
-                                                           prior.ess)
+                self.static_cpts[f.name] = _posterior_mean(_family_counts(codes, f),
+                                                           self.alphas[f.name], prior.ess)
             else:
                 counted = [k for k, p in enumerate(self.patterns)
                            if all(m in p.observed or m in latent_cols for m in f.members)]
@@ -460,7 +470,7 @@ class _EmProblem:
     def init_theta(self, rng: np.random.Generator, jitter: float) -> dict[str, np.ndarray]:
         theta = {}
         for f in self.families:
-            mean = self.prior.mean_rows(f.name, f.n_rows, f.n_states)
+            mean = self.means[f.name]
             if jitter > 0:
                 mean = mean * (1.0 + jitter * (2.0 * rng.random(mean.shape) - 1.0))
                 mean /= mean.sum(axis=1, keepdims=True)
@@ -474,8 +484,7 @@ class _EmProblem:
     def prior_term(self, theta: Mapping[str, np.ndarray]) -> float:
         total = 0.0
         for f in self.families:
-            mean = self.prior.mean_rows(f.name, f.n_rows, f.n_states)
-            alpha = self.prior.ess * mean
+            alpha = self.alphas[f.name]
             t = theta[f.name]
             with np.errstate(divide="ignore", invalid="ignore"):
                 terms = np.where(alpha > 0, alpha * np.log(t), 0.0)
@@ -491,9 +500,8 @@ class _EmProblem:
                 weights = posteriors[k]
                 flat = np.broadcast_to(rec + cfg, weights.shape)
                 counts += np.bincount(flat.ravel(), weights.ravel(), counts.size)
-            mean = self.prior.mean_rows(f.name, f.n_rows, f.n_states)
-            theta[f.name] = _posterior_mean(counts.reshape(f.n_rows, f.n_states), mean,
-                                            self.prior.ess)
+            theta[f.name] = _posterior_mean(counts.reshape(f.n_rows, f.n_states),
+                                            self.alphas[f.name], self.prior.ess)
         return theta
 
 
@@ -556,8 +564,7 @@ def _align_binary_latents(problem: _EmProblem,
             continue
         net = problem.network(theta)
         m = marginal(net, latent).probabilities
-        fam = next(f for f in problem.families if f.name == latent)
-        anchor = float(problem.prior.mean_rows(latent, fam.n_rows, 2).mean(axis=0)[0])
+        anchor = float(problem.means[latent].mean(axis=0)[0])
         if abs(m[0] - anchor) <= abs(m[1] - anchor):
             continue
         theta[latent] = theta[latent][:, ::-1].copy()

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskbn.analysis import (
+    _average_ranks,
+    _student_t_two_sided,
     bayes_factor,
     bf_threshold_posterior,
     conditional_profile,
@@ -413,6 +415,50 @@ def test_spearman_average_ranks_for_ties():
     rb = np.array([1.0, 2.0, 3.0])
     expected = np.corrcoef(ra, rb)[0, 1]
     assert r.rho == pytest.approx(expected, abs=1e-12)
+
+
+def test_student_t_tail_matches_scipy():
+    from scipy import stats as sps
+    grid = np.concatenate([np.linspace(0.0, 10.0, 41), np.linspace(10.0, 100.0, 19)[1:]])
+    for df in range(1, 301):
+        reference = 2 * sps.t.sf(grid, df)
+        for t, ref in zip(grid, reference):
+            if ref > 1e-300:
+                assert _student_t_two_sided(float(t), df) == pytest.approx(ref, rel=1e-10), (t, df)
+
+
+@pytest.mark.parametrize("t", [1e-8, 1e-4, 0.5, 3.0, 1e3, 1e8])
+def test_student_t_tail_closed_forms(t):
+    # df = 1 (Cauchy) and df = 2 have closed forms, written without
+    # cancellation; they also cover tiny |t|, where scipy's own df = 1 tail
+    # loses digits.
+    s = math.sqrt(2.0 + t * t)
+    assert _student_t_two_sided(t, 1) == pytest.approx(2 / math.pi * math.atan(1 / t), rel=1e-13)
+    assert _student_t_two_sided(t, 2) == pytest.approx(2 / (s * (s + t)), rel=1e-13)
+
+
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_average_ranks_match_scipy(xs):
+    from scipy import stats as sps
+    assert np.array_equal(_average_ranks(np.array(xs, dtype=np.float64)), sps.rankdata(xs))
+
+
+@pytest.mark.parametrize("n", [3, 10, 100, 1000])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_spearman_near_extreme_rho_has_finite_p(n, sign):
+    a = np.arange(n, dtype=np.float64)
+    b = a.copy()
+    b[[-2, -1]] = b[[-1, -2]]
+    r = spearman(a, sign * b)
+    assert abs(r.rho) < 1.0 and not r.exact_extreme
+    assert 0.0 <= r.p_value <= 1.0
+
+
+@pytest.mark.parametrize("df", [1, 10, 1000])
+def test_student_t_tail_at_rho_next_to_one(df):
+    rho = math.nextafter(1.0, 0.0)
+    assert 0.0 <= _student_t_two_sided(rho * math.sqrt(df / (1.0 - rho * rho)), df) <= 1.0
 
 
 def test_spearman_errors():

@@ -329,16 +329,57 @@ def _bad_input_argv(case, tmp_path):
     if case == "compare_nan":
         _ranking_csv(b, [("x", "nan"), ("y", "nan"), ("z", "nan")])
         return ["compare", str(a), str(b)]
+    if case == "compare_duplicate_variable":
+        _ranking_csv(b, [("x", 0.3), ("y", 0.2), ("x", 0.1)])
+        return ["compare", str(a), str(b)]
+    if case == "compare_no_rows":
+        b.write_text("variable,score\n")
+        return ["compare", str(b), str(b)]
     data = tmp_path / "latin1.csv"
     data.write_bytes("Gender\nMale\n".encode() + b"F\xe9male\n")
     return ["summarize", "--data", str(data)]
 
 
+_BAD_INPUT_MESSAGES = {
+    "simulate_n_zero": "--n must be at least 1",
+    "compare_non_numeric": "data row 1",
+    "compare_nan": "data row 1",
+    "compare_duplicate_variable": "'x' repeats in data row 3",
+    "compare_no_rows": "no data rows",
+    "non_utf8_data": "not UTF-8",
+}
+
+
 @pytest.mark.parametrize("case", ["simulate_n_zero", "compare_non_numeric", "compare_nan",
+                                  "compare_duplicate_variable", "compare_no_rows",
                                   "non_utf8_data"])
 def test_bad_input_exits_2_without_traceback(tmp_path, case):
     proc = subprocess.run([sys.executable, "-m", "riskbn.cli", *_bad_input_argv(case, tmp_path)],
                           capture_output=True, text=True, env=child_env(), timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert _BAD_INPUT_MESSAGES[case] in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+# --- start-up ---------------------------------------------------------------------------
+
+def test_cli_runs_without_scipy(tmp_path):
+    # scipy is a test-only dependency: importing the CLI must not load it,
+    # and compare must work where it cannot be imported at all.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, riskbn.cli; assert 'scipy' not in sys.modules, 'riskbn loaded scipy'"],
+        capture_output=True, text=True, env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    _ranking_csv(a, [("w", 0.4), ("x", 0.3), ("y", 0.2), ("z", 0.1)])
+    _ranking_csv(b, [("w", 0.4), ("x", 0.2), ("y", 0.3), ("z", 0.1)])
+    script = ("import sys\n"
+              "sys.modules['scipy'] = None\n"
+              "import riskbn.cli\n"
+              f"sys.exit(riskbn.cli.main(['compare', {str(a)!r}, {str(b)!r}]))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("spearman_rho=0.8 p_value=0.2 n=4")
