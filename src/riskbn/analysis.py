@@ -8,12 +8,13 @@ base-2 logarithms. For a binary target this lies in [0, 1] as is; when both
 the source and target spaces exceed two states the divergence is divided by
 its information-theoretic bound so the score stays in [0, 1].
 
-The multi-factor search scores every evidence combination of a given size
-exactly. Rather than one elimination per state combination, it builds the
-joint table of each variable subset with the target (one elimination per
-subset, or a single cached pool-wide joint when small enough) and reads all
-state combinations from it; results are identical to per-combination
-posteriors and are tested against full joint enumeration.
+The multi-factor search and the risk profiles score every evidence
+combination of a given size exactly. Rather than one elimination per state
+combination, they read all state combinations of a variable subset from its
+joint table with the target. Those tables form a marginalization lattice:
+one elimination per subset of the largest size, each smaller subset summed
+out of one of them. Results depend only on the network, the pool, the
+target and the sizes, and are tested against full joint enumeration.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .errors import (
 from .inference import ancestor_closure, joint_table, marginal, posterior
 
 DEFAULT_MAX_EVALS = 100_000_000
-JOINT_CACHE_LIMIT = 4_000_000
 
 
 # --- strength of influence -----------------------------------------------------
@@ -240,8 +240,22 @@ def estimate_evaluations(cards: Sequence[int], k_values: Iterable[int]) -> int:
     return sum(poly[k] for k in k_values if k < len(poly))
 
 
-def _validate_pool(network: Network, target: str,
-                   candidate_pool: Sequence[str]) -> list[str]:
+def _subset_tables(network: Network, target: str, target_state: str,
+                   candidate_pool: Sequence[str], k_range: Iterable[int],
+                   max_evals: int):
+    """Yield (subset, joint table over subset + target, target posterior)
+    for every subset of the pool whose size lies in ``k_range``.
+
+    The table's axes follow the subset, in canonical variable order, with
+    the target last; the posterior is P(target = target_state | subset
+    states), or -1 where those states have probability zero. Subsets of
+    the largest size k each take one elimination, C(pool, k) in all; a
+    smaller subset S is summed out of exactly one of those tables, that of
+    S plus the first pool variables S lacks. One elimination table is held
+    at a time, and the results depend only on the network, the pool, the
+    target and the sizes. Subsets come in lattice order, not enumeration
+    order. Pool, size and cap checks run before any elimination.
+    """
     pool = list(dict.fromkeys(candidate_pool))
     if not pool:
         raise DomainError("candidate pool is empty")
@@ -250,86 +264,72 @@ def _validate_pool(network: Network, target: str,
     if target in pool:
         raise DomainError("candidate pool must exclude the target")
     pool.sort(key=network.index)
-    return pool
-
-
-def _subset_tables(network: Network, target: str, pool: list[str], k_values: list[int],
-                   joint_cache_limit: int):
-    """Yield (variable subset, joint table over subset + target).
-
-    The table's axes follow the subset order with the target last. Uses one
-    cached pool-wide joint when it fits the memory cap, else one
-    elimination per subset.
-    """
-    cards = [network.cardinality(v) for v in pool]
-    full_size = int(np.prod(cards)) * network.cardinality(target)
-    cached = None
-    if full_size <= joint_cache_limit:
-        cached = joint_table(network, pool + [target])
-    for k in k_values:
-        for combo in itertools.combinations(range(len(pool)), k):
-            subset = [pool[i] for i in combo]
-            if cached is not None:
-                drop = tuple(i for i in range(len(pool)) if i not in combo)
-                table = cached.sum(axis=drop) if drop else cached
-            else:
-                table = joint_table(network, subset + [target])
-            yield k, subset, table
-
-
-def multifactor_search(network: Network, target: str, target_state: str,
-                       candidate_pool: Sequence[str], k_range: Iterable[int],
-                       max_evals: int = DEFAULT_MAX_EVALS,
-                       joint_cache_limit: int = JOINT_CACHE_LIMIT) -> MultiFactorResult:
-    """Exhaustively score every evidence set of each size in ``k_range``.
-
-    For each k, every subset of k distinct pool variables and every state
-    combination is evaluated; zero-probability combinations are skipped and
-    counted. Deterministic: ties on the maximum keep every achieving set,
-    in enumeration order (canonical variable order, row-major states).
-    """
-    pool = _validate_pool(network, target, candidate_pool)
     t_idx = network.state_index(target, target_state)
     k_values = sorted(set(int(k) for k in k_range))
     if not k_values:
         raise DomainError("k range is empty")
     if k_values[0] < 1 or k_values[-1] > len(pool):
-        raise DomainError(f"k range must lie within [1, {len(pool)}]")
-
-    cards = [network.cardinality(v) for v in pool]
-    estimated = estimate_evaluations(cards, k_values)
+        raise DomainError(f"k must lie within [1, {len(pool)}]")
+    estimated = estimate_evaluations([network.cardinality(v) for v in pool], k_values)
     if estimated > max_evals:
         raise PoolTooLarge(estimated, max_evals)
 
-    best: dict[int, tuple[float | None, list, int, int]] = {
-        k: (None, [], 0, 0) for k in k_values
-    }
-    for k, subset, table in _subset_tables(network, target, pool, k_values,
-                                           joint_cache_limit):
-        denom = table.sum(axis=-1)
-        valid = denom > 0
-        post = np.full(denom.shape, -1.0)
-        np.divide(table[..., t_idx], denom, out=post, where=valid)
-        max_p, argmax, evaluated, skipped = best[k]
-        evaluated += int(valid.sum())
-        skipped += int(valid.size - valid.sum())
-        if valid.any():
+    top = k_values[-1]
+    for combo in itertools.combinations(range(len(pool)), top):
+        joint = joint_table(network, [pool[i] for i in combo] + [target])
+        # the axes S sums out are the first pool variables S lacks, so they
+        # lie in the leading run of combo that holds pool indices 0, 1, ...
+        prefix = next((i for i, c in enumerate(combo) if c != i), top)
+        for k in k_values:
+            for drop in itertools.combinations(range(prefix), top - k):
+                subset = tuple(pool[c] for i, c in enumerate(combo) if i not in drop)
+                table = joint.sum(axis=drop) if drop else joint
+                denom = table.sum(axis=-1)
+                post = np.full(denom.shape, -1.0)
+                np.divide(table[..., t_idx], denom, out=post, where=denom > 0)
+                yield subset, table, post
+
+
+def _assignment(network: Network, subset: Sequence[str],
+                idx: Sequence[int]) -> tuple[tuple[str, str], ...]:
+    """The (variable, state) pairs of one cell of a subset table."""
+    return tuple((v, network.spec(v).states[i]) for v, i in zip(subset, idx))
+
+
+def multifactor_search(network: Network, target: str, target_state: str,
+                       candidate_pool: Sequence[str], k_range: Iterable[int],
+                       max_evals: int = DEFAULT_MAX_EVALS) -> MultiFactorResult:
+    """Exhaustively score every evidence set of each size in ``k_range``.
+
+    For each k, every subset of k distinct pool variables and every state
+    combination is evaluated; zero-probability combinations are skipped and
+    counted. Takes C(pool, max k) eliminations (see ``_subset_tables``), and
+    the result depends only on the network, the pool, the target and the
+    k range. Ties on the maximum (exact ``==``) keep every achieving set,
+    in enumeration order (canonical variable order, row-major states).
+    """
+    best: dict[int, tuple[float | None, list, int, int]] = {}
+    for subset, _, post in _subset_tables(network, target, target_state,
+                                          candidate_pool, k_range, max_evals):
+        max_p, ties, evaluated, skipped = best.get(len(subset), (None, [], 0, 0))
+        valid = int((post >= 0).sum())
+        evaluated += valid
+        skipped += post.size - valid
+        if valid:
             local_max = float(post.max())
             if max_p is None or local_max > max_p:
-                max_p, argmax = local_max, []
+                max_p, ties = local_max, []
             if local_max == max_p:
-                for idx in np.argwhere(post == max_p):
-                    assignment = tuple(
-                        (v, network.spec(v).states[i]) for v, i in zip(subset, idx)
-                    )
-                    argmax.append(assignment)
-        best[k] = (max_p, argmax, evaluated, skipped)
+                ties += [(subset, tuple(idx)) for idx in np.argwhere(post == max_p)]
+        best[len(subset)] = (max_p, ties, evaluated, skipped)
 
-    entries = tuple(
-        MultiFactorEntry(k, best[k][0], tuple(best[k][1]), best[k][2], best[k][3])
-        for k in k_values
-    )
-    return MultiFactorResult(target, target_state, entries)
+    entries = []
+    for k, (max_p, ties, evaluated, skipped) in sorted(best.items()):
+        # subsets arrive in lattice order; put ties back into enumeration order
+        ties.sort(key=lambda tie: ([network.index(v) for v in tie[0]], tie[1]))
+        argmax = tuple(_assignment(network, subset, idx) for subset, idx in ties)
+        entries.append(MultiFactorEntry(k, max_p, argmax, evaluated, skipped))
+    return MultiFactorResult(target, target_state, tuple(entries))
 
 
 # --- risk profiles ------------------------------------------------------------------
@@ -353,35 +353,20 @@ class RiskProfileSet:
 
 def risk_profiles(network: Network, target: str, target_state: str,
                   candidate_pool: Sequence[str], k: int, threshold: float,
-                  max_evals: int = DEFAULT_MAX_EVALS,
-                  joint_cache_limit: int = JOINT_CACHE_LIMIT) -> RiskProfileSet:
+                  max_evals: int = DEFAULT_MAX_EVALS) -> RiskProfileSet:
     """Collect every evidence set of exactly ``k`` assignments whose target
-    posterior is at least ``threshold``; profiles sort by posterior
-    (descending, then lexicographically)."""
+    posterior is at least ``threshold`` (exact ``>=``); profiles sort by
+    posterior (descending, then lexicographically). Takes C(pool, k)
+    eliminations, and the result depends only on the network, the pool,
+    the target, ``k`` and ``threshold``."""
     if not 0.0 <= threshold <= 1.0:
         raise DomainError("threshold must lie in [0, 1]")
-    pool = _validate_pool(network, target, candidate_pool)
-    if not 1 <= k <= len(pool):
-        raise DomainError(f"k must lie within [1, {len(pool)}]")
-    t_idx = network.state_index(target, target_state)
-
-    cards = [network.cardinality(v) for v in pool]
-    estimated = estimate_evaluations(cards, [k])
-    if estimated > max_evals:
-        raise PoolTooLarge(estimated, max_evals)
-
     profiles: list[RiskProfile] = []
     counts: dict[tuple[str, str], int] = {}
-    for _, subset, table in _subset_tables(network, target, pool, [k],
-                                           joint_cache_limit):
-        denom = table.sum(axis=-1)
-        valid = denom > 0
-        post = np.full(denom.shape, -1.0)
-        np.divide(table[..., t_idx], denom, out=post, where=valid)
+    for subset, _, post in _subset_tables(network, target, target_state,
+                                          candidate_pool, [k], max_evals):
         for idx in np.argwhere(post >= threshold):
-            assignment = tuple(
-                (v, network.spec(v).states[i]) for v, i in zip(subset, idx)
-            )
+            assignment = _assignment(network, subset, idx)
             profiles.append(RiskProfile(assignment, float(post[tuple(idx)])))
             for pair in assignment:
                 counts[pair] = counts.get(pair, 0) + 1

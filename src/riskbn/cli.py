@@ -271,7 +271,14 @@ def cmd_profile(args) -> int:
     return 0
 
 
+def _max_evals(value: float) -> int:
+    if not (math.isfinite(value) and value >= 1 and value == int(value)):
+        raise InvalidOption(f"--max-evals must be a positive whole number, got {value:g}")
+    return int(value)
+
+
 def cmd_multifactor(args) -> int:
+    max_evals = _max_evals(args.max_evals)
     network = _load_model(args.model)
     k_range = range(args.k_min, args.k_max + 1)
     if args.pool:
@@ -292,7 +299,7 @@ def cmd_multifactor(args) -> int:
     for pool_name, pool in pools:
         ks = [k for k in k_range if k <= len(pool)]
         result = multifactor_search(network, args.target, args.target_state, pool, ks,
-                                    max_evals=int(args.max_evals))
+                                    max_evals=max_evals)
         points = []
         for entry in result.entries:
             example = ""
@@ -324,6 +331,7 @@ def cmd_multifactor(args) -> int:
 
 
 def cmd_profiles(args) -> int:
+    max_evals = _max_evals(args.max_evals)
     network = _load_model(args.model)
     if args.pool:
         pool = args.pool.split(",")
@@ -333,7 +341,7 @@ def cmd_profiles(args) -> int:
     if threshold is None:
         threshold = bf_threshold_posterior(args.prior_p, math.sqrt(10.0))
     result = risk_profiles(network, args.target, args.target_state, pool, args.k,
-                           threshold, max_evals=int(args.max_evals))
+                           threshold, max_evals=max_evals)
     n = len(result.profiles)
     rows = [[v, s, count, float(count / n) if n else ""]
             for (v, s), count in result.frequency]

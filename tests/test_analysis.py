@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskbn import analysis
 from riskbn.analysis import (
+    DEFAULT_MAX_EVALS,
     _average_ranks,
     _student_t_two_sided,
     bayes_factor,
@@ -26,7 +28,7 @@ from riskbn.errors import (
     LengthMismatch,
     PoolTooLarge,
 )
-from riskbn.inference import marginal, posterior
+from riskbn.inference import joint_table, marginal, posterior
 
 from helpers import JointOracle, chain_network, copy_network, random_network
 
@@ -269,20 +271,51 @@ def test_multifactor_matches_oracle_enumeration():
                     assert p == pytest.approx(best, abs=1e-12)
 
 
-def test_multifactor_cache_and_ve_paths_agree():
-    rng = np.random.default_rng(55)
-    net = random_network(rng, max_vars=6, max_states=3)
+@pytest.mark.parametrize("seed", [55, 56, 58])
+def test_subset_tables_match_per_subset_elimination(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, max_vars=6, max_states=3, allow_zeros=True)
     target = net.variables[-1]
     pool = list(net.variables[:-1])
     t_state = net.spec(target).states[0]
-    cached = multifactor_search(net, target, t_state, pool, [1, 2])
-    uncached = multifactor_search(net, target, t_state, pool, [1, 2],
-                                  joint_cache_limit=0)
-    for k in (1, 2):
-        a, b = cached.entry(k), uncached.entry(k)
-        assert a.max_posterior == pytest.approx(b.max_posterior, abs=1e-12)
-        assert a.argmax == b.argmax
-        assert (a.evaluated, a.skipped) == (b.evaluated, b.skipped)
+    t_idx = net.state_index(target, t_state)
+    eliminations = []
+
+    def counting_joint_table(network, variables):
+        eliminations.append(tuple(variables))
+        return joint_table(network, variables)
+
+    monkeypatch.setattr(analysis, "joint_table", counting_joint_table)
+    for k_values in ([1, 2, 3], [2], [1, 3]):
+        eliminations.clear()
+        seen = []
+        for subset, table, post in analysis._subset_tables(
+                net, target, t_state, pool, k_values, DEFAULT_MAX_EVALS):
+            seen.append(subset)
+            reference = joint_table(net, list(subset) + [target])
+            np.testing.assert_allclose(table, reference, rtol=0, atol=1e-12)
+            denom = reference.sum(axis=-1)
+            with np.errstate(invalid="ignore"):
+                expected = np.where(denom > 0, reference[..., t_idx] / denom, -1.0)
+            np.testing.assert_allclose(post, expected, rtol=0, atol=1e-12)
+        assert sorted(seen) == sorted(itertools.chain.from_iterable(
+            itertools.combinations(pool, k) for k in k_values))
+        assert len(eliminations) == math.comb(len(pool), max(k_values))
+
+
+@pytest.mark.parametrize("k_values", [[1], [1, 2], [1, 3], [1, 2, 3]])
+def test_multifactor_ties_across_subsets_keep_enumeration_order(k_values):
+    # U and V share one CPT, so U=b and V=b tie exactly; W never reaches 0.6
+    schema = [VariableSpec("T", ("0", "1")), VariableSpec("U", ("a", "b")),
+              VariableSpec("V", ("a", "b")), VariableSpec("W", ("x", "y", "z"))]
+    dag = DagStructure(("T", "U", "V", "W"), (("T", "U"), ("T", "V"), ("T", "W")))
+    shared = [[0.6, 0.4], [0.4, 0.6]]
+    cpts = [Cpt("T", (), [[0.5, 0.5]]), Cpt("U", ("T",), shared), Cpt("V", ("T",), shared),
+            Cpt("W", ("T",), [[0.3, 0.3, 0.4], [0.3, 0.35, 0.35]])]
+    net = build_network(schema, dag, cpts)
+    entry = multifactor_search(net, "T", "1", ["U", "V", "W"], k_values).entry(1)
+    assert entry.argmax == ((("U", "b"),), (("V", "b"),))
+    assert entry.max_posterior == 0.6
 
 
 def test_multifactor_independent_pool_equals_marginal():

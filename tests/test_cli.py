@@ -335,6 +335,15 @@ def _bad_input_argv(case, tmp_path):
     if case == "compare_no_rows":
         b.write_text("variable,score\n")
         return ["compare", str(b), str(b)]
+    if case.startswith(("multifactor_", "profiles_")):
+        model = tmp_path / "chain.json"
+        model.write_text(serialize_model(chain_network()))
+        command, value = {"multifactor_max_evals_nan": ("multifactor", "nan"),
+                          "multifactor_max_evals_inf": ("multifactor", "inf"),
+                          "profiles_max_evals_zero": ("profiles", "0")}[case]
+        sizes = ["--k-max", "1"] if command == "multifactor" else ["--k", "1"]
+        return [command, "--model", str(model), "--target", "A", "--target-state", "1",
+                "--pool", "B", *sizes, "--max-evals", value, "--out", str(tmp_path / "t.csv")]
     data = tmp_path / "latin1.csv"
     data.write_bytes("Gender\nMale\n".encode() + b"F\xe9male\n")
     return ["summarize", "--data", str(data)]
@@ -347,12 +356,16 @@ _BAD_INPUT_MESSAGES = {
     "compare_duplicate_variable": "'x' repeats in data row 3",
     "compare_no_rows": "no data rows",
     "non_utf8_data": "not UTF-8",
+    "multifactor_max_evals_nan": "--max-evals must be a positive whole number, got nan",
+    "multifactor_max_evals_inf": "--max-evals must be a positive whole number, got inf",
+    "profiles_max_evals_zero": "--max-evals must be a positive whole number, got 0",
 }
 
 
 @pytest.mark.parametrize("case", ["simulate_n_zero", "compare_non_numeric", "compare_nan",
                                   "compare_duplicate_variable", "compare_no_rows",
-                                  "non_utf8_data"])
+                                  "non_utf8_data", "multifactor_max_evals_nan",
+                                  "multifactor_max_evals_inf", "profiles_max_evals_zero"])
 def test_bad_input_exits_2_without_traceback(tmp_path, case):
     proc = subprocess.run([sys.executable, "-m", "riskbn.cli", *_bad_input_argv(case, tmp_path)],
                           capture_output=True, text=True, env=child_env(), timeout=120)
