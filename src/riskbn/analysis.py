@@ -1,6 +1,12 @@
 """The three analyses: strength-of-influence ranking, multi-factor risk
 search with Bayes-factor thresholds, and rank comparison.
 
+Every analysis reads the network through joint tables (``joint_table``),
+never through per-evidence posteriors. Strength of influence and the
+conditional profile read one table P(source, target) per source: its row
+sums are the source weights, and each row over its sum is one conditional
+P(target | source = v). Source states of zero mass are omitted.
+
 Strength of influence scores how much conditioning on one variable shifts
 the target's conditional distribution: the square root of the generalized,
 marginal-weighted Jensen-Shannon divergence of the per-state conditionals,
@@ -34,18 +40,12 @@ from .errors import (
     LengthMismatch,
     PoolTooLarge,
 )
-from .inference import ancestor_closure, joint_table, marginal, posterior
+from .inference import ancestor_closure, joint_table
 
 DEFAULT_MAX_EVALS = 100_000_000
 
 
 # --- strength of influence -----------------------------------------------------
-
-def _entropy_bits(p: np.ndarray) -> float:
-    """Shannon entropy, base 2, with 0 log 0 = 0."""
-    nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum())
-
 
 def _d_connected_unconditionally(network: Network, a: str, b: str) -> bool:
     """With empty conditioning, two nodes are dependent only if they share
@@ -72,7 +72,8 @@ def influence_strength(network: Network, source: str, target: str,
     if not _d_connected_unconditionally(network, source, target):
         return 0.0
 
-    weights = np.asarray(marginal(network, source).probabilities)
+    joint = joint_table(network, [source, target])
+    weights = joint.sum(axis=1)
     positive = np.nonzero(weights > 0)[0]
     if positive.size < 2:
         warnings.warn(
@@ -82,11 +83,8 @@ def influence_strength(network: Network, source: str, target: str,
         )
         return 0.0
 
-    states = network.spec(source).states
-    conditionals = [
-        posterior(network, target, {source: states[v]}).as_array() for v in positive
-    ]
-    w = weights[positive]
+    conditionals = joint[positive] / weights[positive, None]
+    w = weights[positive] / weights.sum()
 
     if aggregation == "pairwise-max":
         best = 0.0
@@ -175,14 +173,10 @@ def conditional_profile(network: Network, target: str, source: str,
     if target_state is None:
         target_state = "Yes" if "Yes" in t_states else t_states[-1]
     t_idx = network.state_index(target, target_state)
-    weights = marginal(network, source).probabilities
-    out = []
-    for v, state in enumerate(network.spec(source).states):
-        if weights[v] <= 0:
-            continue
-        dist = posterior(network, target, {source: state})
-        out.append((state, dist.probabilities[t_idx]))
-    return tuple(out)
+    joint = joint_table(network, [source, target])
+    weights = joint.sum(axis=1)
+    return tuple((state, float(joint[v, t_idx] / weights[v]))
+                 for v, state in enumerate(network.spec(source).states) if weights[v] > 0)
 
 
 # --- Bayes factors ----------------------------------------------------------------

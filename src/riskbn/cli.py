@@ -164,7 +164,13 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _check_seed(seed: int | None) -> None:
+    if seed is not None and seed < 0:
+        raise InvalidOption(f"--seed must be at least 0, got {seed}")
+
+
 def cmd_fit(args) -> int:
+    _check_seed(args.seed)
     schema, dag = _resolve_structure(args)
     dataset = _load_data(args, schema)
     inputs = [Path(args.data)] + [Path(p) for p in (args.schema, args.dag) if p]
@@ -452,6 +458,7 @@ def cmd_compare(args) -> int:
 def cmd_simulate(args) -> int:
     if args.n < 1:
         raise InvalidOption(f"--n must be at least 1, got {args.n}")
+    _check_seed(args.seed)
     seed = args.seed
     seeds_generated = False
     if seed is None:

@@ -16,7 +16,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -103,9 +103,6 @@ class DagStructure:
 
     def parents_of(self, node: str) -> list[str]:
         return [p for p, c in self.edges if c == node]
-
-    def children_of(self, node: str) -> list[str]:
-        return [c for p, c in self.edges if p == node]
 
 
 def _find_cycle(nodes: Sequence[str], edges: Iterable[tuple[str, str]]) -> list[str] | None:
@@ -198,9 +195,6 @@ class Distribution:
             return self.probabilities[self.states.index(state)]
         except ValueError:
             raise UnknownState(f"'{state}' is not a state of '{self.variable}'") from None
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.probabilities, dtype=np.float64)
 
 
 class Network:

@@ -107,10 +107,6 @@ class Schema:
         return tuple(v for v in self.variables if v.kind != "meta")
 
     @property
-    def meta_variables(self) -> tuple[VariableSpec, ...]:
-        return tuple(v for v in self.variables if v.kind == "meta")
-
-    @property
     def response_time_columns(self) -> tuple[str, ...]:
         return tuple(f"rt_{v.name}" for v in self.variables if v.kind == "game")
 

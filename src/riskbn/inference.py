@@ -1,10 +1,11 @@
 """Exact probabilistic queries on a network.
 
-Posteriors and evidence probabilities run variable elimination over the
-ancestor closure of the involved variables (barren descendants contribute
-factors that sum to one and are skipped outright). Elimination order is
-greedy min-degree on the factor interaction graph with declaration-order
-tie-breaks, so every query is deterministic.
+Every query that eliminates (posteriors, marginals, joint tables and
+evidence probabilities) goes through one entry point, ``_query_factor``:
+variable elimination over the ancestor closure of the involved variables
+(barren descendants contribute factors that sum to one and are skipped
+outright). Elimination order is greedy min-degree on the factor interaction
+graph with declaration-order tie-breaks, so every query is deterministic.
 
 All query functions are pure over an immutable :class:`~riskbn.core.Network`
 and safe to call concurrently.
@@ -175,14 +176,8 @@ def joint_probability(network: Network, full_assignment: Mapping[str, str]) -> f
 
 
 def evidence_probability(network: Network, evidence: Evidence) -> float:
-    """Exact P(evidence); 1.0 for empty evidence."""
-    evidence_idx = network.check_evidence(evidence)
-    if not evidence_idx:
-        return 1.0
-    relevant = _relevant(network, evidence_idx)
-    factors = [_cpt_factor(network, name, evidence_idx) for name in relevant]
-    result = _eliminate_all(network, factors, set(relevant) - set(evidence_idx))
-    return float(_product(result, network).values)
+    """Exact P(evidence); 1.0 for empty evidence (an empty product)."""
+    return float(_query_factor(network, (), evidence).values)
 
 
 def posterior(network: Network, target: str, evidence: Evidence) -> Distribution:
@@ -214,26 +209,8 @@ def joint_table(network: Network, variables: Sequence[str],
     Axes follow ``variables`` in the order given (internally computed in
     canonical order, then transposed).
     """
-    evidence = evidence or {}
-    factor = _query_factor(network, variables, evidence)
-    cards = {v: network.cardinality(v) for v in variables}
-    values = _align(factor, sorted(variables, key=network.index), cards)
-    canonical = sorted(variables, key=network.index)
-    perm = [canonical.index(v) for v in variables]
-    values = np.transpose(values, perm)
-    return np.broadcast_to(values, tuple(cards[v] for v in variables)).copy()
-
-
-def posterior_joint(network: Network, targets: Sequence[str],
-                    evidence: Evidence) -> np.ndarray:
-    """Normalized joint posterior over ``targets`` given evidence."""
-    values = joint_table(network, targets, evidence)
-    total = float(values.sum())
-    if total <= 0.0:
-        raise ZeroProbabilityEvidence(
-            f"evidence {dict(evidence)!r} has probability zero"
-        )
-    return values / total
+    factor = _query_factor(network, variables, evidence or {})
+    return np.transpose(factor.values, [factor.scope.index(v) for v in variables]).copy()
 
 
 # --- sampling ----------------------------------------------------------------

@@ -392,8 +392,10 @@ class EmConfig:
             raise SchemaMismatch("max_iterations and restarts must be >= 1")
         if not self.tolerance > 0:
             raise SchemaMismatch("tolerance must be positive")
-        if self.jitter < 0:
-            raise SchemaMismatch("jitter must be >= 0")
+        if not 0.0 <= self.jitter < 1.0:  # also rejects NaN
+            raise SchemaMismatch(f"jitter must lie in [0, 1), got {self.jitter}")
+        if self.seed < 0:
+            raise SchemaMismatch(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

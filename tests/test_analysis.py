@@ -1,12 +1,13 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskbn import analysis
+from riskbn import analysis, inference
 from riskbn.analysis import (
     DEFAULT_MAX_EVALS,
     _average_ranks,
@@ -22,13 +23,14 @@ from riskbn.analysis import (
     strength_ranking,
 )
 from riskbn.core import Cpt, DagStructure, VariableSpec, build_network
+from riskbn.data import build_default_generator
 from riskbn.errors import (
     DegenerateSourceWarning,
     DomainError,
     LengthMismatch,
     PoolTooLarge,
 )
-from riskbn.inference import joint_table, marginal, posterior
+from riskbn.inference import joint_table, marginal
 
 from helpers import JointOracle, chain_network, copy_network, random_network
 
@@ -182,6 +184,119 @@ def test_profile_disconnected_source_gives_marginal():
     target_marginal = marginal(net, "Y").probabilities[1]
     profile = conditional_profile(net, "Y", "X", target_state="1")
     assert all(p == pytest.approx(target_marginal, abs=1e-12) for _, p in profile)
+
+
+# --- one joint table per source ----------------------------------------------------
+
+def _oracle_pair_table(oracle, source, target):
+    """P(source, target) summed out of the full joint, source on axis 0."""
+    a, b = oracle.axis[source], oracle.axis[target]
+    others = tuple(i for i in range(len(oracle.variables)) if i not in (a, b))
+    table = oracle.joint.sum(axis=others)
+    return table if a < b else table.T
+
+
+def _entropy_form_jsd(dists, weights):
+    """JS divergence as H(mixture) - sum_i w_i H(d_i), base 2."""
+    def h(p):
+        p = p[p > 0]
+        return float(-(p * np.log2(p)).sum())
+    return h(weights @ dists) - sum(w * h(d) for w, d in zip(weights, dists))
+
+
+def _oracle_strength_squared(net, oracle, source, target, aggregation):
+    table = _oracle_pair_table(oracle, source, target)
+    mass = table.sum(axis=1)
+    rows = np.flatnonzero(mass > 0)
+    if rows.size < 2:
+        return 0.0
+    dists = table[rows] / mass[rows, None]
+    if aggregation == "weighted":
+        jsd = _entropy_form_jsd(dists, mass[rows] / mass.sum())
+        card = min(rows.size, net.cardinality(target))
+    else:
+        jsd = max(_entropy_form_jsd(dists[[i, j]], np.array([0.5, 0.5]))
+                  for i, j in itertools.combinations(range(rows.size), 2))
+        card = 2
+    if math.log2(card) > 1.0:
+        jsd /= math.log2(card)
+    return max(jsd, 0.0)
+
+
+def zero_state_source_net():
+    # S's middle state has probability zero; T depends on S and U
+    schema = [VariableSpec("S", ("a", "b", "c")), VariableSpec("U", ("0", "1")),
+              VariableSpec("T", ("t0", "t1", "t2"))]
+    dag = DagStructure(("S", "U", "T"), (("S", "T"), ("U", "T")))
+    cpts = [Cpt("S", (), [[0.6, 0.0, 0.4]]), Cpt("U", (), [[0.3, 0.7]]),
+            Cpt("T", ("S", "U"), [[0.5, 0.5, 0.0], [0.1, 0.2, 0.7], [0.2, 0.2, 0.6],
+                                  [0.3, 0.3, 0.4], [0.0, 0.1, 0.9], [0.8, 0.0, 0.2]])]
+    return build_network(schema, dag, cpts)
+
+
+def test_strength_and_profile_match_oracle_on_random_networks():
+    rng = np.random.default_rng(61)
+    nets = [zero_state_source_net()] + [
+        random_network(rng, max_vars=6, max_states=4, allow_zeros=True) for _ in range(12)]
+    zero_state_sources = compared = 0
+    for net in nets:
+        oracle = JointOracle(net)
+        for source, target in itertools.permutations(net.variables, 2):
+            table = _oracle_pair_table(oracle, source, target)
+            mass = table.sum(axis=1)
+            zero_state_sources += bool((mass == 0).any())
+            for aggregation in ("weighted", "pairwise-max"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DegenerateSourceWarning)
+                    score = influence_strength(net, source, target, aggregation)
+                expected = _oracle_strength_squared(net, oracle, source, target, aggregation)
+                if not analysis._d_connected_unconditionally(net, source, target):
+                    # independent pairs score exactly 0, whatever the rounding
+                    assert score == 0.0
+                    assert expected < 1e-12
+                else:
+                    assert score == pytest.approx(math.sqrt(expected), abs=1e-12)
+            t_state = net.spec(target).states[-1]
+            t_idx = net.state_index(target, t_state)
+            expected_profile = [(net.spec(source).states[v], table[v, t_idx] / mass[v])
+                                for v in np.flatnonzero(mass > 0)]
+            profile = conditional_profile(net, target, source, target_state=t_state)
+            assert [s for s, _ in profile] == [s for s, _ in expected_profile]
+            for (_, got), (_, want) in zip(profile, expected_profile):
+                assert got == pytest.approx(want, abs=1e-12)
+            compared += 1
+    assert zero_state_sources > 0
+    assert compared > 100
+    assert [s for s, _ in conditional_profile(zero_state_source_net(), "T", "S")] == ["a", "c"]
+
+
+def test_strength_and_profile_read_one_joint_table_per_source(monkeypatch):
+    net = build_default_generator(0).network
+    target = "Previous_CB_Offending"
+    tables, eliminations = [], []
+
+    def counting_joint_table(network, variables, evidence=None):
+        tables.append(tuple(variables))
+        return joint_table(network, variables, evidence)
+
+    def counting_query_factor(network, targets, evidence):
+        eliminations.append(tuple(targets))
+        return query_factor(network, targets, evidence)
+
+    query_factor = inference._query_factor
+    monkeypatch.setattr(analysis, "joint_table", counting_joint_table)
+    monkeypatch.setattr(inference, "_query_factor", counting_query_factor)
+    report = strength_ranking(net, target, control="A1Q1_PhotoSharing")
+    connected = [v for v in net.variables
+                 if v != target and analysis._d_connected_unconditionally(net, v, target)]
+    assert len(report.entries) == len(connected) + 1
+    assert tables == [(v, target) for v in connected]
+    assert eliminations == tables
+
+    tables.clear()
+    eliminations.clear()
+    conditional_profile(net, target, "Empathy")
+    assert tables == eliminations == [("Empathy", target)]
 
 
 # --- Bayes factor -------------------------------------------------------------------

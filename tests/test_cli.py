@@ -323,6 +323,17 @@ def _bad_input_argv(case, tmp_path):
     _ranking_csv(a, [("x", 0.3), ("y", 0.2), ("z", 0.1)])
     if case == "simulate_n_zero":
         return ["simulate", "--n", "0", "--seed", "1", "--out", str(tmp_path / "d.csv")]
+    if case == "simulate_seed_negative":
+        return ["simulate", "--n", "10", "--seed", "-3", "--out", str(tmp_path / "d.csv")]
+    if case.startswith("fit_"):
+        data = tmp_path / "latent.csv"
+        data.write_text("Previous_CB_Offending,Answer\n,a\n,b\n,a\n")
+        flag, value = {"fit_seed_negative": ("--seed", "-1"),
+                       "fit_em_jitter_nan": ("--em-jitter", "nan"),
+                       "fit_em_jitter_five": ("--em-jitter", "5")}[case]
+        return ["fit", "--data", str(data), "--schema", str(small_structure(tmp_path)),
+                "--latent", "Previous_CB_Offending", "--em-restarts", "1", flag, value,
+                "--out", str(tmp_path / "em.json")]
     if case == "compare_non_numeric":
         _ranking_csv(b, [("x", "abc"), ("y", 0.2), ("z", 0.1)])
         return ["compare", str(a), str(b)]
@@ -351,6 +362,10 @@ def _bad_input_argv(case, tmp_path):
 
 _BAD_INPUT_MESSAGES = {
     "simulate_n_zero": "--n must be at least 1",
+    "simulate_seed_negative": "--seed must be at least 0, got -3",
+    "fit_seed_negative": "--seed must be at least 0, got -1",
+    "fit_em_jitter_nan": "jitter must lie in [0, 1), got nan",
+    "fit_em_jitter_five": "jitter must lie in [0, 1), got 5.0",
     "compare_non_numeric": "data row 1",
     "compare_nan": "data row 1",
     "compare_duplicate_variable": "'x' repeats in data row 3",
@@ -362,7 +377,9 @@ _BAD_INPUT_MESSAGES = {
 }
 
 
-@pytest.mark.parametrize("case", ["simulate_n_zero", "compare_non_numeric", "compare_nan",
+@pytest.mark.parametrize("case", ["simulate_n_zero", "simulate_seed_negative",
+                                  "fit_seed_negative", "fit_em_jitter_nan",
+                                  "fit_em_jitter_five", "compare_non_numeric", "compare_nan",
                                   "compare_duplicate_variable", "compare_no_rows",
                                   "non_utf8_data", "multifactor_max_evals_nan",
                                   "multifactor_max_evals_inf", "profiles_max_evals_zero"])

@@ -70,7 +70,7 @@ def test_default_schema_single_offending_outcome():
 
 def test_default_schema_meta_and_rt_columns():
     schema = default_schema()
-    assert [v.name for v in schema.meta_variables] == ["honesty"]
+    assert [v.name for v in schema.variables if v.kind == "meta"] == ["honesty"]
     assert "rt_A3Q7_HowToHelpPol" in schema.response_time_columns
     assert len(schema.response_time_columns) == 10
 

@@ -20,7 +20,6 @@ from riskbn.inference import (
     joint_table,
     marginal,
     posterior,
-    posterior_joint,
 )
 from riskbn.learning import fit_cpts
 
@@ -182,16 +181,19 @@ def test_posterior_and_evidence_match_enumeration_oracle():
     assert checked == 300
 
 
-def test_posterior_joint_matches_oracle():
+def test_joint_table_with_evidence_matches_oracle():
+    # the normalized table is the joint posterior over the targets, with
+    # axes in the order given; a zero total means impossible evidence
     rng = np.random.default_rng(99)
     for _ in range(10):
         net = random_network(rng, max_vars=6, max_states=3)
         oracle = JointOracle(net)
         targets = list(net.variables[:2])
         evidence = random_evidence(rng, net, exclude=tuple(targets))
-        try:
-            got = posterior_joint(net, targets, evidence)
-        except ZeroProbabilityEvidence:
+        table = joint_table(net, targets, evidence)
+        total = table.sum()
+        assert total == pytest.approx(oracle.evidence_probability(evidence), abs=1e-12)
+        if total <= 0.0:
             assert oracle.evidence_probability(evidence) == 0.0
             continue
         sub = oracle._slice(evidence)
@@ -199,7 +201,9 @@ def test_posterior_joint_matches_oracle():
         axes = tuple(i for i, v in enumerate(remaining) if v not in targets)
         expected = sub.sum(axis=axes)
         expected = expected / expected.sum()
-        assert got == pytest.approx(expected, abs=1e-9)
+        assert table / total == pytest.approx(expected, abs=1e-9)
+        reversed_table = joint_table(net, targets[::-1], evidence)
+        assert reversed_table / total == pytest.approx(expected.T, abs=1e-9)
 
 
 _QUERY = """

@@ -203,6 +203,13 @@ def test_em_rejects_observed_latent():
         em_fit(schema, dag, ds, [OUTCOME])
 
 
+@pytest.mark.parametrize("kwargs", [{"seed": -1}, {"jitter": float("nan")}, {"jitter": 1.0},
+                                    {"jitter": 5.0}, {"jitter": -0.01}])
+def test_em_config_rejects_out_of_range_seed_and_jitter(kwargs):
+    with pytest.raises(SchemaMismatch):
+        EmConfig(**kwargs)
+
+
 def test_em_monotone_objective_and_recovery():
     # two-cluster net: latent L drives three observed children
     rng = np.random.default_rng(8)
