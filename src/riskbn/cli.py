@@ -3,11 +3,21 @@
 Subcommands: validate, fit, strength, profile, multifactor, profiles,
 query, compare, simulate, summarize. Every command that writes files also writes a
 JSON run manifest next to its primary output (same path plus
-``.manifest.json``) with the resolved configuration, seeds, and SHA-256
-digests of inputs and outputs. Table outputs are byte-deterministic for a
-fixed configuration and seed; manifests additionally carry a timestamp.
+``.manifest.json``). Its ``config`` is every parsed flag plus the values the
+command resolves; it also carries seeds and SHA-256 digests of inputs and
+outputs. Table outputs are byte-deterministic for a fixed configuration and
+seed; manifests additionally carry a timestamp.
 
-Exit codes: 0 success, 1 I/O error, 2 validation error, 3 computation error.
+Each flag's domain is stated once, as its argparse ``type=``, so a bad value
+is refused before any file is read. Exit codes:
+
+* 0: success.
+* 1: a file cannot be read or written.
+* 2: a flag value outside its own domain, an input file that fails to parse
+  or validate, or a name the model or schema lacks.
+* 3: inputs that are each valid but cannot be combined: k above the pool
+  size, source equal to target, zero-probability evidence, the evaluation
+  cap exceeded, constant ranks, a sample too large for one array.
 """
 
 from __future__ import annotations
@@ -38,7 +48,6 @@ from .core import (
     DagStructure,
     Network,
     VariableSpec,
-    build_network,
     parse_model,
     parse_model_parts,
     serialize_model,
@@ -50,11 +59,11 @@ from .data import (
     FilterConfig,
     Schema,
     apply_filters,
-    build_default_generator,
     default_dag,
     default_schema,
     load_dataset,
     save_dataset,
+    simulate_dataset,
     summarize,
 )
 from .errors import (
@@ -62,18 +71,20 @@ from .errors import (
     IllegalState,
     IncompleteAssignment,
     InvalidOption,
+    MalformedCsv,
     NotUtf8,
     PoolTooLarge,
     RiskbnError,
+    UnknownVariable,
     VariableSetMismatch,
     ZeroProbabilityEvidence,
 )
-from .inference import ancestral_sample, evidence_probability, posterior
+from .inference import GENERATOR_ID, evidence_probability, posterior
 from .learning import EmConfig, default_prior, em_fit, fit_cpts
-from .data import dataset_from_batch
 
 _IO_EXIT, _VALIDATION_EXIT, _COMPUTE_EXIT = 1, 2, 3
 _COMPUTE_ERRORS = (ZeroProbabilityEvidence, PoolTooLarge, DomainError, IncompleteAssignment)
+_INPUT_FLAGS = ("data", "schema", "dag", "model", "ranking_a", "ranking_b")
 
 
 def _fmt(x: float) -> str:
@@ -84,19 +95,24 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(out: Path, command: str, config: dict, seeds: dict,
-                    inputs: list[Path], outputs: list[Path]) -> Path:
+def _write_manifest(args, outputs: list[Path], seeds: dict | None = None,
+                    **resolved) -> Path:
+    """Manifest beside ``outputs[0]``: every parsed flag plus ``resolved``
+    values as config, and digests of every input file flag that is set."""
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+    config.update(resolved)
+    inputs = [getattr(args, k) for k in _INPUT_FLAGS if getattr(args, k, None)]
     manifest = {
         "tool": "riskbn",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         "config": config,
-        "seeds": seeds,
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "seeds": seeds or {},
+        "inputs": {p: _sha256(Path(p)) for p in inputs},
         "outputs": {str(p): _sha256(p) for p in outputs},
     }
-    path = Path(str(out) + ".manifest.json")
+    path = Path(f"{outputs[0]}.manifest.json")
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
@@ -164,16 +180,12 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _check_seed(seed: int | None) -> None:
-    if seed is not None and seed < 0:
-        raise InvalidOption(f"--seed must be at least 0, got {seed}")
-
-
 def cmd_fit(args) -> int:
-    _check_seed(args.seed)
     schema, dag = _resolve_structure(args)
+    if args.target != DEFAULT_OUTCOME and all(v.name != args.target for v in schema):
+        # custom schemas need not carry the built-in outcome
+        raise UnknownVariable(f"--target {args.target!r} is not in the schema")
     dataset = _load_data(args, schema)
-    inputs = [Path(args.data)] + [Path(p) for p in (args.schema, args.dag) if p]
 
     if args.filter_rt is not None or args.filter_honesty:
         config = FilterConfig(
@@ -208,19 +220,7 @@ def cmd_fit(args) -> int:
     else:
         network = fit_cpts(schema, dag, dataset, prior)
     out.write_text(serialize_model(network))
-    config_dict = {
-        "data": args.data, "schema": args.schema, "dag": args.dag,
-        "target": args.target, "prior_p": args.prior_p, "ess": args.ess,
-        "latent": list(args.latent), "filter_rt": args.filter_rt,
-        "filter_honesty": args.filter_honesty, "filter_action": args.filter_action,
-        "out": str(out),
-    }
-    if args.latent:
-        config_dict.update({
-            "em_restarts": args.em_restarts, "em_max_iterations": args.em_max_iterations,
-            "em_tolerance": args.em_tolerance, "em_jitter": args.em_jitter,
-        })
-    _write_manifest(out, "fit", config_dict, seeds, inputs, outputs)
+    _write_manifest(args, outputs, seeds)
     print(f"model written to {out}")
     return 0
 
@@ -247,10 +247,7 @@ def cmd_strength(args) -> int:
         highlight=report.control, reference=report.control_score, axis_max=1.0,
         comment=f"riskbn {__version__}",
     ))
-    _write_manifest(out, "strength", {
-        "model": args.model, "target": args.target, "control": args.control,
-        "candidates": args.candidates, "out": str(out),
-    }, {}, [Path(args.model)], [out, svg_path])
+    _write_manifest(args, [out, svg_path])
     print(f"ranking written to {out} ({len(report.entries)} variables)")
     return 0
 
@@ -269,22 +266,14 @@ def cmd_profile(args) -> int:
         f"P({args.target} = {resolved_state} | {args.source})",
         list(profile), axis_max=1.0, comment=f"riskbn {__version__}",
     ))
-    _write_manifest(out, "profile", {
-        "model": args.model, "target": args.target, "source": args.source,
-        "target_state": args.target_state, "out": str(out),
-    }, {}, [Path(args.model)], [out, svg_path])
+    _write_manifest(args, [out, svg_path])
     print(f"profile written to {out}")
     return 0
 
 
-def _max_evals(value: float) -> int:
-    if not (math.isfinite(value) and value >= 1 and value == int(value)):
-        raise InvalidOption(f"--max-evals must be a positive whole number, got {value:g}")
-    return int(value)
-
-
 def cmd_multifactor(args) -> int:
-    max_evals = _max_evals(args.max_evals)
+    if args.k_min > args.k_max:
+        raise InvalidOption(f"--k-min {args.k_min} is above --k-max {args.k_max}")
     network = _load_model(args.model)
     k_range = range(args.k_min, args.k_max + 1)
     if args.pool:
@@ -305,7 +294,7 @@ def cmd_multifactor(args) -> int:
     for pool_name, pool in pools:
         ks = [k for k in k_range if k <= len(pool)]
         result = multifactor_search(network, args.target, args.target_state, pool, ks,
-                                    max_evals=max_evals)
+                                    max_evals=args.max_evals)
         points = []
         for entry in result.entries:
             example = ""
@@ -326,18 +315,12 @@ def cmd_multifactor(args) -> int:
         x_label="fixed evidence count", y_label="posterior",
         comment=f"riskbn {__version__}",
     ))
-    _write_manifest(out, "multifactor", {
-        "model": args.model, "target": args.target, "target_state": args.target_state,
-        "pool": args.pool, "k_min": args.k_min, "k_max": args.k_max,
-        "prior_p": args.prior_p, "max_evals": args.max_evals,
-        "thresholds": {label: v for label, v in thresholds}, "out": str(out),
-    }, {}, [Path(args.model)], [out, svg_path])
+    _write_manifest(args, [out, svg_path], thresholds=dict(thresholds))
     print(f"multifactor table written to {out}")
     return 0
 
 
 def cmd_profiles(args) -> int:
-    max_evals = _max_evals(args.max_evals)
     network = _load_model(args.model)
     if args.pool:
         pool = args.pool.split(",")
@@ -347,7 +330,7 @@ def cmd_profiles(args) -> int:
     if threshold is None:
         threshold = bf_threshold_posterior(args.prior_p, math.sqrt(10.0))
     result = risk_profiles(network, args.target, args.target_state, pool, args.k,
-                           threshold, max_evals=max_evals)
+                           threshold, max_evals=args.max_evals)
     n = len(result.profiles)
     rows = [[v, s, count, float(count / n) if n else ""]
             for (v, s), count in result.frequency]
@@ -360,61 +343,42 @@ def cmd_profiles(args) -> int:
         [(f"{v} = {s}", float(c)) for (v, s), c in result.frequency],
         value_format="%d", comment=f"riskbn {__version__}",
     ))
-    _write_manifest(out, "profiles", {
-        "model": args.model, "target": args.target, "target_state": args.target_state,
-        "pool": args.pool, "k": args.k, "threshold": threshold,
-        "prior_p": args.prior_p, "max_evals": args.max_evals, "out": str(out),
-    }, {}, [Path(args.model)], [out, svg_path])
+    _write_manifest(args, [out, svg_path], threshold=threshold)
     if n == 0:
         print("no profiles met the threshold")
     print(f"profile table written to {out} ({n} profiles)")
     return 0
 
 
-def _parse_evidence(text: str | None) -> dict[str, str]:
-    """Comma-separated ``Var=state`` pairs, case-sensitive."""
-    if not text:
-        return {}
-    evidence: dict[str, str] = {}
-    for pair in text.split(","):
-        name, sep, state = pair.partition("=")
-        if not sep or not name or not state:
-            raise DomainError(f"evidence entry {pair!r} is not Var=state")
-        if name in evidence:
-            raise DomainError(f"variable '{name}' appears twice in the evidence")
-        evidence[name] = state
-    return evidence
-
-
 def cmd_query(args) -> int:
     network = _load_model(args.model)
-    evidence = _parse_evidence(args.evidence)
-    dist = posterior(network, args.target, evidence)
-    p_evidence = evidence_probability(network, evidence)
+    dist = posterior(network, args.target, args.evidence)
+    p_evidence = evidence_probability(network, args.evidence)
     for state, p in zip(dist.states, dist.probabilities):
         print(f"P({args.target}={state} | evidence) = {_fmt(p)}")
     print(f"P(evidence) = {_fmt(p_evidence)}")
     if args.out:
         out = Path(args.out)
         out.write_text(json.dumps({
-            "target": args.target, "evidence": evidence,
+            "target": args.target, "evidence": args.evidence,
             "posterior": {s: p for s, p in zip(dist.states, dist.probabilities)},
             "evidence_probability": p_evidence,
         }, indent=2, sort_keys=True) + "\n")
-        _write_manifest(out, "query", {
-            "model": args.model, "target": args.target,
-            "evidence": args.evidence, "out": str(out),
-        }, {}, [Path(args.model)], [out])
+        _write_manifest(args, [out])
     return 0
 
 
 def _read_ranking_csv(path: str) -> dict[str, float]:
     reader = csv.DictReader(io.StringIO(_read_text(path), newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise MalformedCsv(f"{path} line {reader.line_num}: {exc}") from None
     if reader.fieldnames is None or "variable" not in reader.fieldnames \
             or "score" not in reader.fieldnames:
         raise VariableSetMismatch(f"{path} is not a strength CSV (variable/score columns)")
     scores: dict[str, float] = {}
-    for i, row in enumerate(reader, start=1):
+    for i, row in enumerate(rows, start=1):
         try:
             score = float(row["score"])
         except (TypeError, ValueError):
@@ -449,63 +413,93 @@ def cmd_compare(args) -> int:
             "rho": result.rho, "p_value": result.p_value, "n": result.n,
             "exact_extreme": result.exact_extreme,
         }, indent=2) + "\n")
-        _write_manifest(out, "compare", {
-            "ranking_a": args.ranking_a, "ranking_b": args.ranking_b, "out": str(out),
-        }, {}, [Path(args.ranking_a), Path(args.ranking_b)], [out])
+        _write_manifest(args, [out])
     return 0
 
 
 def cmd_simulate(args) -> int:
-    if args.n < 1:
-        raise InvalidOption(f"--n must be at least 1, got {args.n}")
-    _check_seed(args.seed)
-    seed = args.seed
-    seeds_generated = False
-    if seed is None:
-        seed = int(np.random.SeedSequence().entropy % (2 ** 32))
-        seeds_generated = True
-    if args.model:
-        network = _load_model(args.model)
-        inputs = [Path(args.model)]
-    else:
-        network = build_default_generator(seed).network
-        inputs = []
-    batch = ancestral_sample(network, args.n, seed)
-    schema = _data_schema(tuple(network.schema))
-    dataset = dataset_from_batch(batch, schema)
+    generated = args.seed is None
+    seed = int(np.random.SeedSequence().entropy % 2 ** 32) if generated else args.seed
+    network = _load_model(args.model) if args.model else None
+    schema = _data_schema(network.schema) if network else None
+    dataset = simulate_dataset(args.n, seed, network, schema)
     out = Path(args.out)
     out.write_text(save_dataset(dataset))
-    _write_manifest(out, "simulate", {
-        "n": args.n, "model": args.model, "out": str(out),
-        "generator": batch.generator,
-    }, {"seed": seed, "generated": seeds_generated}, inputs, [out])
+    _write_manifest(args, [out], {"seed": seed, "generated": generated},
+                    generator=GENERATOR_ID)
     print(f"{args.n} records written to {out} (seed {seed})")
     return 0
 
 
 def cmd_summarize(args) -> int:
-    if args.schema:
-        specs, _, _ = parse_model_parts(_read_text(args.schema))
-        schema = _data_schema(tuple(specs))
-    else:
-        schema = default_schema()
-    dataset = load_dataset(_read_text(args.data), schema)
-    table = summarize(dataset)
+    schema, _ = _resolve_structure(args)
+    table = summarize(_load_data(args, schema))
     rows = [[r.variable, r.state, r.count,
              float(r.percent) if r.percent is not None else ""] for r in table]
     if args.out:
         out = Path(args.out)
         _write_csv(out, ["variable", "state", "count", "percent"], rows)
-        inputs = [Path(args.data)] + ([Path(args.schema)] if args.schema else [])
-        _write_manifest(out, "summarize", {
-            "data": args.data, "schema": args.schema, "out": str(out),
-        }, {}, inputs, [out])
+        _write_manifest(args, [out])
         print(f"summary written to {out}")
     else:
         for row in rows:
             pct = _fmt(row[3]) if isinstance(row[3], float) else "-"
             print(f"{row[0]},{row[1]},{row[2]},{pct}")
     return 0
+
+
+# --- flag types ------------------------------------------------------------------
+# argparse catches only ValueError, TypeError and ArgumentTypeError from a
+# ``type=``; InvalidOption passes through to ``main``, which reports it as exit 2.
+
+def _flag_type(flag: str, domain: str, parse, ok):
+    def convert(text: str):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise InvalidOption(f"{flag} must be {domain}, got {text}")
+    return convert
+
+
+def _whole_literal(text: str) -> int:
+    """A whole-valued number in any float literal form, such as ``1e8``."""
+    value = float(text)
+    if not value.is_integer():
+        raise ValueError(text)
+    return int(value)
+
+
+def _whole(flag: str, low: int, parse=int):
+    return _flag_type(flag, f"a whole number at least {low}", parse, lambda v: v >= low)
+
+
+def _positive(flag: str):
+    return _flag_type(flag, "a positive finite number", float, lambda v: 0 < v < math.inf)
+
+
+def _probability(flag: str, interval: str):
+    """``interval`` is ``[0, 1]``, ``[0, 1)`` or ``(0, 1)``: a round bracket
+    excludes its end."""
+    open_low, open_high = interval[0] == "(", interval[-1] == ")"
+    return _flag_type(flag, f"in {interval}", float,
+                      lambda v: (0 < v if open_low else 0 <= v)
+                      and (v < 1 if open_high else v <= 1))
+
+
+def _evidence(text: str) -> dict[str, str]:
+    """``--evidence``: comma-separated ``Var=state`` pairs, case-sensitive."""
+    evidence: dict[str, str] = {}
+    for pair in text.split(",") if text else ():
+        name, sep, state = pair.partition("=")
+        if not sep or not name or not state:
+            raise InvalidOption(f"--evidence entry {pair!r} is not Var=state")
+        if name in evidence:
+            raise InvalidOption(f"--evidence names {name!r} twice")
+        evidence[name] = state
+    return evidence
 
 
 # --- parser ----------------------------------------------------------------------
@@ -528,20 +522,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dag", help="model file supplying edges (default: placeholder DAG)")
     p.add_argument("--out", required=True)
     p.add_argument("--target", default=DEFAULT_OUTCOME)
-    p.add_argument("--prior-p", type=float, default=0.1, dest="prior_p")
-    p.add_argument("--ess", type=float, default=2.0)
+    p.add_argument("--prior-p", type=_probability("--prior-p", "(0, 1)"), default=0.1)
+    p.add_argument("--ess", type=_positive("--ess"), default=2.0)
     p.add_argument("--latent", action="append", default=[],
                    help="treat this variable as unobserved (repeatable)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--em-restarts", type=int, default=10, dest="em_restarts")
-    p.add_argument("--em-max-iterations", type=int, default=500, dest="em_max_iterations")
-    p.add_argument("--em-tolerance", type=float, default=1e-6, dest="em_tolerance")
-    p.add_argument("--em-jitter", type=float, default=0.05, dest="em_jitter")
-    p.add_argument("--filter-rt", type=int, default=None, dest="filter_rt",
+    p.add_argument("--seed", type=_whole("--seed", 0), default=0)
+    p.add_argument("--em-restarts", type=_whole("--em-restarts", 1), default=10)
+    p.add_argument("--em-max-iterations", type=_whole("--em-max-iterations", 1), default=500)
+    p.add_argument("--em-tolerance", type=_positive("--em-tolerance"), default=1e-6)
+    p.add_argument("--em-jitter", type=_probability("--em-jitter", "[0, 1)"), default=0.05)
+    p.add_argument("--filter-rt", type=_whole("--filter-rt", 0), default=None,
                    help="drop/blank records with any response time below this (ms)")
-    p.add_argument("--filter-honesty", action="store_true", dest="filter_honesty")
-    p.add_argument("--filter-action", choices=("drop", "blank"), default="drop",
-                   dest="filter_action")
+    p.add_argument("--filter-honesty", action="store_true")
+    p.add_argument("--filter-action", choices=("drop", "blank"), default="drop")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("strength", help="strength-of-influence ranking")
@@ -557,39 +550,40 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--target", default=DEFAULT_OUTCOME)
     p.add_argument("--source", required=True)
-    p.add_argument("--target-state", default=None, dest="target_state")
+    p.add_argument("--target-state", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("multifactor", help="brute-force multi-evidence risk search")
     p.add_argument("--model", required=True)
     p.add_argument("--target", default=DEFAULT_OUTCOME)
-    p.add_argument("--target-state", default="Yes", dest="target_state")
+    p.add_argument("--target-state", default="Yes")
     p.add_argument("--pool", help="comma-separated pool (default: game and profiling pools)")
-    p.add_argument("--k-min", type=int, default=1, dest="k_min")
-    p.add_argument("--k-max", type=int, default=5, dest="k_max")
-    p.add_argument("--prior-p", type=float, default=0.1, dest="prior_p")
-    p.add_argument("--max-evals", type=float, default=1e8, dest="max_evals")
+    p.add_argument("--k-min", type=_whole("--k-min", 1), default=1)
+    p.add_argument("--k-max", type=_whole("--k-max", 1), default=5)
+    p.add_argument("--prior-p", type=_probability("--prior-p", "(0, 1)"), default=0.1)
+    p.add_argument("--max-evals", type=_whole("--max-evals", 1, _whole_literal), default=10**8)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_multifactor)
 
     p = sub.add_parser("profiles", help="risk-profile frequency table")
     p.add_argument("--model", required=True)
     p.add_argument("--target", default=DEFAULT_OUTCOME)
-    p.add_argument("--target-state", default="Yes", dest="target_state")
+    p.add_argument("--target-state", default="Yes")
     p.add_argument("--pool", help="comma-separated pool (default: profiling variables)")
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--threshold", type=float, default=None,
+    p.add_argument("--k", type=_whole("--k", 1), default=5)
+    p.add_argument("--threshold", type=_probability("--threshold", "[0, 1]"), default=None,
                    help="posterior cutoff (default: substantial-evidence threshold)")
-    p.add_argument("--prior-p", type=float, default=0.1, dest="prior_p")
-    p.add_argument("--max-evals", type=float, default=1e8, dest="max_evals")
+    p.add_argument("--prior-p", type=_probability("--prior-p", "(0, 1)"), default=0.1)
+    p.add_argument("--max-evals", type=_whole("--max-evals", 1, _whole_literal), default=10**8)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_profiles)
 
     p = sub.add_parser("query", help="posterior of one variable given evidence")
     p.add_argument("--model", required=True)
     p.add_argument("--target", default=DEFAULT_OUTCOME)
-    p.add_argument("--evidence", help="comma-separated Var=state pairs")
+    p.add_argument("--evidence", type=_evidence, default={},
+                   help="comma-separated Var=state pairs")
     p.add_argument("--out")
     p.set_defaults(func=cmd_query)
 
@@ -600,8 +594,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("simulate", help="sample a synthetic dataset")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--n", type=_whole("--n", 1), required=True)
+    p.add_argument("--seed", type=_whole("--seed", 0), default=None)
     p.add_argument("--model", help="sample from this model instead of the default generator")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
@@ -616,8 +610,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

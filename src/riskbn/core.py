@@ -16,6 +16,8 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import json
+import re
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -416,6 +418,32 @@ def parse_model(text: str) -> Network:
     return build_network(schema, dag, cpt_map)
 
 
+_JSON_TOKENS = re.compile(r'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?|[\[\]{}]')
+
+
+def _json_limit_error(text: str, too_deep: bool) -> ModelSyntaxError:
+    """Locate what ``json.loads`` refuses without a position: the deepest
+    nesting (``too_deep``, past the recursion limit), else the first integer
+    longer than ``sys.get_int_max_str_digits()``."""
+    max_digits = sys.get_int_max_str_digits()
+    depth, deepest, at = 0, 0, 0
+    for match in _JSON_TOKENS.finditer(text):
+        token = match.group()
+        if token in ("[", "{"):
+            depth += 1
+            if depth > deepest:
+                deepest, at = depth, match.start()
+        elif token in ("]", "}"):
+            depth -= 1
+        elif not too_deep and token.lstrip("-").isdigit() \
+                and len(token.lstrip("-")) > max_digits:
+            at = match.start()
+            break
+    message = (f"JSON nests {deepest} levels deep, too deep to parse" if too_deep
+               else f"integer has more than {max_digits} digits")
+    return ModelSyntaxError(message, text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
+
+
 def parse_model_parts(
     text: str,
 ) -> tuple[tuple[VariableSpec, ...], DagStructure, dict[str, Cpt]]:
@@ -428,6 +456,10 @@ def parse_model_parts(
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelSyntaxError(exc.msg, exc.lineno, exc.colno) from None
+    except RecursionError:
+        raise _json_limit_error(text, too_deep=True) from None
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise _json_limit_error(text, too_deep=False) from None
     if not isinstance(doc, dict):
         raise ModelSyntaxError("model document must be a JSON object")
     for key in ("variables", "edges"):

@@ -25,6 +25,7 @@ import numpy as np
 from .core import Cpt, DagStructure, Network, VariableSpec, build_network
 from .errors import (
     IllegalState,
+    MalformedCsv,
     MissingMetaColumn,
     RaggedRow,
     SchemaMismatch,
@@ -35,6 +36,7 @@ from .inference import SampleBatch, ancestral_sample
 DEFAULT_OUTCOME = "Previous_CB_Offending"
 DEFAULT_CONTROL = "A1Q1_PhotoSharing"
 MISSING_TOKENS = ("", "?")
+_RT_MAX = int(np.iinfo(np.int32).max)  # response times are stored as int32
 
 #: Published survey marginals (percent). Two columns do not sum to 100:
 #: Gender totals 99.0 and Daily_Hours_Internet totals 97.6; the generator
@@ -209,12 +211,14 @@ def load_dataset(text: str, schema: Schema) -> Dataset:
     First row holds column headers; cells that are empty or ``?`` are
     missing. Errors carry 1-based data-row numbers and column names.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise RaggedRow(0, 1, 0) from None
-    header = [h.strip() for h in header]
+        rows = list(reader)
+    except csv.Error as exc:
+        raise MalformedCsv(f"line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise RaggedRow(0, 1, 0)
+    header = [h.strip() for h in rows.pop(0)]
 
     spec_by_name = {v.name: v for v in schema.variables}
     rt_allowed = set(schema.response_time_columns)
@@ -225,7 +229,6 @@ def load_dataset(text: str, schema: Schema) -> Dataset:
     if len(set(header)) != len(header):
         raise UnknownColumn("duplicate column names in header")
 
-    rows = list(reader)
     n = len(rows)
     cat_cols = {name: np.full(n, -1, dtype=np.int16)
                 for name in header if name in spec_by_name}
@@ -249,7 +252,7 @@ def load_dataset(text: str, schema: Schema) -> Dataset:
                     value = int(cell)
                 except ValueError:
                     raise IllegalState(cell, i + 1, name) from None
-                if value < 0:
+                if not 0 <= value <= _RT_MAX:
                     raise IllegalState(cell, i + 1, name)
                 rt_cols[name][i] = value
     return Dataset(schema, n, cat_cols, rt_cols, "ingest")

@@ -129,6 +129,10 @@ class RaggedRow(RiskbnError):
         super().__init__(f"data row {row} has {got} cells, expected {expected}")
 
 
+class MalformedCsv(RiskbnError):
+    """CSV text cannot be split into cells; the message names the line."""
+
+
 class MissingMetaColumn(RiskbnError):
     """A filter needs a meta column that the dataset does not carry."""
 

@@ -149,6 +149,8 @@ def _eliminate_all(network: Network, factors: list[Factor],
 def _query_factor(network: Network, targets: Sequence[str], evidence: Evidence) -> Factor:
     """Unnormalized joint P(targets, evidence) as a factor over ``targets``."""
     evidence_idx = network.check_evidence(evidence)
+    if len(set(targets)) != len(targets):
+        raise DomainError(f"query variables repeat: {list(targets)}")
     for t in targets:
         network.spec(t)
         if t in evidence_idx:
@@ -252,7 +254,10 @@ def ancestral_sample(network: Network, n: int, seed: int) -> SampleBatch:
     rng = np.random.default_rng(seed)
     variables = network.variables
     col = {v: i for i, v in enumerate(variables)}
-    states = np.zeros((n, len(variables)), dtype=np.int16)
+    try:
+        states = np.zeros((n, len(variables)), dtype=np.int16)
+    except ValueError:  # numpy refuses the shape before allocating
+        raise DomainError(f"sample size {n} is too large for one array") from None
     for name in network._topo:
         parents = network.parents(name)
         row_idx = config_index([states[:, col[p]] for p in parents],

@@ -77,15 +77,16 @@ class DirichletPrior:
     ess: float = DEFAULT_ESS
 
     def __post_init__(self):
-        if not self.ess > 0:
-            raise SchemaMismatch("equivalent sample size must be positive")
+        if not 0 < self.ess < np.inf:
+            raise SchemaMismatch(f"equivalent sample size must be positive and finite, "
+                                 f"got {self.ess}")
         clean: dict[str, np.ndarray] = {}
         for name, mean in self.means.items():
             arr = np.asarray(mean, dtype=np.float64)
             if arr.ndim not in (1, 2):
                 raise SchemaMismatch(f"prior mean for '{name}' must be 1-D or 2-D")
             sums = arr.sum(axis=-1)
-            if np.any(np.abs(sums - 1.0) > 1e-9) or np.any(arr < 0) or np.any(arr > 1):
+            if not (np.all(np.abs(sums - 1.0) <= 1e-9) and np.all((0 <= arr) & (arr <= 1))):
                 raise SchemaMismatch(f"prior mean for '{name}' is not a distribution")
             arr = arr.copy()
             arr.setflags(write=False)

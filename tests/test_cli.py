@@ -1,12 +1,16 @@
+import argparse
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from riskbn.analysis import bf_threshold_posterior, conditional_profile
-from riskbn.cli import main
+from riskbn.cli import _build_parser, _read_ranking_csv, main
+from riskbn.errors import RiskbnError
 from riskbn.core import parse_model, serialize_model
 from riskbn.data import build_default_generator
 from riskbn.learning import default_prior
@@ -110,6 +114,15 @@ def test_fit_filters_applied(tmp_path, capsys):
     assert main(["fit", "--data", str(data), "--schema", str(structure),
                  "--filter-rt", "800", "--out", str(out)]) == 0
     assert "1 flagged by response time" in capsys.readouterr().out
+
+
+def test_fit_default_target_optional_on_custom_schema(tmp_path):
+    schema = tmp_path / "chain.json"
+    schema.write_text(serialize_model(chain_network()))
+    data = tmp_path / "d.csv"
+    data.write_text("A,B\n0,1\n")
+    assert main(["fit", "--data", str(data), "--schema", str(schema),
+                 "--out", str(tmp_path / "m.json")]) == 0
 
 
 def test_fit_missing_data_file_exit_1(tmp_path):
@@ -228,11 +241,11 @@ def test_query_posterior_with_evidence_flags(tmp_path, capsys):
     assert payload["evidence_probability"] == pytest.approx(0.41, abs=1e-12)
 
 
-def test_query_malformed_evidence_exit_3(tmp_path):
+def test_query_malformed_evidence_exit_2(tmp_path):
     path = tmp_path / "chain.json"
     path.write_text(serialize_model(chain_network()))
     assert main(["query", "--model", str(path), "--target", "A",
-                 "--evidence", "B:1"]) == 3
+                 "--evidence", "B:1"]) == 2
 
 
 def test_query_impossible_evidence_exit_3(tmp_path):
@@ -297,6 +310,13 @@ def test_simulate_records_generated_seed(tmp_path):
     assert isinstance(manifest["seeds"]["seed"], int)
 
 
+def test_simulate_beyond_array_limit_exit_3(tmp_path, capsys):
+    # numpy refuses this shape before allocating anything
+    assert main(["simulate", "--n", "99999999999999999999", "--seed", "1",
+                 "--out", str(tmp_path / "d.csv")]) == 3
+    assert capsys.readouterr().err.startswith("error: sample size 99999999999999999999")
+
+
 def test_summarize_roundtrip(tmp_path):
     data = tmp_path / "d.csv"
     main(["simulate", "--n", "500", "--seed", "3", "--out", str(data)])
@@ -325,12 +345,19 @@ def _bad_input_argv(case, tmp_path):
         return ["simulate", "--n", "0", "--seed", "1", "--out", str(tmp_path / "d.csv")]
     if case == "simulate_seed_negative":
         return ["simulate", "--n", "10", "--seed", "-3", "--out", str(tmp_path / "d.csv")]
+    if case == "fit_em_jitter_nan_supervised":
+        data = tmp_path / "d.csv"
+        data.write_text("Previous_CB_Offending,Answer\nYes,a\n")
+        return ["fit", "--data", str(data), "--schema", str(small_structure(tmp_path)),
+                "--em-jitter", "nan", "--out", str(tmp_path / "m.json")]
     if case.startswith("fit_"):
         data = tmp_path / "latent.csv"
         data.write_text("Previous_CB_Offending,Answer\n,a\n,b\n,a\n")
         flag, value = {"fit_seed_negative": ("--seed", "-1"),
                        "fit_em_jitter_nan": ("--em-jitter", "nan"),
-                       "fit_em_jitter_five": ("--em-jitter", "5")}[case]
+                       "fit_em_jitter_five": ("--em-jitter", "5"),
+                       "fit_ess_inf": ("--ess", "inf"),
+                       "fit_target_unknown": ("--target", "Nope")}[case]
         return ["fit", "--data", str(data), "--schema", str(small_structure(tmp_path)),
                 "--latent", "Previous_CB_Offending", "--em-restarts", "1", flag, value,
                 "--out", str(tmp_path / "em.json")]
@@ -346,50 +373,189 @@ def _bad_input_argv(case, tmp_path):
     if case == "compare_no_rows":
         b.write_text("variable,score\n")
         return ["compare", str(b), str(b)]
+    if case == "rt_overflow":
+        data = tmp_path / "rt.csv"
+        data.write_text("Gender,rt_A1Q1_PhotoSharing\nMale,900\nFemale,3000000000\n")
+        return ["summarize", "--data", str(data)]
+    model = tmp_path / "chain.json"
+    model.write_text(serialize_model(chain_network()))
+    if case == "validate_deep_json":
+        model.write_text("[" * 100_000 + "]" * 100_000)
+        return ["validate", str(model)]
+    if case == "validate_long_integer":
+        model.write_text('{"variables": [], "edges": [], "n": ' + "7" * 5000 + "}")
+        return ["validate", str(model)]
+    if case == "query_evidence_malformed":
+        return ["query", "--model", str(model), "--target", "A", "--evidence", "B:1"]
     if case.startswith(("multifactor_", "profiles_")):
-        model = tmp_path / "chain.json"
-        model.write_text(serialize_model(chain_network()))
-        command, value = {"multifactor_max_evals_nan": ("multifactor", "nan"),
-                          "multifactor_max_evals_inf": ("multifactor", "inf"),
-                          "profiles_max_evals_zero": ("profiles", "0")}[case]
-        sizes = ["--k-max", "1"] if command == "multifactor" else ["--k", "1"]
+        command, *flags = {"multifactor_max_evals_nan": ("multifactor", "--max-evals", "nan"),
+                           "multifactor_max_evals_inf": ("multifactor", "--max-evals", "inf"),
+                           "multifactor_prior_p_nan": ("multifactor", "--prior-p", "nan"),
+                           "multifactor_k_range_empty": ("multifactor", "--k-min", "3"),
+                           "profiles_max_evals_zero": ("profiles", "--max-evals", "0"),
+                           "profiles_threshold_nan": ("profiles", "--threshold", "nan")}[case]
+        sizes = ["--k-max", "2"] if command == "multifactor" else ["--k", "1"]
         return [command, "--model", str(model), "--target", "A", "--target-state", "1",
-                "--pool", "B", *sizes, "--max-evals", value, "--out", str(tmp_path / "t.csv")]
+                "--pool", "B", *sizes, *flags, "--out", str(tmp_path / "t.csv")]
     data = tmp_path / "latin1.csv"
     data.write_bytes("Gender\nMale\n".encode() + b"F\xe9male\n")
     return ["summarize", "--data", str(data)]
 
 
 _BAD_INPUT_MESSAGES = {
-    "simulate_n_zero": "--n must be at least 1",
-    "simulate_seed_negative": "--seed must be at least 0, got -3",
-    "fit_seed_negative": "--seed must be at least 0, got -1",
-    "fit_em_jitter_nan": "jitter must lie in [0, 1), got nan",
-    "fit_em_jitter_five": "jitter must lie in [0, 1), got 5.0",
+    "simulate_n_zero": "--n must be a whole number at least 1, got 0",
+    "simulate_seed_negative": "--seed must be a whole number at least 0, got -3",
+    "fit_seed_negative": "--seed must be a whole number at least 0, got -1",
+    "fit_em_jitter_nan": "--em-jitter must be in [0, 1), got nan",
+    "fit_em_jitter_five": "--em-jitter must be in [0, 1), got 5",
+    "fit_em_jitter_nan_supervised": "--em-jitter must be in [0, 1), got nan",
+    "fit_ess_inf": "--ess must be a positive finite number, got inf",
+    "fit_target_unknown": "--target 'Nope' is not in the schema",
     "compare_non_numeric": "data row 1",
     "compare_nan": "data row 1",
     "compare_duplicate_variable": "'x' repeats in data row 3",
     "compare_no_rows": "no data rows",
     "non_utf8_data": "not UTF-8",
-    "multifactor_max_evals_nan": "--max-evals must be a positive whole number, got nan",
-    "multifactor_max_evals_inf": "--max-evals must be a positive whole number, got inf",
-    "profiles_max_evals_zero": "--max-evals must be a positive whole number, got 0",
+    "rt_overflow": "'3000000000' for column 'rt_A1Q1_PhotoSharing' in data row 2",
+    "validate_deep_json": "JSON nests 100000 levels deep, too deep to parse (line 1, column 100000)",
+    "validate_long_integer": "integer has more than 4300 digits (line 1, column 37)",
+    "query_evidence_malformed": "--evidence entry 'B:1' is not Var=state",
+    "multifactor_max_evals_nan": "--max-evals must be a whole number at least 1, got nan",
+    "multifactor_max_evals_inf": "--max-evals must be a whole number at least 1, got inf",
+    "multifactor_prior_p_nan": "--prior-p must be in (0, 1), got nan",
+    "multifactor_k_range_empty": "--k-min 3 is above --k-max 2",
+    "profiles_max_evals_zero": "--max-evals must be a whole number at least 1, got 0",
+    "profiles_threshold_nan": "--threshold must be in [0, 1], got nan",
 }
+
+# One case per kind of flag value, rerun with --data/--model naming a missing
+# file: the flag must still be refused first, with exit 2 rather than 1.
+_FLAG_KIND_CASES = ["fit_seed_negative", "profiles_max_evals_zero", "fit_ess_inf",
+                    "profiles_threshold_nan", "query_evidence_malformed",
+                    "multifactor_k_range_empty"]
 
 
 @pytest.mark.parametrize("case", ["simulate_n_zero", "simulate_seed_negative",
                                   "fit_seed_negative", "fit_em_jitter_nan",
-                                  "fit_em_jitter_five", "compare_non_numeric", "compare_nan",
-                                  "compare_duplicate_variable", "compare_no_rows",
-                                  "non_utf8_data", "multifactor_max_evals_nan",
-                                  "multifactor_max_evals_inf", "profiles_max_evals_zero"])
+                                  "fit_em_jitter_five", "fit_em_jitter_nan_supervised",
+                                  "fit_ess_inf", "fit_target_unknown", "compare_non_numeric",
+                                  "compare_nan", "compare_duplicate_variable",
+                                  "compare_no_rows", "non_utf8_data", "rt_overflow",
+                                  "validate_deep_json", "validate_long_integer",
+                                  "query_evidence_malformed", "multifactor_max_evals_nan",
+                                  "multifactor_max_evals_inf", "multifactor_prior_p_nan",
+                                  "multifactor_k_range_empty", "profiles_max_evals_zero",
+                                  "profiles_threshold_nan"]
+                         + [f"{case}_missing_file" for case in _FLAG_KIND_CASES])
 def test_bad_input_exits_2_without_traceback(tmp_path, case):
-    proc = subprocess.run([sys.executable, "-m", "riskbn.cli", *_bad_input_argv(case, tmp_path)],
+    case, missing, _ = case.partition("_missing_file")
+    argv = _bad_input_argv(case, tmp_path)
+    if missing:
+        i = next(i for i, a in enumerate(argv) if a in ("--data", "--model")) + 1
+        argv[i] = str(tmp_path / "missing")
+    proc = subprocess.run([sys.executable, "-m", "riskbn.cli", *argv],
                           capture_output=True, text=True, env=child_env(), timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert _BAD_INPUT_MESSAGES[case] in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+# Valid flags for every subcommand on the chain model (B marked as a game
+# question, so the CSV may carry its response time) and a 3-row CSV; None
+# marks a positional argument.
+_VALID_ARGV = {
+    "validate": [(None, "chain.json")],
+    "fit": [("--data", "d.csv"), ("--schema", "chain.json"), ("--dag", "chain.json"),
+            ("--out", "m.json"), ("--target", "B"), ("--prior-p", "0.2"), ("--ess", "3"),
+            ("--latent", "A"), ("--seed", "1"), ("--em-restarts", "1"),
+            ("--em-max-iterations", "5"), ("--em-tolerance", "1e-6"),
+            ("--em-jitter", "0.1"), ("--filter-rt", "0"), ("--filter-action", "blank")],
+    "strength": [("--model", "chain.json"), ("--target", "B"), ("--control", "none"),
+                 ("--candidates", "A"), ("--out", "s.csv")],
+    "profile": [("--model", "chain.json"), ("--target", "B"), ("--source", "A"),
+                ("--target-state", "1"), ("--out", "p.csv")],
+    "multifactor": [("--model", "chain.json"), ("--target", "B"), ("--target-state", "1"),
+                    ("--pool", "A"), ("--k-min", "1"), ("--k-max", "1"), ("--prior-p", "0.2"),
+                    ("--max-evals", "100"), ("--out", "mf.csv")],
+    "profiles": [("--model", "chain.json"), ("--target", "B"), ("--target-state", "1"),
+                 ("--pool", "A"), ("--k", "1"), ("--threshold", "0.5"), ("--prior-p", "0.2"),
+                 ("--max-evals", "100"), ("--out", "pr.csv")],
+    "query": [("--model", "chain.json"), ("--target", "B"), ("--evidence", "A=1"),
+              ("--out", "q.json")],
+    "compare": [(None, "a.csv"), (None, "a.csv"), ("--out", "c.json")],
+    "simulate": [("--n", "3"), ("--seed", "1"), ("--model", "chain.json"),
+                 ("--out", "sim.csv")],
+    "summarize": [("--data", "d.csv"), ("--schema", "chain.json"), ("--out", "sum.csv")],
+}
+_ADVERSARIAL = ["nan", "inf", "-inf", "-1", "0", "2.5", "1e308", "", "é", "B:1"]
+_RESOLVED = {"multifactor": {"thresholds"}, "simulate": {"generator"}}
+
+
+def _boundary_inputs(directory):
+    doc = json.loads(serialize_model(chain_network()))
+    doc["variables"][1]["kind"] = "game"
+    (directory / "chain.json").write_text(json.dumps(doc))
+    (directory / "d.csv").write_text("A,B,rt_B\n0,1,900\n1,1,\n0,0,1200\n")
+    _ranking_csv(directory / "a.csv", [("x", 0.3), ("y", 0.2), ("z", 0.1)])
+
+
+def _argv(command, replace=None, value=None):
+    argv = [command]
+    for i, (flag, default) in enumerate(_VALID_ARGV[command]):
+        argv += ([flag] if flag else []) + [value if i == replace else default]
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(_VALID_ARGV))
+def test_valid_flags_run_and_manifest_config_is_every_flag(tmp_path, monkeypatch, command):
+    _boundary_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(_argv(command)) == 0
+    if command == "validate":
+        return
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+    out = dict(_VALID_ARGV[command])["--out"]
+    manifest = json.loads((tmp_path / f"{out}.manifest.json").read_text())
+    assert set(manifest["config"]) == dests | _RESOLVED.get(command, set())
+
+
+@given(st.sampled_from([(command, i) for command, flags in _VALID_ARGV.items()
+                        for i in range(len(flags))]),
+       st.sampled_from(_ADVERSARIAL))
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_adversarial_flag_values_exit_with_documented_code(tmp_path, monkeypatch, case, value):
+    _boundary_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    command, i = case
+    try:
+        code = main(_argv(command, i, value))
+    except SystemExit as exc:  # argparse's own refusal, such as "-inf" read as a flag
+        code = exc.code
+        assert code == 2
+    assert code in (0, 1, 2, 3)
+
+
+@given(st.one_of(st.text(), st.lists(st.tuples(st.sampled_from(["x", "y", "x ", ""]),
+                                               st.sampled_from(["0.5", "nan", "-inf", "1e999",
+                                                                "abc", "", "2"])))
+                 .map(lambda rows: "variable,score\n"
+                      + "".join(f"{v},{s}\n" for v, s in rows))))
+@example("variable,score\nx," + "9" * 5000 + "\n")
+@example('variable,score\n"x\n')
+@example("variable,score\n" + "x" * 200_000 + ",1\n")
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_ranking_csv_parses_or_raises_riskbn_error(tmp_path, text):
+    path = tmp_path / "ranking.csv"
+    path.write_text(text, encoding="utf-8")
+    try:
+        _read_ranking_csv(str(path))
+    except RiskbnError:
+        pass
 
 
 # --- start-up ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from riskbn.core import (
     Cpt,
@@ -19,6 +21,7 @@ from riskbn.errors import (
     CycleDetected,
     MissingCpt,
     ModelSyntaxError,
+    RiskbnError,
     RowNotNormalized,
     ShapeMismatch,
     UnknownState,
@@ -211,6 +214,35 @@ def test_parse_bad_json_has_position():
     with pytest.raises(ModelSyntaxError) as exc:
         parse_model("{ not json")
     assert exc.value.line is not None
+
+
+def test_parse_json_beyond_parser_limits_has_position():
+    with pytest.raises(ModelSyntaxError) as exc:
+        parse_model("[" * 100_000 + "]" * 100_000)
+    assert (exc.value.line, exc.value.column) == (1, 100_000)
+    text = '{"variables": [{"name": "' + "1" * 5000 + '"}],\n "edges": ' + "2" * 4301 + "}"
+    with pytest.raises(ModelSyntaxError) as exc:
+        parse_model(text)
+    assert (exc.value.line, exc.value.column) == (2, 11)
+
+
+_KEYS = ["variables", "edges", "cpts", "name", "states", "kind", "parents", "rows", "A", "B"]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=4),
+    max_leaves=25)
+
+
+@given(st.one_of(st.text(), _JSON_VALUES.map(json.dumps)))
+@example("[" * 100_000 + "]" * 100_000)
+@example('{"variables": [], "edges": [], "n": ' + "7" * 5000 + "}")
+@settings(max_examples=300, deadline=None)
+def test_parse_model_parses_or_raises_riskbn_error(text):
+    try:
+        parse_model(text)
+    except RiskbnError:
+        pass
 
 
 def test_parse_unknown_cpt_variable():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from riskbn.analysis import influence_strength, risk_profiles
 from riskbn.data import (
@@ -21,6 +23,7 @@ from riskbn.data import (
 )
 from riskbn.errors import (
     IllegalState,
+    RiskbnError,
     MissingMetaColumn,
     RaggedRow,
     UnknownColumn,
@@ -134,6 +137,35 @@ def test_rt_must_be_nonnegative_integer():
         load_dataset("rt_A1Q1_PhotoSharing\nfast\n", default_schema())
     with pytest.raises(IllegalState):
         load_dataset("rt_A1Q1_PhotoSharing\n-5\n", default_schema())
+
+
+_COLUMNS = ["Gender", "Age", "honesty", "rt_A1Q1_PhotoSharing", "Nope", "Gender "]
+_CELLS = ["", "?", "Male", "12", "Yes", "900", "-5", "3000000000", "1e3", " 7 ", '"', "\r"]
+
+
+@given(st.one_of(
+    st.text(),
+    st.tuples(st.lists(st.sampled_from(_COLUMNS), min_size=1, max_size=4),
+              st.lists(st.lists(st.one_of(st.sampled_from(_CELLS), st.text(max_size=4)),
+                                max_size=5), max_size=4))
+    .map(lambda t: "\n".join(",".join(row) for row in [t[0], *t[1]]))))
+@example("rt_A1Q1_PhotoSharing\n3000000000\n")
+@example("rt_A1Q1_PhotoSharing\n" + "9" * 5000 + "\n")
+@example("Gender\n" + "x" * 200_000 + "\n")  # past the csv module's field limit
+@settings(max_examples=300, deadline=None)
+def test_load_dataset_parses_or_raises_riskbn_error(text):
+    try:
+        load_dataset(text, default_schema())
+    except RiskbnError:
+        pass
+
+
+def test_rt_beyond_int32_names_row_and_column():
+    with pytest.raises(IllegalState) as exc:
+        load_dataset("rt_A1Q1_PhotoSharing\n900\n2147483648\n", default_schema())
+    assert (exc.value.row, exc.value.column) == (2, "rt_A1Q1_PhotoSharing")
+    ds = load_dataset("rt_A1Q1_PhotoSharing\n2147483647\n", default_schema())
+    assert ds.response_times["rt_A1Q1_PhotoSharing"][0] == 2**31 - 1
 
 
 def test_save_load_round_trip_preserves_missingness():

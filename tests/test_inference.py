@@ -95,6 +95,11 @@ def test_posterior_rejects_target_in_evidence():
         posterior(net, "B", {"B": "1"})
 
 
+def test_joint_table_rejects_repeated_targets():
+    with pytest.raises(DomainError):
+        joint_table(chain_network(), ["A", "A"])
+
+
 def test_posterior_unknown_variable():
     net = chain_network()
     with pytest.raises(UnknownVariable):

@@ -203,6 +203,24 @@ def test_em_rejects_observed_latent():
         em_fit(schema, dag, ds, [OUTCOME])
 
 
+@pytest.mark.parametrize("ess", [0.0, -1.0, float("nan"), float("inf")])
+def test_dirichlet_prior_rejects_ess_outside_positive_finite(ess):
+    with pytest.raises(SchemaMismatch):
+        DirichletPrior(ess=ess)
+
+
+@pytest.mark.parametrize("mean", [[float("nan"), 0.9], [float("nan"), float("nan")],
+                                  [[0.1, 0.9], [0.5, float("nan")]]])
+def test_dirichlet_prior_rejects_nan_means(mean):
+    with pytest.raises(SchemaMismatch):
+        DirichletPrior({OUTCOME: np.array(mean)})
+
+
+def test_default_prior_rejects_nan_outcome_p():
+    with pytest.raises(SchemaMismatch):
+        default_prior(outcome_schema(), outcome_p=float("nan"))
+
+
 @pytest.mark.parametrize("kwargs", [{"seed": -1}, {"jitter": float("nan")}, {"jitter": 1.0},
                                     {"jitter": 5.0}, {"jitter": -0.01}])
 def test_em_config_rejects_out_of_range_seed_and_jitter(kwargs):
