@@ -12,7 +12,8 @@ Each flag's domain is stated once, as its argparse ``type=``, so a bad value
 is refused before any file is read. Exit codes:
 
 * 0: success.
-* 1: a file cannot be read or written.
+* 1: a file cannot be read or written. An ``--out`` whose directory is
+  missing or not writable is refused before any input is read.
 * 2: a flag value outside its own domain, an input file that fails to parse
   or validate, or a name the model or schema lacks.
 * 3: inputs that are each valid but cannot be combined: k above the pool
@@ -28,6 +29,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -357,7 +359,7 @@ def cmd_query(args) -> int:
     for state, p in zip(dist.states, dist.probabilities):
         print(f"P({args.target}={state} | evidence) = {_fmt(p)}")
     print(f"P(evidence) = {_fmt(p_evidence)}")
-    if args.out:
+    if args.out is not None:
         out = Path(args.out)
         out.write_text(json.dumps({
             "target": args.target, "evidence": args.evidence,
@@ -407,7 +409,7 @@ def cmd_compare(args) -> int:
     result = spearman([ranking_a[n] for n in names], [ranking_b[n] for n in names])
     print(f"spearman_rho={_fmt(result.rho)} p_value={_fmt(result.p_value)} n={result.n}"
           + (" (exact extreme)" if result.exact_extreme else ""))
-    if args.out:
+    if args.out is not None:
         out = Path(args.out)
         out.write_text(json.dumps({
             "rho": result.rho, "p_value": result.p_value, "n": result.n,
@@ -436,7 +438,7 @@ def cmd_summarize(args) -> int:
     table = summarize(_load_data(args, schema))
     rows = [[r.variable, r.state, r.count,
              float(r.percent) if r.percent is not None else ""] for r in table]
-    if args.out:
+    if args.out is not None:
         out = Path(args.out)
         _write_csv(out, ["variable", "state", "count", "percent"], rows)
         _write_manifest(args, [out])
@@ -489,6 +491,21 @@ def _probability(flag: str, interval: str):
                       and (v < 1 if open_high else v <= 1))
 
 
+_out_path = _flag_type("--out", "a non-empty path", str, bool)
+
+
+def _check_writable(out: str) -> None:
+    """Refuse an ``--out`` that cannot be written before any work starts:
+    every output of a command lands in the directory of ``--out``."""
+    path = Path(out)
+    directory = path.parent
+    if path.is_dir():
+        raise IsADirectoryError(f"cannot write --out {out}: it is a directory")
+    if not directory.is_dir() or not os.access(directory, os.W_OK):
+        raise PermissionError(f"cannot write --out {out}: "
+                              f"{directory} is not a writable directory")
+
+
 def _evidence(text: str) -> dict[str, str]:
     """``--evidence``: comma-separated ``Var=state`` pairs, case-sensitive."""
     evidence: dict[str, str] = {}
@@ -520,7 +537,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--schema", help="model file supplying variables (default: built-in schema)")
     p.add_argument("--dag", help="model file supplying edges (default: placeholder DAG)")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_path, required=True)
     p.add_argument("--target", default=DEFAULT_OUTCOME)
     p.add_argument("--prior-p", type=_probability("--prior-p", "(0, 1)"), default=0.1)
     p.add_argument("--ess", type=_positive("--ess"), default=2.0)
@@ -543,7 +560,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--control", default=DEFAULT_CONTROL,
                    help="control variable marking the irrelevance line ('none' to disable)")
     p.add_argument("--candidates", help="comma-separated candidate variables")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_path, required=True)
     p.set_defaults(func=cmd_strength)
 
     p = sub.add_parser("profile", help="per-state conditional profile of the target")
@@ -551,7 +568,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default=DEFAULT_OUTCOME)
     p.add_argument("--source", required=True)
     p.add_argument("--target-state", default=None)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_path, required=True)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("multifactor", help="brute-force multi-evidence risk search")
@@ -563,7 +580,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=_whole("--k-max", 1), default=5)
     p.add_argument("--prior-p", type=_probability("--prior-p", "(0, 1)"), default=0.1)
     p.add_argument("--max-evals", type=_whole("--max-evals", 1, _whole_literal), default=10**8)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_path, required=True)
     p.set_defaults(func=cmd_multifactor)
 
     p = sub.add_parser("profiles", help="risk-profile frequency table")
@@ -576,7 +593,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="posterior cutoff (default: substantial-evidence threshold)")
     p.add_argument("--prior-p", type=_probability("--prior-p", "(0, 1)"), default=0.1)
     p.add_argument("--max-evals", type=_whole("--max-evals", 1, _whole_literal), default=10**8)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_path, required=True)
     p.set_defaults(func=cmd_profiles)
 
     p = sub.add_parser("query", help="posterior of one variable given evidence")
@@ -584,26 +601,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default=DEFAULT_OUTCOME)
     p.add_argument("--evidence", type=_evidence, default={},
                    help="comma-separated Var=state pairs")
-    p.add_argument("--out")
+    p.add_argument("--out", type=_out_path)
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("compare", help="Spearman comparison of two strength CSVs")
     p.add_argument("ranking_a")
     p.add_argument("ranking_b")
-    p.add_argument("--out")
+    p.add_argument("--out", type=_out_path)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("simulate", help="sample a synthetic dataset")
     p.add_argument("--n", type=_whole("--n", 1), required=True)
     p.add_argument("--seed", type=_whole("--seed", 0), default=None)
     p.add_argument("--model", help="sample from this model instead of the default generator")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_path, required=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("summarize", help="marginal frequency table of a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--schema", help="model file supplying variables (default: built-in schema)")
-    p.add_argument("--out")
+    p.add_argument("--out", type=_out_path)
     p.set_defaults(func=cmd_summarize)
     return parser
 
@@ -612,6 +629,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "out", None) is not None:
+            _check_writable(args.out)
         return args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -390,23 +390,38 @@ def topological_order(network: Network) -> tuple[str, ...]:
 
 # --- model file format -------------------------------------------------------
 
+def _json_lines(items: Sequence[str], indent: int, brackets: str = "[]") -> str:
+    """Already-encoded ``items`` inside ``brackets``, one item per line."""
+    if not items:
+        return brackets
+    pad = " " * indent
+    return f"{brackets[0]}\n{pad}" + f",\n{pad}".join(items) + f"\n{pad[:-2]}{brackets[1]}"
+
+
 def serialize_model(network: Network) -> str:
-    """Render a network as the JSON model format (bit-exact probabilities)."""
-    doc = {
-        "variables": [
-            {"name": v.name, "states": list(v.states), "kind": v.kind}
-            for v in network.schema
-        ],
-        "edges": [[p, c] for p, c in network.dag.edges],
-        "cpts": {
-            name: {
-                "parents": list(network.cpts[name].parents),
-                "rows": [[float(x) for x in row] for row in network.cpts[name].rows],
-            }
-            for name in network.variables
-        },
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """Render a network as the JSON model format (bit-exact probabilities).
+
+    One variable, edge or CPT row per line. Every value goes through the C
+    JSON encoder; ``json.dumps`` with ``indent`` would run the pure-Python one.
+    """
+    encode = json.JSONEncoder().encode
+    variables = [encode({"name": v.name, "states": list(v.states), "kind": v.kind})
+                 for v in network.schema]
+    edges = [encode([p, c]) for p, c in network.dag.edges]
+    cpts = []
+    for name in network.variables:
+        cpt = network.cpts[name]
+        # rows hold numbers only, so "], [" occurs only between two rows
+        rows = encode(cpt.rows.tolist())[1:-1].replace("], [", "]\n[").split("\n")
+        cpts.append(f"{encode(name)}: {{\n"
+                    f'      "parents": {encode(list(cpt.parents))},\n'
+                    f'      "rows": {_json_lines(rows, 8)}\n'
+                    "    }")
+    return ("{\n"
+            f'  "variables": {_json_lines(variables, 4)},\n'
+            f'  "edges": {_json_lines(edges, 4)},\n'
+            f'  "cpts": {_json_lines(cpts, 4, "{}")}\n'
+            "}\n")
 
 
 def parse_model(text: str) -> Network:
@@ -473,11 +488,15 @@ def parse_model_parts(
     for i, entry in enumerate(variables):
         if not isinstance(entry, dict) or "name" not in entry or "states" not in entry:
             raise ModelSyntaxError(f"variable entry {i} must carry 'name' and 'states'")
+        if not isinstance(entry["name"], str):
+            raise ModelSyntaxError(f"name of variable entry {i} must be a string")
         states = entry["states"]
         if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
             raise ModelSyntaxError(f"states of variable entry {i} must be an array of strings")
-        schema.append(VariableSpec(str(entry["name"]), tuple(states),
-                                   str(entry.get("kind", "demographic"))))
+        kind = entry.get("kind", "demographic")
+        if not isinstance(kind, str):
+            raise ModelSyntaxError(f"kind of variable entry {i} must be a string")
+        schema.append(VariableSpec(entry["name"], tuple(states), kind))
     schema = tuple(schema)
 
     edges = doc["edges"]
@@ -485,9 +504,9 @@ def parse_model_parts(
         raise ModelSyntaxError("'edges' must be an array")
     pairs = []
     for i, e in enumerate(edges):
-        if not isinstance(e, list) or len(e) != 2:
-            raise ModelSyntaxError(f"edge entry {i} must be a [parent, child] pair")
-        pairs.append((str(e[0]), str(e[1])))
+        if not isinstance(e, list) or len(e) != 2 or not all(isinstance(x, str) for x in e):
+            raise ModelSyntaxError(f"edge entry {i} must be a [parent, child] pair of names")
+        pairs.append((e[0], e[1]))
     dag = DagStructure(tuple(v.name for v in schema), tuple(pairs))
 
     cpt_map: dict[str, Cpt] = {}

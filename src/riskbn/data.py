@@ -37,6 +37,7 @@ DEFAULT_OUTCOME = "Previous_CB_Offending"
 DEFAULT_CONTROL = "A1Q1_PhotoSharing"
 MISSING_TOKENS = ("", "?")
 _RT_MAX = int(np.iinfo(np.int32).max)  # response times are stored as int32
+_MAX_RUN_LABELS = 4096  # joint labels of one fused column run in save_dataset
 
 #: Published survey marginals (percent). Two columns do not sum to 100:
 #: Gender totals 99.0 and Daily_Hours_Internet totals 97.6; the generator
@@ -205,20 +206,71 @@ def dataset_from_batch(batch: SampleBatch, schema: Schema,
     return Dataset(schema, len(batch), columns, {}, provenance)
 
 
+class _CellCodes(dict):
+    """Memo from a column's raw cell text to its code. A cell not seen
+    before is stripped and passed to ``decode``, which returns the code (-1
+    for a missing token) or raises LookupError or ValueError for an illegal
+    cell; illegal cells are never memoized."""
+
+    def __init__(self, decode):
+        super().__init__()
+        self.decode = decode
+
+    def __missing__(self, cell: str) -> int:
+        code = self[cell] = self.decode(cell.strip())
+        return code
+
+
+def _state_code(states: tuple[str, ...]):
+    index = {s: i for i, s in enumerate(states)}
+    index.update(dict.fromkeys(MISSING_TOKENS, -1))
+    return index.__getitem__
+
+
+def _response_time(cell: str) -> int:
+    if cell in MISSING_TOKENS:
+        return -1
+    value = int(cell)
+    if not 0 <= value <= _RT_MAX:
+        raise ValueError(cell)
+    return value
+
+
 def load_dataset(text: str, schema: Schema) -> Dataset:
     """Parse the dataset CSV format.
 
     First row holds column headers; cells that are empty or ``?`` are
-    missing. Errors carry 1-based data-row numbers and column names.
+    missing, and cells are stripped of surrounding whitespace. Errors carry
+    1-based data-row numbers and column names. Precedence: a line the CSV
+    reader cannot split, then the header, then the first illegal cell in
+    row-major order, then the first row whose width differs from the
+    header's.
+
+    Rows stream into one flat cell list; each column is then decoded at C
+    speed through a per-column memo of its distinct cell texts.
     """
     reader = csv.reader(io.StringIO(text, newline=""))
+    cells: list[str] = []
+    n = 0
+    ragged = None
     try:
-        rows = list(reader)
+        header = next(reader, None)
+        if header is not None:
+            width = len(header)
+            extend = cells.extend
+            for row in reader:
+                if len(row) != width:
+                    ragged = RaggedRow(n + 1, width, len(row))
+                    for _ in reader:  # a later unsplittable line still wins
+                        pass
+                    break
+                extend(row)
+                n += 1
     except csv.Error as exc:
         raise MalformedCsv(f"line {reader.line_num}: {exc}") from None
-    if not rows:
+    if header is None:
         raise RaggedRow(0, 1, 0)
-    header = [h.strip() for h in rows.pop(0)]
+    header = [h.strip() for h in header]
 
     spec_by_name = {v.name: v for v in schema.variables}
     rt_allowed = set(schema.response_time_columns)
@@ -229,58 +281,74 @@ def load_dataset(text: str, schema: Schema) -> Dataset:
     if len(set(header)) != len(header):
         raise UnknownColumn("duplicate column names in header")
 
-    n = len(rows)
-    cat_cols = {name: np.full(n, -1, dtype=np.int16)
-                for name in header if name in spec_by_name}
-    rt_cols = {name: np.full(n, -1, dtype=np.int32)
-               for name in header if name in rt_allowed}
-
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise RaggedRow(i + 1, len(header), len(row))
-        for name, cell in zip(header, row):
-            cell = cell.strip()
-            if cell in MISSING_TOKENS:
-                continue
-            if name in cat_cols:
-                spec = spec_by_name[name]
-                if cell not in spec.states:
-                    raise IllegalState(cell, i + 1, name)
-                cat_cols[name][i] = spec.states.index(cell)
-            else:
-                try:
-                    value = int(cell)
-                except ValueError:
-                    raise IllegalState(cell, i + 1, name) from None
-                if not 0 <= value <= _RT_MAX:
-                    raise IllegalState(cell, i + 1, name)
-                rt_cols[name][i] = value
+    cat_cols: dict[str, np.ndarray] = {}
+    rt_cols: dict[str, np.ndarray] = {}
+    illegal: list[tuple[int, int, str, str]] = []  # (row, column index, name, cell)
+    for j, name in enumerate(header):
+        column = cells[j::width]
+        if name in spec_by_name:
+            lookup = _CellCodes(_state_code(spec_by_name[name].states))
+            out, dtype = cat_cols, np.int16
+        else:
+            lookup = _CellCodes(_response_time)
+            out, dtype = rt_cols, np.int32
+        try:
+            out[name] = np.fromiter(map(lookup.__getitem__, column), dtype, n)
+        except (LookupError, ValueError):
+            # the memo only holds legal cells, so the first cell it lacks fails
+            i = next(i for i, cell in enumerate(column) if cell not in lookup)
+            illegal.append((i + 1, j, name, column[i].strip()))
+    if illegal:
+        row, _, name, cell = min(illegal)
+        raise IllegalState(cell, row, name)
+    if ragged is not None:
+        raise ragged
     return Dataset(schema, n, cat_cols, rt_cols, "ingest")
 
 
-def save_dataset(dataset: Dataset) -> str:
-    """Render a dataset back to CSV; inverse of :func:`load_dataset`."""
-    header: list[str] = []
-    for v in dataset.schema.variables:
-        if v.name in dataset.columns:
-            header.append(v.name)
-    for name in dataset.schema.response_time_columns:
-        if name in dataset.response_times:
-            header.append(name)
+def _csv_field(value: str, alone: bool) -> str:
+    """``value`` as ``csv.writer`` renders it in a row, ``alone`` in a
+    one-column row (where an empty field is written as ``""``)."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    csv.writer(buf, lineterminator="\n").writerow([value] if alone else [value, ""])
+    return buf.getvalue()[:-1 if alone else -2]
+
+
+def save_dataset(dataset: Dataset) -> str:
+    """Render a dataset back to CSV; inverse of :func:`load_dataset`.
+
+    The output is byte for byte what ``csv.writer`` (minimal quoting,
+    ``\\n`` line ends) writes row by row. Each state label is quoted once.
+    Neighbouring categorical columns are fused into runs whose joint labels
+    (``"a,b,c"``) number at most ``_MAX_RUN_LABELS``; each run is rendered by
+    indexing its label array with the run's combined codes, and the rows are
+    joined from the runs.
+    """
+    header = [v.name for v in dataset.schema.variables if v.name in dataset.columns]
+    header += [name for name in dataset.schema.response_time_columns
+               if name in dataset.response_times]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(header)
+    alone = len(header) == 1
+    missing = _csv_field("", alone)
     spec_by_name = {v.name: v for v in dataset.schema.variables}
-    for i in range(dataset.n):
-        row = []
-        for name in header:
-            if name in dataset.columns:
-                code = dataset.columns[name][i]
-                row.append("" if code < 0 else spec_by_name[name].states[code])
-            else:
-                value = dataset.response_times[name][i]
-                row.append("" if value < 0 else str(int(value)))
-        writer.writerow(row)
+    runs: list[tuple[list[str], np.ndarray]] = []
+    for name in header:
+        if name in dataset.columns:
+            labels = [_csv_field(s, alone) for s in spec_by_name[name].states] + [missing]
+            codes = dataset.columns[name] % np.int64(len(labels))  # -1 -> missing, the last
+            if runs and len(runs[-1][0]) * len(labels) <= _MAX_RUN_LABELS:
+                run_labels, run_codes = runs.pop()
+                codes = run_codes * len(labels) + codes
+                labels = [f"{a},{b}" for a in run_labels for b in labels]
+            runs.append((labels, codes))
+    columns = [np.array(labels, dtype=object)[codes].tolist() for labels, codes in runs]
+    columns += [[str(v) if v >= 0 else missing for v in dataset.response_times[name].tolist()]
+                for name in header if name in dataset.response_times]
+    rows = map(",".join, zip(*columns)) if columns else [""] * dataset.n
+    if dataset.n:
+        buf.write("\n".join(rows))
+        buf.write("\n")
     return buf.getvalue()
 
 

@@ -1,13 +1,16 @@
-"""Shared test fixtures: hand-built networks, a random-network generator and
-an independent full-joint enumeration oracle.
+"""Shared test fixtures: hand-built networks, a random-network generator, an
+independent full-joint enumeration oracle and per-row dataset CSV oracles.
 
-The oracle builds the complete joint tensor directly from CPT lookups over
-index grids; it shares no code with the variable-elimination engine, so
-agreement between the two is a real cross-check.
+The joint oracle builds the complete joint tensor directly from CPT lookups
+over index grids; it shares no code with the variable-elimination engine, so
+agreement between the two is a real cross-check. The CSV oracles read and
+write one row at a time, cell by cell, the plainest reading of the format.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 from pathlib import Path
 
@@ -15,6 +18,10 @@ import numpy as np
 
 import riskbn
 from riskbn.core import Cpt, DagStructure, Network, VariableSpec, build_network
+from riskbn.data import MISSING_TOKENS, Dataset, Schema
+from riskbn.errors import IllegalState, MalformedCsv, RaggedRow, UnknownColumn
+
+_RT_MAX = 2**31 - 1
 
 
 def child_env(**extra: str) -> dict[str, str]:
@@ -135,3 +142,80 @@ def random_evidence(rng: np.random.Generator, network: Network,
         spec = network.spec(pool[i])
         out[pool[i]] = spec.states[int(rng.integers(spec.cardinality))]
     return out
+
+
+def load_dataset_per_row(text: str, schema: Schema) -> Dataset:
+    """Per-row, per-cell reading of the dataset CSV format; an oracle for
+    ``riskbn.data.load_dataset``, which must agree on every value and error."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise MalformedCsv(f"line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise RaggedRow(0, 1, 0)
+    header = [h.strip() for h in rows.pop(0)]
+
+    spec_by_name = {v.name: v for v in schema.variables}
+    rt_allowed = set(schema.response_time_columns)
+    for name in header:
+        if name in spec_by_name or name in rt_allowed:
+            continue
+        raise UnknownColumn(f"column '{name}' is not declared in the schema")
+    if len(set(header)) != len(header):
+        raise UnknownColumn("duplicate column names in header")
+
+    n = len(rows)
+    cat_cols = {name: np.full(n, -1, dtype=np.int16)
+                for name in header if name in spec_by_name}
+    rt_cols = {name: np.full(n, -1, dtype=np.int32)
+               for name in header if name in rt_allowed}
+
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise RaggedRow(i + 1, len(header), len(row))
+        for name, cell in zip(header, row):
+            cell = cell.strip()
+            if cell in MISSING_TOKENS:
+                continue
+            if name in cat_cols:
+                spec = spec_by_name[name]
+                if cell not in spec.states:
+                    raise IllegalState(cell, i + 1, name)
+                cat_cols[name][i] = spec.states.index(cell)
+            else:
+                try:
+                    value = int(cell)
+                except ValueError:
+                    raise IllegalState(cell, i + 1, name) from None
+                if not 0 <= value <= _RT_MAX:
+                    raise IllegalState(cell, i + 1, name)
+                rt_cols[name][i] = value
+    return Dataset(schema, n, cat_cols, rt_cols, "ingest")
+
+
+def save_dataset_per_row(dataset: Dataset) -> str:
+    """``csv.writer`` fed one row at a time; the reference output of
+    ``riskbn.data.save_dataset``."""
+    header: list[str] = []
+    for v in dataset.schema.variables:
+        if v.name in dataset.columns:
+            header.append(v.name)
+    for name in dataset.schema.response_time_columns:
+        if name in dataset.response_times:
+            header.append(name)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    spec_by_name = {v.name: v for v in dataset.schema.variables}
+    for i in range(dataset.n):
+        row = []
+        for name in header:
+            if name in dataset.columns:
+                code = dataset.columns[name][i]
+                row.append("" if code < 0 else spec_by_name[name].states[code])
+            else:
+                value = dataset.response_times[name][i]
+                row.append("" if value < 0 else str(int(value)))
+        writer.writerow(row)
+    return buf.getvalue()

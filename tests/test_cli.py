@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import riskbn.cli
 from riskbn.analysis import bf_threshold_posterior, conditional_profile
 from riskbn.cli import _build_parser, _read_ranking_csv, main
 from riskbn.errors import RiskbnError
@@ -520,6 +521,59 @@ def test_valid_flags_run_and_manifest_config_is_every_flag(tmp_path, monkeypatch
     out = dict(_VALID_ARGV[command])["--out"]
     manifest = json.loads((tmp_path / f"{out}.manifest.json").read_text())
     assert set(manifest["config"]) == dests | _RESOLVED.get(command, set())
+
+
+_WRITING_COMMANDS = sorted(c for c, flags in _VALID_ARGV.items() if "--out" in dict(flags))
+
+
+def _out_index(command):
+    return [flag for flag, _ in _VALID_ARGV[command]].index("--out")
+
+
+@pytest.fixture()
+def input_reads(monkeypatch):
+    """Paths the CLI reads as text, in order."""
+    reads = []
+    read_text = riskbn.cli._read_text
+
+    def recording(path):
+        reads.append(path)
+        return read_text(path)
+    monkeypatch.setattr(riskbn.cli, "_read_text", recording)
+    return reads
+
+
+@pytest.mark.parametrize("command", _WRITING_COMMANDS)
+def test_empty_out_exits_2_before_any_input_is_read(tmp_path, monkeypatch, capsys,
+                                                     input_reads, command):
+    _boundary_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(_argv(command, _out_index(command), "")) == 2
+    assert "--out must be a non-empty path" in capsys.readouterr().err
+    assert input_reads == []
+
+
+@pytest.mark.parametrize("out", ["nodir/x.out", "."])
+@pytest.mark.parametrize("command", _WRITING_COMMANDS)
+def test_unwritable_out_exits_1_before_any_input_is_read(tmp_path, monkeypatch, capsys,
+                                                         input_reads, command, out):
+    _boundary_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(_argv(command, _out_index(command), out)) == 1
+    assert f"cannot write --out {out}" in capsys.readouterr().err
+    assert input_reads == []
+    assert not (tmp_path / "nodir").exists()
+
+
+def test_fit_latent_unwritable_out_never_runs_em(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(riskbn.cli, "em_fit", lambda *args: calls.append(args))
+    data = tmp_path / "latent.csv"
+    data.write_text("Previous_CB_Offending,Answer\n,a\n,b\n")
+    assert main(["fit", "--data", str(data), "--schema", str(small_structure(tmp_path)),
+                 "--latent", "Previous_CB_Offending",
+                 "--out", str(tmp_path / "nodir" / "m.json")]) == 1
+    assert calls == []
 
 
 @given(st.sampled_from([(command, i) for command, flags in _VALID_ARGV.items()

@@ -29,6 +29,7 @@ from riskbn.errors import (
 )
 
 from helpers import chain_network, random_network
+from riskbn.data import build_default_generator
 
 
 def test_chain_builds_and_validates():
@@ -237,12 +238,67 @@ _JSON_VALUES = st.recursive(
 @given(st.one_of(st.text(), _JSON_VALUES.map(json.dumps)))
 @example("[" * 100_000 + "]" * 100_000)
 @example('{"variables": [], "edges": [], "n": ' + "7" * 5000 + "}")
+@example('{"variables": [{"name": 5, "states": ["a", "b"]}], "edges": []}')
+@example('{"variables": [{"name": ' + "[" * 900 + "]" * 900 + ', "states": ["a", "b"]}], '
+         '"edges": []}')
 @settings(max_examples=300, deadline=None)
 def test_parse_model_parses_or_raises_riskbn_error(text):
     try:
         parse_model(text)
     except RiskbnError:
         pass
+
+
+_TWO_STATES = ["a", "b"]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"variables": [{"name": 5, "states": _TWO_STATES}], "edges": []},
+     "name of variable entry 0 must be a string"),
+    ({"variables": [{"name": "A", "states": _TWO_STATES},
+                    {"name": [[[["B"]]]], "states": _TWO_STATES}], "edges": []},
+     "name of variable entry 1 must be a string"),
+    ({"variables": [{"name": "A", "states": _TWO_STATES, "kind": 7}], "edges": []},
+     "kind of variable entry 0 must be a string"),
+    ({"variables": [{"name": "A", "states": _TWO_STATES}, {"name": "5", "states": _TWO_STATES}],
+      "edges": [["A", "5"], ["A", 5]]},
+     "edge entry 1 must be a [parent, child] pair of names"),
+])
+def test_parse_model_requires_string_names(doc, message):
+    with pytest.raises(ModelSyntaxError) as exc:
+        parse_model_parts(json.dumps(doc))
+    assert str(exc.value) == message
+
+
+def test_parse_model_deeply_nested_name_not_echoed():
+    text = ('{"variables": [{"name": ' + "[" * 900 + "]" * 900
+            + ', "states": ["a", "b"]}], "edges": []}')
+    with pytest.raises(ModelSyntaxError) as exc:
+        parse_model(text)
+    assert "[" not in str(exc.value)
+
+
+def test_serialize_model_never_runs_pure_python_encoder(monkeypatch):
+    # json.dumps with indent, or any encoder given indent, builds its
+    # iterator with json.encoder._make_iterencode; the C encoder does not.
+    def refuse(*args, **kwargs):
+        raise AssertionError("pure-Python JSON encoder used")
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    net = build_default_generator(0).network
+    assert parse_model(serialize_model(net)) == net
+
+
+def test_serialize_model_one_cpt_row_per_line():
+    net = build_default_generator(0).network
+    lines = serialize_model(net).splitlines()
+    for name in net.variables:
+        start = lines.index('      "rows": [') + 1
+        lines = lines[start:]
+        rows = net.cpts[name].rows
+        for line, row in zip(lines, rows):
+            assert line.startswith("        [")
+            assert json.loads(line.strip().rstrip(",")) == row.tolist()
+        assert lines[len(rows)] == "      ]"
 
 
 def test_parse_unknown_cpt_variable():

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import load_dataset_per_row, save_dataset_per_row
 from riskbn.analysis import influence_strength, risk_profiles
+from riskbn.core import VariableSpec
 from riskbn.data import (
     CALIBRATION_NOTES,
     PUBLISHED_MARGINALS,
@@ -158,6 +160,83 @@ def test_load_dataset_parses_or_raises_riskbn_error(text):
         load_dataset(text, default_schema())
     except RiskbnError:
         pass
+
+
+def _load_outcome(load, text, schema):
+    """Columns of a load, or the error it raised (class and message)."""
+    try:
+        ds = load(text, schema)
+    except RiskbnError as exc:
+        return type(exc), str(exc)
+    return (ds.n, {k: v.tolist() for k, v in ds.columns.items()},
+            {k: v.tolist() for k, v in ds.response_times.items()})
+
+
+_DIFF_COLUMNS = ["Gender", "Age", "honesty", "rt_A1Q1_PhotoSharing", "rt_A1Q2_Sociable"]
+_DIFF_CELLS = ["", "?", " ? ", "Male", " Male ", '"Male"', '" Female "', '"a,b"', "Blue",
+               "12", "Yes", "No", "\r", "900", "+5", "5_000", "-5", "2147483647",
+               "2147483648", "1e3", '""', '"x""y"', "٣"]
+_DIFF_SEPARATORS = ["\n", "\r\n", "\r"]
+
+
+@given(st.lists(st.sampled_from(_DIFF_COLUMNS), min_size=1, max_size=4),
+       st.lists(st.lists(st.sampled_from(_DIFF_CELLS), max_size=5), max_size=6),
+       st.sampled_from(_DIFF_SEPARATORS))
+@example(["Gender", "Age"], [["Blue", "12"], ["Male"]], "\n")  # illegal cell, then ragged
+@example(["Gender", "Age"], [["Male"], ["Blue", "12"]], "\n")  # ragged, then illegal cell
+@example(["Gender", "Age"], [["Male", "99"], ["Blue", "12"]], "\n")  # row-major order
+@example(["Gender", "rt_A1Q1_PhotoSharing"], [["Male", "+5"], [" Male ", "5_000"]], "\r\n")
+@example(["Gender"], [['"Ma'], ["Blue"]], "\n")  # unterminated quote runs to the end
+@settings(max_examples=400, deadline=None)
+def test_load_dataset_matches_per_row_oracle(header, rows, separator):
+    text = separator.join(",".join(row) for row in [header, *rows]) + separator
+    schema = default_schema()
+    assert _load_outcome(load_dataset, text, schema) \
+        == _load_outcome(load_dataset_per_row, text, schema)
+
+
+@given(st.text(alphabet=',"?\r\n Male12rt_AQ', max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_load_dataset_matches_per_row_oracle_on_text(body):
+    text = "Gender,Age,rt_A1Q1_PhotoSharing\n" + body
+    schema = default_schema()
+    assert _load_outcome(load_dataset, text, schema) \
+        == _load_outcome(load_dataset_per_row, text, schema)
+
+
+_QUOTED_SCHEMA = Schema((
+    VariableSpec("Q", ("a,b", 'say "hi"', " lead")),
+    VariableSpec("A1Q1_PhotoSharing", ("Answer1", "Answer2"), "game"),
+))
+
+
+@given(st.lists(st.sampled_from(["Q", "A1Q1_PhotoSharing", "rt_A1Q1_PhotoSharing"]),
+                min_size=1, max_size=3, unique=True),
+       st.integers(0, 6), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_save_dataset_matches_csv_writer_reference(names, n, rnd):
+    cards = {"Q": 3, "A1Q1_PhotoSharing": 2}
+    columns = {k: np.array([rnd.randrange(-1, cards[k]) for _ in range(n)], dtype=np.int16)
+               for k in names if k in cards}
+    times = {k: np.array([rnd.choice([-1, 0, 7, 2**31 - 1]) for _ in range(n)], dtype=np.int32)
+             for k in names if k not in cards}
+    ds = Dataset(_QUOTED_SCHEMA, n, columns, times)
+    assert save_dataset(ds) == save_dataset_per_row(ds)
+
+
+def test_save_dataset_single_column_missing_cell_quoted():
+    # csv.writer writes a row holding one empty field as "" to tell it from a blank line
+    ds = load_dataset("Gender\nMale\n?\n", default_schema())
+    assert save_dataset(ds) == "Gender\nMale\n\"\"\n"
+    assert save_dataset(ds) == save_dataset_per_row(ds)
+
+
+def test_save_dataset_byte_identical_on_simulated_cohort():
+    ds = simulate_dataset(2_000, 5)
+    text = save_dataset(ds)
+    assert text == save_dataset_per_row(ds)
+    assert _load_outcome(load_dataset, text, ds.schema) \
+        == _load_outcome(load_dataset_per_row, text, ds.schema)
 
 
 def test_rt_beyond_int32_names_row_and_column():
