@@ -492,6 +492,11 @@ def _probability(flag: str, interval: str):
 
 
 _out_path = _flag_type("--out", "a non-empty path", str, bool)
+# The commands that also draw a chart write it to ``--out`` with the suffix
+# ``.svg``, which must not be the table itself.
+_table_path = _flag_type(
+    "--out", "a non-empty path not ending in .svg (the chart takes that suffix)", str,
+    lambda v: bool(v) and Path(v).suffix.lower() != ".svg")
 
 
 def _check_writable(out: str) -> None:
@@ -560,7 +565,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--control", default=DEFAULT_CONTROL,
                    help="control variable marking the irrelevance line ('none' to disable)")
     p.add_argument("--candidates", help="comma-separated candidate variables")
-    p.add_argument("--out", type=_out_path, required=True)
+    p.add_argument("--out", type=_table_path, required=True)
     p.set_defaults(func=cmd_strength)
 
     p = sub.add_parser("profile", help="per-state conditional profile of the target")
@@ -568,7 +573,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default=DEFAULT_OUTCOME)
     p.add_argument("--source", required=True)
     p.add_argument("--target-state", default=None)
-    p.add_argument("--out", type=_out_path, required=True)
+    p.add_argument("--out", type=_table_path, required=True)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("multifactor", help="brute-force multi-evidence risk search")
@@ -580,7 +585,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=_whole("--k-max", 1), default=5)
     p.add_argument("--prior-p", type=_probability("--prior-p", "(0, 1)"), default=0.1)
     p.add_argument("--max-evals", type=_whole("--max-evals", 1, _whole_literal), default=10**8)
-    p.add_argument("--out", type=_out_path, required=True)
+    p.add_argument("--out", type=_table_path, required=True)
     p.set_defaults(func=cmd_multifactor)
 
     p = sub.add_parser("profiles", help="risk-profile frequency table")
@@ -593,7 +598,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="posterior cutoff (default: substantial-evidence threshold)")
     p.add_argument("--prior-p", type=_probability("--prior-p", "(0, 1)"), default=0.1)
     p.add_argument("--max-evals", type=_whole("--max-evals", 1, _whole_literal), default=10**8)
-    p.add_argument("--out", type=_out_path, required=True)
+    p.add_argument("--out", type=_table_path, required=True)
     p.set_defaults(func=cmd_profiles)
 
     p = sub.add_parser("query", help="posterior of one variable given evidence")

@@ -28,27 +28,49 @@ One E-step serves every record (expected sufficient statistics; Koller &
 Friedman, *Probabilistic Graphical Models*, section 19.2), and
 ``log_likelihood`` is the same routine with no latents. Records are
 grouped by missingness pattern; a pattern's hidden cells are the latents
-plus the missing cells that are not dropped. The missing cells are summed
-out first, in one (configurations of the hidden cells, keys) log table:
-the families that read them see a record only through their observed
-members, and a key is one combination of those. The rest is one
-(configurations of the kept cells, records) log table. The kept cells
-are the latents, plus the missing cells whose children are all observed
-where keeping them makes the tables smaller. A numpy log-sum-exp over it
-gives each record's log-likelihood and posterior, and each
-latent-touching family's expected counts come from one weighted
-``np.bincount`` per pattern over the flat (row, state) index.
+plus the missing cells that are not dropped. The kept cells are the
+latents, plus the missing cells whose children are all observed where
+keeping them gathers fewer CPT entries. One (configurations of the kept
+cells, records) log table then gives, by a numpy log-sum-exp, each
+record's log-likelihood and posterior. Each family's log terms enter it
+in one of three ways:
+
+* Per record, through a flat CPT index built once per fit, which the
+  M-step reads too: one weighted ``np.bincount`` per pattern over it
+  gives a family's expected counts. The families without a latent member
+  (static) are summed into one constant term per pattern, since EM's
+  static CPTs change only at the first M-step. It is computed once per
+  fit, and once per restart for the first evaluation, which runs on
+  jittered static CPTs.
+* Per key, for the families that read a summed-out cell: they see a
+  record only through their observed members, and a key is one
+  combination of those. The summed-out cells are summed out first, in
+  one (configurations of the hidden cells, keys) table.
+* Per key also, for the per-record families with a latent member other
+  than the one with the most distinct record indices, when that gathers
+  fewer CPT entries: they are evaluated as one (configurations, keys)
+  table and gathered per record through one flat index. The M-step sums
+  the posterior per key through that index with one ``np.bincount`` and
+  counts each of these families from the sum.
+
+``_patterns`` lays each pattern out every way these choices allow and
+keeps the layout whose evaluation gathers the fewest CPT entries
+(``_Pattern.size``).
 
 On the shipped DAG with ``Previous_CB_Offending`` latent, every summed-out
 cell and every observed cell its families read lie in that variable's
-family, so the first table never has more entries than that CPT (145,800)
-and the second has two per record.
+family, so the summed-out table never has more entries than that CPT
+(145,800). On a complete 100k cohort the latent's family reads about
+19,500 distinct parent rows, while its nine game children take about
+5,200 joint values: the children are keyed, and the table holds two
+numbers per record.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Collection, Mapping, Sequence
 
 import numpy as np
@@ -183,40 +205,86 @@ def _family_counts(codes: np.ndarray, family: _Family) -> np.ndarray:
     return counts.reshape(family.n_rows, family.n_states).astype(np.float64)
 
 
-def _posterior_mean(counts: np.ndarray, alpha: np.ndarray, ess: float) -> np.ndarray:
-    return (alpha + counts) / (ess + counts.sum(axis=1, keepdims=True))
+def _posterior_mean(counts: np.ndarray, alpha: np.ndarray, ess: float,
+                    totals: np.ndarray | None = None) -> np.ndarray:
+    """Overwrites ``counts`` with its posterior mean. ``totals`` are its
+    row sums, for a caller that knows them without summing."""
+    totals = counts.sum(axis=1, keepdims=True) if totals is None else totals
+    counts += alpha
+    counts /= ess + totals
+    return counts
 
 
 # --- the E-step -------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class _Keyed:
+    """Families of a pattern evaluated once per distinct key rather than
+    once per record (see the module docstring); record ``r`` has key
+    ``keys[r]``.
+
+    Each family maps to a (key part, configuration part) pair of flat CPT
+    indices, shaped (1, keys) and (n_summed * n_configs, 1); their sum is
+    the (row, state) cell the family reads, summed cells varying slowest.
+    """
+
+    n_summed: int
+    n_configs: int
+    terms: dict[str, tuple[np.ndarray, np.ndarray]]
+    keys: np.ndarray
+
+    @property
+    def size(self) -> int:
+        """CPT entries one evaluation gathers, the per-record gather included."""
+        return (sum(rec.size * cfg.size for rec, cfg in self.terms.values())
+                + self.n_configs * self.keys.size)
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        """Each record's flat position in the (configurations, keys) table
+        left after the summed cells are summed out, shaped (configurations,
+        records) like the posterior, so that the M-step sums the posterior
+        per key through the array the E-step gathers with."""
+        n_keys = next(iter(self.terms.values()))[0].size
+        return np.arange(self.n_configs).reshape(-1, 1) * n_keys + self.keys
+
+
+@dataclass(frozen=True)
 class _Pattern:
     """Records that share one set of observed cells, and the layout of
-    their two log tables (see the module docstring).
+    their log table (see the module docstring).
 
-    ``shared_terms`` are the families that read a summed-out cell, evaluated
-    once per distinct key (record ``r`` has key ``keys[r]``) over all
-    ``n_shared * n_configs`` hidden configurations, summed-out cells varying
-    slowest. ``terms`` are the other families, evaluated per record over
-    the ``n_configs`` configurations of the kept cells. Each family maps to
-    a (record or key part, configuration part) pair of flat CPT indices,
-    shaped (1, records or keys) and (configurations, 1) or broadcastable to
-    them; their sum is the (row, state) cell the family reads.
+    ``static`` and ``terms`` are the families evaluated per record, without
+    and with a latent member. Each maps to a (record part, configuration
+    part) pair of flat CPT indices, shaped (records,) and (configurations,
+    1), or (1, 1) when no kept cell is a member; :attr:`flat` holds their
+    sums. ``groups`` are evaluated per key: the families that read a
+    summed-out cell, and, when keyed, the families with a latent member
+    that ``terms`` leaves out.
     """
 
     records: np.ndarray
     observed: frozenset[int]
     n_configs: int
+    static: dict[str, tuple[np.ndarray, np.ndarray]]
     terms: dict[str, tuple[np.ndarray, np.ndarray]]
-    n_shared: int
-    keys: np.ndarray
-    shared_terms: dict[str, tuple[np.ndarray, np.ndarray]]
+    groups: tuple[_Keyed, ...]
 
     @property
     def size(self) -> int:
-        """Entries of the two log tables."""
-        n_keys = int(self.keys.max()) + 1 if self.shared_terms else 0
-        return self.n_configs * (self.records.size + self.n_shared * n_keys)
+        """CPT entries one evaluation of the log table gathers, its static
+        part included."""
+        per_record = sum(rec.size * cfg.size for rec, cfg in (*self.static.values(),
+                                                               *self.terms.values()))
+        return per_record + sum(group.size for group in self.groups)
+
+    @cached_property
+    def flat(self) -> dict[str, np.ndarray]:
+        """Each per-record family's flat CPT index over the (configurations,
+        records) table, or (1, records). Built once, on first use, so that
+        layouts :func:`_patterns` rejects never hold one; the E-step and
+        the M-step read the same array."""
+        return {name: rec + cfg for name, (rec, cfg) in (*self.static.items(), *self.terms.items())}
 
 
 def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -239,41 +307,59 @@ def _configurations(columns: Sequence[int], cards: Mapping[int, int]
     return n, dict(zip(columns, np.unravel_index(np.arange(n), shape)))
 
 
-def _layout(codes: np.ndarray, records: np.ndarray, seen: frozenset[int],
-            hidden: set[int], kept: set[int], families: Sequence[_Family]) -> _Pattern:
-    """The pattern's tables when the hidden cells outside ``kept`` are summed out first."""
+def _keyed(terms: Mapping[str, tuple[np.ndarray, np.ndarray]], n_summed: int,
+           n_configs: int) -> _Keyed:
+    """Key the records by the record parts of ``terms``, each shaped (records,)."""
+    first, keys = _unique_rows(np.stack([rec for rec, _ in terms.values()], axis=1))
+    return _Keyed(n_summed, n_configs, {name: (rec[first].reshape(1, -1), cfg)
+                                        for name, (rec, cfg) in terms.items()}, keys)
+
+
+def _layouts(codes: np.ndarray, records: np.ndarray, seen: frozenset[int], hidden: set[int],
+             kept: set[int], latents: set[int], families: Sequence[_Family]) -> list[_Pattern]:
+    """The pattern's layouts when the hidden cells outside ``kept`` are summed
+    out first: the per-record layout and, where two or more per-record
+    families have a latent member, the keyed one, in which all of those
+    but the one with the most distinct record indices are evaluated per
+    key. ``codes`` holds the pattern's records only."""
     cards = {f.members[-1]: f.n_states for f in families}
     summed = sorted(hidden - kept)
     n_configs, kept_states = _configurations(sorted(kept), cards)
     n_all, all_states = _configurations(summed + sorted(kept), cards)
-    terms, shared_terms = {}, {}
+    static, terms, summed_terms = {}, {}, {}
     for f in families:
         if f.members[-1] not in seen and f.members[-1] not in hidden:
             continue
-        rec = config_index([codes[records, m] if m in seen else 0 for m in f.members], f.cards)
+        rec = np.broadcast_to(config_index([codes[:, m] if m in seen else 0 for m in f.members],
+                                           f.cards), records.shape)
         if set(summed).isdisjoint(f.members):
             cfg = config_index([kept_states.get(m, 0) for m in f.members], f.cards)
-            terms[f.name] = (rec.reshape(1, -1), cfg.reshape(-1, 1))
+            (static if latents.isdisjoint(f.members) else terms)[f.name] = (rec, cfg.reshape(-1, 1))
         else:
             cfg = config_index([all_states.get(m, 0) for m in f.members], f.cards)
-            shared_terms[f.name] = (np.broadcast_to(rec, records.shape), cfg.reshape(-1, 1))
-    keys = np.zeros(records.size, dtype=np.int64)
-    if shared_terms:
-        first_key, keys = _unique_rows(np.stack([rec for rec, _ in shared_terms.values()], axis=1))
-        shared_terms = {name: (rec[first_key].reshape(1, -1), cfg)
-                        for name, (rec, cfg) in shared_terms.items()}
-    return _Pattern(records, seen, n_configs, terms, n_all // n_configs, keys, shared_terms)
+            summed_terms[f.name] = (rec, cfg.reshape(-1, 1))
+    groups = (_keyed(summed_terms, n_all // n_configs, n_configs),) if summed_terms else ()
+    layouts = [_Pattern(records, seen, n_configs, static, terms, groups)]
+    if len(terms) > 1:
+        widest = max(terms, key=lambda name: np.count_nonzero(np.bincount(terms[name][0])))
+        children = _keyed({name: t for name, t in terms.items() if name != widest}, 1, n_configs)
+        layouts.append(_Pattern(records, seen, n_configs, static, {widest: terms[widest]},
+                                groups + (children,)))
+    return layouts
 
 
 def _patterns(codes: np.ndarray, families: Sequence[_Family],
               latents: Collection[int]) -> list[_Pattern]:
-    """Group records by missingness pattern and lay out each pattern's tables.
+    """Group records by missingness pattern and lay out each pattern's table.
 
     The latents are always kept per record, since EM needs their
-    posterior. Missing cells whose children are all observed are kept too
-    when that makes the tables smaller: summing out such a cell first makes
-    the keys vary with its children's values.
+    posterior. Missing cells whose children are all observed are kept too,
+    and the latent's children are keyed, when that gathers fewer CPT
+    entries: summing out a missing cell first makes the keys vary with its
+    children's values, and keying pays only where the children take far
+    fewer joint values than there are records.
     """
+    latents = set(latents)
     observed = codes >= 0
     first, inverse = _unique_rows(np.packbits(observed, axis=1))
     groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
@@ -285,11 +371,14 @@ def _patterns(codes: np.ndarray, families: Sequence[_Family],
     patterns = []
     for records, row in zip(groups, first):
         seen = frozenset(np.nonzero(observed[row])[0].tolist())
-        hidden = ancestor_closure(parents.__getitem__, seen | set(latents)) - seen
+        hidden = ancestor_closure(parents.__getitem__, seen | latents) - seen
         childless = {h for h in hidden if h not in latents and not children[h] & hidden}
-        candidates = [set(latents)] + ([set(latents) | childless] if childless else [])
-        patterns.append(min((_layout(codes, records, seen, hidden, kept, families)
-                             for kept in candidates), key=lambda p: p.size))
+        candidates = [latents] + ([latents | childless] if childless else [])
+        pattern_codes = codes[records]
+        patterns.append(min((layout for kept in candidates
+                             for layout in _layouts(pattern_codes, records, seen, hidden, kept,
+                                                    latents, families)),
+                            key=lambda p: p.size))
     return patterns
 
 
@@ -298,17 +387,26 @@ def _log_cpts(cpts: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
         return {name: np.log(rows).ravel() for name, rows in cpts.items()}
 
 
-def _log_table(pattern: _Pattern, log_cpts: Mapping[str, np.ndarray]) -> np.ndarray:
+def _static_terms(patterns: Sequence[_Pattern],
+                  log_cpts: Mapping[str, np.ndarray]) -> list[np.ndarray]:
+    """Per pattern, the sum of its ``static`` families' log terms. EM's
+    static CPTs change only at the first M-step, so this is computed once
+    per restart and once per fit rather than in every evaluation."""
+    return [sum((log_cpts[name][p.flat[name]] for name in p.static),
+                np.zeros((1, p.records.size))) for p in patterns]
+
+
+def _log_table(pattern: _Pattern, log_cpts: Mapping[str, np.ndarray],
+               static: np.ndarray) -> np.ndarray:
     """(configurations, records) log P(observed cells, configuration) over
     the pattern's per-record hidden cells, the others summed out."""
     table = np.zeros((pattern.n_configs, pattern.records.size))
-    if pattern.shared_terms:
-        shared = sum(log_cpts[name][rec + cfg]
-                     for name, (rec, cfg) in pattern.shared_terms.items())
-        summed = _log_normalizer(shared.reshape(pattern.n_shared, -1))
-        table += summed.reshape(pattern.n_configs, -1)[:, pattern.keys]
-    for name, (rec, cfg) in pattern.terms.items():
-        table += log_cpts[name][rec + cfg]
+    table += static
+    for name in pattern.terms:
+        table += log_cpts[name][pattern.flat[name]]
+    for group in pattern.groups:
+        part = sum(log_cpts[name][rec + cfg] for name, (rec, cfg) in group.terms.items())
+        table += _log_normalizer(part.reshape(group.n_summed, -1))[group.index]
     return table
 
 
@@ -321,14 +419,15 @@ def _log_normalizer(table: np.ndarray) -> np.ndarray:
 
 
 def _e_step(patterns: Sequence[_Pattern], log_cpts: Mapping[str, np.ndarray],
-            n: int) -> tuple[np.ndarray, list[np.ndarray]]:
+            static_terms: Sequence[np.ndarray], n: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """Per-record log P(observed cells), and per pattern the posterior over
     its per-record hidden cells, shaped (configurations, records). A record
-    of probability zero gets -inf and an undefined (NaN) posterior."""
+    of probability zero gets -inf and an undefined (NaN) posterior.
+    ``static_terms`` are :func:`_static_terms` of the same patterns."""
     logp = np.empty(n)
     posteriors = []
-    for pattern in patterns:
-        table = _log_table(pattern, log_cpts)
+    for pattern, static in zip(patterns, static_terms):
+        table = _log_table(pattern, log_cpts, static)
         log_marginal = _log_normalizer(table)
         logp[pattern.records] = log_marginal
         with np.errstate(invalid="ignore"):
@@ -369,7 +468,7 @@ def log_likelihood(network: Network, dataset: Dataset) -> float:
         return 0.0
     log_cpts = _log_cpts({name: cpt.rows for name, cpt in network.cpts.items()})
     patterns = _patterns(codes, _families(schema, network.dag), ())
-    logp, _ = _e_step(patterns, log_cpts, dataset.n)
+    logp, _ = _e_step(patterns, log_cpts, _static_terms(patterns, log_cpts), dataset.n)
     zero = int(np.isneginf(logp).sum())
     if zero:
         warnings.warn(f"{zero} record(s) have probability zero under the network")
@@ -415,8 +514,20 @@ class EmTrace:
     selected: int
 
 
+@dataclass(frozen=True)
+class _Static:
+    """What the static families (those without a latent member) add to one
+    EM evaluation: their log CPTs, each pattern's :func:`_static_terms` and
+    their Dirichlet log-prior term."""
+
+    log_cpts: dict[str, np.ndarray]
+    terms: list[np.ndarray]
+    prior: float
+
+
 class _EmProblem:
-    """Families and missingness patterns shared by all restarts of one em_fit call."""
+    """Families, missingness patterns and per-fit constants shared by all
+    restarts of one em_fit call."""
 
     def __init__(self, schema: Sequence[VariableSpec], dag: DagStructure,
                  dataset: Dataset, latents: Sequence[str], prior: DirichletPrior):
@@ -445,9 +556,12 @@ class _EmProblem:
         self.patterns = _patterns(codes, self.families, latent_cols)
 
         # Prior means and pseudo-counts (ess * mean) per family, read-only
-        # and shared by every restart and iteration.
+        # and shared by every restart and iteration. The log-prior term
+        # reads only the positive pseudo-counts; a slice when all are
+        # positive keeps that read a view.
         self.means: dict[str, np.ndarray] = {}
         self.alphas: dict[str, np.ndarray] = {}
+        self.positive: dict[str, tuple[np.ndarray, slice | np.ndarray]] = {}
         for f in self.families:
             mean = prior.mean_rows(f.name, f.n_rows, f.n_states)
             alpha = prior.ess * mean
@@ -455,20 +569,44 @@ class _EmProblem:
             alpha.setflags(write=False)
             self.means[f.name] = mean
             self.alphas[f.name] = alpha
+            where = slice(None) if (alpha > 0).all() else np.flatnonzero(alpha > 0)
+            self.positive[f.name] = (alpha.ravel()[where], where)
 
         # Static families never change after the first M-step. Each
-        # latent-touching family is listed with the patterns it counts:
-        # those in which none of its non-latent members is missing.
+        # latent-touching family is counted in the patterns in which none
+        # of its non-latent members is missing. Where the latent is the
+        # child and not a parent, each counted record adds one to its
+        # observed parent row, so the row sums are fixed record counts.
         self.static_cpts: dict[str, np.ndarray] = {}
-        self.latent_families: list[tuple[_Family, list[int]]] = []
+        self.latent_families: list[_Family] = []
+        self.totals: dict[str, np.ndarray] = {}
         for f in self.families:
             if latent_cols.isdisjoint(f.members):
                 self.static_cpts[f.name] = _posterior_mean(_family_counts(codes, f),
                                                            self.alphas[f.name], prior.ess)
             else:
-                counted = [k for k, p in enumerate(self.patterns)
-                           if all(m in p.observed or m in latent_cols for m in f.members)]
-                self.latent_families.append((f, counted))
+                self.latent_families.append(f)
+        self.counted = [{f.name for f in self.latent_families
+                         if all(m in p.observed or m in latent_cols for m in f.members)}
+                        for p in self.patterns]
+        for f in self.latent_families:
+            if not latent_cols.isdisjoint(f.members[:-1]):
+                continue
+            totals = np.zeros(f.n_rows)
+            for p, counted in zip(self.patterns, self.counted):
+                if f.name in counted:
+                    rows = config_index([codes[p.records, m] for m in f.members[:-1]],
+                                        f.cards[:-1])
+                    totals += np.bincount(np.broadcast_to(rows, p.records.shape),
+                                          minlength=f.n_rows)
+            self.totals[f.name] = totals.reshape(-1, 1)
+        self.fitted = self.static(self.static_cpts)
+
+    def static(self, theta: Mapping[str, np.ndarray]) -> _Static:
+        """The static families' part of an evaluation under ``theta``."""
+        log_cpts = _log_cpts({name: theta[name] for name in self.static_cpts})
+        return _Static(log_cpts, _static_terms(self.patterns, log_cpts),
+                       self.prior_term(theta, self.static_cpts))
 
     def init_theta(self, rng: np.random.Generator, jitter: float) -> dict[str, np.ndarray]:
         theta = {}
@@ -484,27 +622,35 @@ class _EmProblem:
         cpts = [Cpt(f.name, f.parents, theta[f.name]) for f in self.families]
         return build_network(self.schema, self.dag, cpts)
 
-    def prior_term(self, theta: Mapping[str, np.ndarray]) -> float:
+    def prior_term(self, theta: Mapping[str, np.ndarray], names: Collection[str]) -> float:
+        """Sum of alpha * log theta over the named families' positive alphas."""
         total = 0.0
-        for f in self.families:
-            alpha = self.alphas[f.name]
-            t = theta[f.name]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                terms = np.where(alpha > 0, alpha * np.log(t), 0.0)
-            total += float(terms.sum())
+        for name in names:
+            alpha, where = self.positive[name]
+            total += float((alpha * np.log(theta[name].ravel()[where])).sum())
         return total
 
     def m_step(self, posteriors: Sequence[np.ndarray]) -> dict[str, np.ndarray]:
+        counts = {f.name: np.zeros(f.n_rows * f.n_states) for f in self.latent_families}
+        for pattern, posterior, counted in zip(self.patterns, posteriors, self.counted):
+            weights = posterior.ravel()
+            for name in counted.intersection(pattern.terms):
+                counts[name] += np.bincount(pattern.flat[name].ravel(), weights,
+                                            counts[name].size)
+            for group in pattern.groups:
+                names = counted.intersection(group.terms)
+                if not names:
+                    continue
+                key_weights = np.bincount(group.index.ravel(), weights)
+                for name in names:
+                    rec, cfg = group.terms[name]
+                    counts[name] += np.bincount((rec + cfg).ravel(), key_weights,
+                                                counts[name].size)
         theta: dict[str, np.ndarray] = dict(self.static_cpts)
-        for f, counted in self.latent_families:
-            counts = np.zeros(f.n_rows * f.n_states)
-            for k in counted:
-                rec, cfg = self.patterns[k].terms[f.name]
-                weights = posteriors[k]
-                flat = np.broadcast_to(rec + cfg, weights.shape)
-                counts += np.bincount(flat.ravel(), weights.ravel(), counts.size)
-            theta[f.name] = _posterior_mean(counts.reshape(f.n_rows, f.n_states),
-                                            self.alphas[f.name], self.prior.ess)
+        for f in self.latent_families:
+            theta[f.name] = _posterior_mean(counts[f.name].reshape(f.n_rows, f.n_states),
+                                            self.alphas[f.name], self.prior.ess,
+                                            self.totals.get(f.name))
         return theta
 
 
@@ -522,6 +668,7 @@ def em_fit(schema: Sequence[VariableSpec], dag: DagStructure, dataset: Dataset,
     prior = prior if prior is not None else default_prior(schema)
     config = config if config is not None else EmConfig()
     problem = _EmProblem(schema, dag, dataset, latent_variables, prior)
+    latent_names = [f.name for f in problem.latent_families]
 
     seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
     traces: list[tuple[float, ...]] = []
@@ -531,12 +678,15 @@ def em_fit(schema: Sequence[VariableSpec], dag: DagStructure, dataset: Dataset,
     for r in range(config.restarts):
         rng = np.random.default_rng(seeds[r])
         theta = problem.init_theta(rng, config.jitter)
+        static = problem.static(theta)
         objectives: list[float] = []
         converged = False
         prev = None
         for t in range(config.max_iterations + 1):
-            logp, posteriors = _e_step(problem.patterns, _log_cpts(theta), problem.n)
-            objective = float(logp.sum()) + problem.prior_term(theta)
+            log_cpts = {**static.log_cpts,
+                        **_log_cpts({name: theta[name] for name in latent_names})}
+            logp, posteriors = _e_step(problem.patterns, log_cpts, static.terms, problem.n)
+            objective = float(logp.sum()) + static.prior + problem.prior_term(theta, latent_names)
             objectives.append(objective)
             if prev is not None and abs(objective - prev) <= config.tolerance * max(1.0, abs(prev)):
                 converged = True
@@ -545,6 +695,7 @@ def em_fit(schema: Sequence[VariableSpec], dag: DagStructure, dataset: Dataset,
             if t == config.max_iterations:
                 break
             theta = problem.m_step(posteriors)
+            static = problem.fitted  # the M-step sets the static CPTs to their fit
         traces.append(tuple(objectives))
         converged_flags.append(converged)
         finals.append(theta)

@@ -553,6 +553,20 @@ def test_empty_out_exits_2_before_any_input_is_read(tmp_path, monkeypatch, capsy
     assert input_reads == []
 
 
+@pytest.mark.parametrize("out", ["t.svg", "T.SVG"])
+@pytest.mark.parametrize("command", ["strength", "profile", "multifactor", "profiles"])
+def test_chart_commands_refuse_svg_out_before_any_input_is_read(tmp_path, monkeypatch, capsys,
+                                                               input_reads, command, out):
+    # the chart goes to --out with the suffix .svg and would overwrite the table
+    _boundary_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(_argv(command, _out_index(command), out)) == 2
+    assert f"--out must be a non-empty path not ending in .svg (the chart takes that suffix), " \
+           f"got {out}" in capsys.readouterr().err
+    assert input_reads == []
+    assert not list(tmp_path.glob("*.svg"))
+
+
 @pytest.mark.parametrize("out", ["nodir/x.out", "."])
 @pytest.mark.parametrize("command", _WRITING_COMMANDS)
 def test_unwritable_out_exits_1_before_any_input_is_read(tmp_path, monkeypatch, capsys,

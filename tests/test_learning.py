@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskbn.core import Cpt, DagStructure, VariableSpec, build_network
+from riskbn.core import Cpt, DagStructure, VariableSpec, build_network, config_index
 from riskbn.data import Dataset, Schema, dataset_from_batch, default_dag, default_schema, simulate_dataset
 from riskbn.errors import SchemaMismatch
-from riskbn.inference import ancestral_sample, evidence_probability, joint_table
+from riskbn.inference import ancestral_sample, evidence_probability, joint_table, posterior
 from riskbn.learning import (
     DirichletPrior,
     EmConfig,
+    _EmProblem,
     default_prior,
     em_fit,
     fit_cpts,
@@ -357,6 +358,53 @@ def test_em_trace_matches_pinned_objectives(fit, expected, converged, selected):
     assert [len(r) for r in trace.log_likelihoods] == [len(r) for r in expected]
     for got, want in zip(trace.log_likelihoods, expected):
         assert got == pytest.approx(want, rel=1e-9, abs=0)
+
+
+def test_em_first_iteration_matches_per_record_posteriors():
+    # One evaluation and one M-step from the prior means, against the
+    # objective and expected counts of per-record elimination. The complete
+    # records' pattern keys the latent's children (a group with nothing
+    # summed out); the blanked records' pattern sums the victimization cell out.
+    schema = default_schema().network_variables
+    dag = default_dag()
+    ds = simulate_dataset(2000, 3).without_columns([OUTCOME])
+    victimization = ds.columns["Previous_CB_Victimization"].copy()
+    victimization[::20] = -1
+    ds = Dataset(ds.schema, ds.n, dict(ds.columns, Previous_CB_Victimization=victimization))
+    prior = default_prior(schema)
+    layouts = sorted((p.records.size, [g.n_summed > 1 for g in p.groups])
+                     for p in _EmProblem(schema, dag, ds, [OUTCOME], prior).patterns)
+    assert layouts == [(100, [True]), (1900, [False])]
+
+    net, trace = em_fit(schema, dag, ds, [OUTCOME], prior,
+                        EmConfig(restarts=1, max_iterations=1, jitter=0.0))
+    start = build_network(schema, dag, [
+        Cpt(v.name, net.parents(v.name),
+            prior.mean_rows(v.name, *net.cpts[v.name].rows.shape)) for v in schema])
+    records = [ds.record(i) for i in range(ds.n)]
+    log_prior = sum(float((prior.ess * start.cpts[v.name].rows
+                           * np.log(start.cpts[v.name].rows)).sum()) for v in schema)
+    objective = sum(math.log(evidence_probability(start, r)) for r in records) + log_prior
+    assert trace.log_likelihoods[0][0] == pytest.approx(objective, rel=1e-12, abs=0)
+
+    weights = np.array([posterior(start, OUTCOME, r).probabilities for r in records])
+    supervised = fit_cpts(schema, dag, ds, prior)
+    for v in schema:
+        members = net.parents(v.name) + (v.name,)
+        if OUTCOME not in members:
+            expected = supervised.cpts[v.name].rows
+        else:
+            cards = [net.spec(m).cardinality for m in members]
+            counted = np.all([ds.columns[m] >= 0 for m in members if m != OUTCOME], axis=0)
+            counts = np.zeros(int(np.prod(cards)))
+            for s in range(2):
+                flat = config_index([np.full(ds.n, s) if m == OUTCOME else ds.columns[m]
+                                     for m in members], cards)
+                np.add.at(counts, flat[counted], weights[counted, s])
+            counts = counts.reshape(-1, cards[-1])
+            alpha = prior.ess * start.cpts[v.name].rows
+            expected = (alpha + counts) / (prior.ess + counts.sum(axis=1, keepdims=True))
+        np.testing.assert_allclose(net.cpts[v.name].rows, expected, rtol=0, atol=1e-12)
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["cells", "columns", "leaves"]))
