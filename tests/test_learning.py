@@ -406,6 +406,16 @@ def test_em_first_iteration_matches_per_record_posteriors():
             expected = (alpha + counts) / (prior.ess + counts.sum(axis=1, keepdims=True))
         np.testing.assert_allclose(net.cpts[v.name].rows, expected, rtol=0, atol=1e-12)
 
+    # The uniform prior means give every complete record the same posterior,
+    # so a record read through the wrong key shows only in the second
+    # evaluation, under the first M-step's CPTs.
+    _, trace = em_fit(schema, dag, ds, [OUTCOME], prior,
+                      EmConfig(restarts=1, max_iterations=2, tolerance=1e-300, jitter=0.0))
+    log_prior = sum(float((prior.ess * start.cpts[v.name].rows
+                           * np.log(net.cpts[v.name].rows)).sum()) for v in schema)
+    objective = sum(math.log(evidence_probability(net, r)) for r in records) + log_prior
+    assert trace.log_likelihoods[0][1] == pytest.approx(objective, rel=1e-12, abs=0)
+
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["cells", "columns", "leaves"]))
 @settings(max_examples=60, deadline=None)
