@@ -22,7 +22,6 @@ from .core import (
     topological_order,
 )
 from .inference import (
-    Factor,
     SampleBatch,
     ancestral_sample,
     evidence_probability,

@@ -148,7 +148,9 @@ def strength_ranking(network: Network, target: str,
             raise DomainError("candidates must exclude the target")
     if control is not None:
         network.spec(control)
-        if control not in names and control != target:
+        if control == target:
+            raise DomainError("control and target must differ")
+        if control not in names:
             names.append(control)
     scores = [(name, influence_strength(network, name, target, aggregation))
               for name in names]

@@ -279,7 +279,7 @@ def cmd_multifactor(args) -> int:
     network = _load_model(args.model)
     k_range = range(args.k_min, args.k_max + 1)
     if args.pool:
-        pools = [("custom", args.pool.split(","))]
+        pools = [("custom", list(dict.fromkeys(args.pool.split(","))))]
     else:
         pools = [
             ("game", _pool_by_kind(network, ("game",), args.target)),

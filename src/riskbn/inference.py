@@ -6,6 +6,11 @@ variable elimination over the ancestor closure of the involved variables
 (barren descendants contribute factors that sum to one and are skipped
 outright). Elimination order is greedy min-degree on the factor interaction
 graph with declaration-order tie-breaks, so every query is deterministic.
+Each step is one ``np.einsum`` contraction (``_contract``) of the factors
+that mention the eliminated variable; a last contraction multiplies what is
+left into the targets' axes, in the order the caller gave. A CPT factor is a
+view of the CPT rows over (parents..., child), sliced by the evidence, so no
+factor is transposed or copied before it is contracted.
 
 All query functions are pure over an immutable :class:`~riskbn.core.Network`
 and safe to call concurrently.
@@ -34,8 +39,8 @@ GENERATOR_ID = "numpy-pcg64-cdf"
 class Factor:
     """Non-negative table over the Cartesian product of its scope's states.
 
-    Scope is kept sorted in canonical (schema) order; ``values`` has one
-    axis per scope variable, row-major to match the CPT convention.
+    ``values`` has one axis per scope variable, in scope order; a CPT factor
+    keeps the CPT's (parents..., child) order, so it is a view of the rows.
     """
 
     scope: tuple[str, ...]
@@ -47,50 +52,31 @@ class Factor:
 
 
 def _cpt_factor(network: Network, name: str, evidence_idx: Mapping[str, int]) -> Factor:
-    """Build the factor for ``name``'s CPT, sliced by any evidence."""
+    """View of ``name``'s CPT over (parents..., name), sliced by any evidence."""
     cpt = network.cpts[name]
-    axes_vars = list(cpt.parents) + [name]
-    shape = tuple(network.cardinality(v) for v in axes_vars)
-    values = cpt.rows.reshape(shape)
-
-    order = np.argsort([network.index(v) for v in axes_vars], kind="stable")
-    axes_vars = [axes_vars[i] for i in order]
-    values = np.transpose(values, order)
-
-    keep_vars: list[str] = []
-    index: list = []
-    for v in axes_vars:
-        if v in evidence_idx:
-            index.append(evidence_idx[v])
-        else:
-            keep_vars.append(v)
-            index.append(slice(None))
-    values = values[tuple(index)]
-    return Factor(tuple(keep_vars), np.ascontiguousarray(values, dtype=np.float64))
+    axes_vars = cpt.parents + (name,)
+    values = cpt.rows.reshape([network.cardinality(v) for v in axes_vars])
+    index = tuple(evidence_idx.get(v, slice(None)) for v in axes_vars)
+    return Factor(tuple(v for v in axes_vars if v not in evidence_idx), values[index])
 
 
-def _align(factor: Factor, union: Sequence[str], cards: Mapping[str, int]) -> np.ndarray:
-    """Reshape a factor's values for broadcasting over ``union`` (superset)."""
-    scope = set(factor.scope)
-    shape = tuple(cards[v] if v in scope else 1 for v in union)
-    return factor.values.reshape(shape)
+def _contract(factors: Sequence[Factor], keep: Sequence[str]) -> np.ndarray:
+    """Sum over every variable not in ``keep`` of the product of ``factors``,
+    with axes in ``keep``'s order, as a fresh array (never a view of a CPT).
 
-
-def _product(factors: Sequence[Factor], network: Network) -> Factor:
+    Labels are numbered per call, so numpy's 52-label limit bounds only one
+    step's union scope, far past any table that fits in memory.
+    """
     if not factors:
-        return Factor((), np.array(1.0))
-    union = sorted({v for f in factors for v in f.scope}, key=network.index)
-    cards = {v: network.cardinality(v) for v in union}
-    out = np.array(1.0)
+        return np.array(1.0)  # the empty product
+    labels: dict[str, int] = {}
+    sizes: dict[str, int] = {}
+    operands: list = []
     for f in factors:
-        out = out * _align(f, union, cards)
-    return Factor(tuple(union), out)
-
-
-def _sum_out(factor: Factor, name: str) -> Factor:
-    axis = factor.scope.index(name)
-    scope = factor.scope[:axis] + factor.scope[axis + 1:]
-    return Factor(scope, factor.values.sum(axis=axis))
+        operands += [f.values, [labels.setdefault(v, len(labels)) for v in f.scope]]
+        sizes.update(zip(f.scope, f.values.shape))
+    out = np.empty([sizes[v] for v in keep])
+    return np.einsum(*operands, [labels[v] for v in keep], out=out)
 
 
 def ancestor_closure(parents: Callable[[Hashable], Iterable[Hashable]],
@@ -135,17 +121,6 @@ def _elimination_order(network: Network, factors: Sequence[Factor],
     return order
 
 
-def _eliminate_all(network: Network, factors: list[Factor],
-                   eliminate: set[str]) -> list[Factor]:
-    for name in _elimination_order(network, factors, eliminate):
-        touched = [f for f in factors if name in f.scope]
-        if not touched:
-            continue
-        rest = [f for f in factors if name not in f.scope]
-        factors = rest + [_sum_out(_product(touched, network), name)]
-    return factors
-
-
 def _query_factor(network: Network, targets: Sequence[str], evidence: Evidence) -> Factor:
     """Unnormalized joint P(targets, evidence) as a factor over ``targets``."""
     evidence_idx = network.check_evidence(evidence)
@@ -157,9 +132,15 @@ def _query_factor(network: Network, targets: Sequence[str], evidence: Evidence) 
             raise DomainError(f"query variable '{t}' is also evidence")
     relevant = _relevant(network, list(targets) + list(evidence_idx))
     factors = [_cpt_factor(network, name, evidence_idx) for name in relevant]
-    keep = set(targets)
-    result = _eliminate_all(network, factors, set(relevant) - keep - set(evidence_idx))
-    return _product(result, network)
+    eliminate = set(relevant) - set(targets) - set(evidence_idx)
+    for name in _elimination_order(network, factors, eliminate):
+        touched = [f for f in factors if name in f.scope]
+        if not touched:
+            continue
+        factors = [f for f in factors if name not in f.scope]
+        scope = sorted({v for f in touched for v in f.scope} - {name}, key=network.index)
+        factors.append(Factor(tuple(scope), _contract(touched, scope)))
+    return Factor(tuple(targets), _contract(factors, targets))
 
 
 # --- public queries ----------------------------------------------------------
@@ -208,11 +189,9 @@ def joint_table(network: Network, variables: Sequence[str],
                 evidence: Evidence | None = None) -> np.ndarray:
     """Unnormalized joint P(variables, evidence) as an array.
 
-    Axes follow ``variables`` in the order given (internally computed in
-    canonical order, then transposed).
+    Axes follow ``variables`` in the order given; the array is the caller's own.
     """
-    factor = _query_factor(network, variables, evidence or {})
-    return np.transpose(factor.values, [factor.scope.index(v) for v in variables]).copy()
+    return _query_factor(network, variables, evidence or {}).values
 
 
 # --- sampling ----------------------------------------------------------------

@@ -87,6 +87,24 @@ def random_network(rng: np.random.Generator, max_vars: int = 10,
     return build_network(schema, dag, cpts)
 
 
+def shuffle_schema(rng: np.random.Generator, network: Network) -> Network:
+    """The same distribution with its variables declared in a random order,
+    so some children may come before their parents. Each CPT's parents and
+    rows are reordered to the new canonical order."""
+    names = [network.variables[i] for i in rng.permutation(len(network.variables))]
+    position = {v: i for i, v in enumerate(names)}
+    cpts = []
+    for name in names:
+        cpt = network.cpts[name]
+        parents = tuple(sorted(cpt.parents, key=position.__getitem__))
+        shape = [network.cardinality(v) for v in cpt.parents + (name,)]
+        axes = [cpt.parents.index(p) for p in parents] + [len(parents)]
+        rows = cpt.rows.reshape(shape).transpose(axes).reshape(-1, network.cardinality(name))
+        cpts.append(Cpt(name, parents, rows))
+    dag = DagStructure(tuple(names), network.dag.edges)
+    return build_network([network.spec(v) for v in names], dag, cpts)
+
+
 class JointOracle:
     """Brute-force joint tensor over every variable, for cross-checking."""
 

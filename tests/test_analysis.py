@@ -159,6 +159,16 @@ def test_ranking_marks_control():
     assert any(name == "X" for name, _ in report.entries)
 
 
+def test_ranking_rejects_control_equal_to_target(monkeypatch):
+    def no_elimination(*args, **kwargs):
+        raise AssertionError("eliminated before checking the control")
+
+    monkeypatch.setattr(analysis, "joint_table", no_elimination)
+    for candidates in (None, ["Y"]):
+        with pytest.raises(DomainError, match="control and target must differ"):
+            strength_ranking(build_ranking_net(), "O", candidates, control="O")
+
+
 def test_ranking_rejects_target_candidate():
     with pytest.raises(DomainError):
         strength_ranking(build_ranking_net(), "O", ["O", "X"])

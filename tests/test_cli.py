@@ -164,6 +164,12 @@ def test_strength_unknown_target_exit_2(tmp_path, generator_model):
                  "--out", str(tmp_path / "s.csv")]) == 2
 
 
+def test_strength_control_equal_to_target_exit_3(tmp_path, generator_model, capsys):
+    assert main(["strength", "--model", str(generator_model), "--control",
+                 "Previous_CB_Offending", "--out", str(tmp_path / "s.csv")]) == 3
+    assert "control and target must differ" in capsys.readouterr().err
+
+
 # --- profile ------------------------------------------------------------------------
 
 def test_profile_matches_library_values(tmp_path, generator_model):
@@ -200,6 +206,15 @@ def test_multifactor_two_pools_rows_and_thresholds(tmp_path, generator_model):
 def test_multifactor_cap_exceeded_exit_3(tmp_path, generator_model):
     assert main(["multifactor", "--model", str(generator_model),
                  "--max-evals", "5", "--out", str(tmp_path / "mf.csv")]) == 3
+
+
+def test_multifactor_repeated_pool_name_counts_once(tmp_path, generator_model):
+    # k is clipped to the distinct pool names, as for any pool smaller than --k-max
+    out = tmp_path / "mf.csv"
+    assert main(["multifactor", "--model", str(generator_model), "--pool", "Gender,Gender",
+                 "--k-max", "2", "--out", str(out)]) == 0
+    rows = [line.split(",")[:2] for line in out.read_text().splitlines()[1:]]
+    assert rows == [["custom", "1"]]
 
 
 # --- profiles -------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from helpers import (
     copy_network,
     random_evidence,
     random_network,
+    shuffle_schema,
 )
 
 
@@ -187,15 +188,22 @@ def test_posterior_and_evidence_match_enumeration_oracle():
 
 
 def test_joint_table_with_evidence_matches_oracle():
-    # the normalized table is the joint posterior over the targets, with
-    # axes in the order given; a zero total means impossible evidence
+    # the normalized table is the joint posterior over 0-3 targets, with
+    # axes in the order given; a zero total means impossible evidence. Every
+    # other network declares its variables in a shuffled order, so some
+    # children precede their parents. Each table is the caller's own array.
     rng = np.random.default_rng(99)
-    for _ in range(10):
+    for i in range(40):
         net = random_network(rng, max_vars=6, max_states=3)
+        if i % 2:
+            net = shuffle_schema(rng, net)
         oracle = JointOracle(net)
-        targets = list(net.variables[:2])
+        picks = rng.choice(len(net.variables), size=int(rng.integers(0, 4)), replace=False)
+        targets = [net.variables[j] for j in picks]
         evidence = random_evidence(rng, net, exclude=tuple(targets))
         table = joint_table(net, targets, evidence)
+        assert table.shape == tuple(net.cardinality(v) for v in targets)
+        assert_own_array(table, net)
         total = table.sum()
         assert total == pytest.approx(oracle.evidence_probability(evidence), abs=1e-12)
         if total <= 0.0:
@@ -205,10 +213,21 @@ def test_joint_table_with_evidence_matches_oracle():
         remaining = [v for v in net.variables if v not in evidence]
         axes = tuple(i for i, v in enumerate(remaining) if v not in targets)
         expected = sub.sum(axis=axes)
+        canonical = [v for v in remaining if v in targets]
+        expected = np.transpose(expected, [canonical.index(v) for v in targets])
         expected = expected / expected.sum()
         assert table / total == pytest.approx(expected, abs=1e-9)
         reversed_table = joint_table(net, targets[::-1], evidence)
         assert reversed_table / total == pytest.approx(expected.T, abs=1e-9)
+        root = next(v for v in net.variables if not net.parents(v))
+        table = joint_table(net, [root])
+        assert_own_array(table, net)
+        assert table.tolist() == net.cpts[root].rows[0].tolist()
+
+
+def assert_own_array(table: np.ndarray, net) -> None:
+    assert table.flags.writeable
+    assert not any(np.shares_memory(table, cpt.rows) for cpt in net.cpts.values())
 
 
 _QUERY = """
