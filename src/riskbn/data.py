@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -28,6 +29,7 @@ from .errors import (
     MalformedCsv,
     MissingMetaColumn,
     RaggedRow,
+    RiskbnError,
     SchemaMismatch,
     UnknownColumn,
 )
@@ -38,6 +40,8 @@ DEFAULT_CONTROL = "A1Q1_PhotoSharing"
 MISSING_TOKENS = ("", "?")
 _RT_MAX = int(np.iinfo(np.int32).max)  # response times are stored as int32
 _MAX_RUN_LABELS = 4096  # joint labels of one fused column run in save_dataset
+_CHUNK_ROWS = 8192  # rows load_dataset holds as cell text before decoding them
+_SLICE_CHARS = 1 << 16  # least characters of text load_dataset hands the CSV reader at once
 
 #: Published survey marginals (percent). Two columns do not sum to 100:
 #: Gender totals 99.0 and Daily_Hours_Internet totals 97.6; the generator
@@ -236,42 +240,44 @@ def _response_time(cell: str) -> int:
     return value
 
 
-def load_dataset(text: str, schema: Schema) -> Dataset:
-    """Parse the dataset CSV format.
+def _lines(text: str):
+    """The lines of ``io.StringIO(text, newline="")``, read from successive
+    slices of ``text`` so that no whole copy of it is made. Each slice ends
+    just after a ``\\n`` at least ``_SLICE_CHARS`` characters on, so no line
+    end (``\\r\\n``, ``\\n`` or a bare ``\\r``) straddles two slices."""
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + _SLICE_CHARS - 1) + 1 or len(text)
+        yield from io.StringIO(text[start:cut], newline="")
+        start = cut
 
-    First row holds column headers; cells that are empty or ``?`` are
-    missing, and cells are stripped of surrounding whitespace. Errors carry
-    1-based data-row numbers and column names. Precedence: a line the CSV
-    reader cannot split, then the header, then the first illegal cell in
-    row-major order, then the first row whose width differs from the
-    header's.
 
-    Rows stream into one flat cell list; each column is then decoded at C
-    speed through a per-column memo of its distinct cell texts.
-    """
-    reader = csv.reader(io.StringIO(text, newline=""))
-    cells: list[str] = []
-    n = 0
-    ragged = None
-    try:
-        header = next(reader, None)
-        if header is not None:
-            width = len(header)
-            extend = cells.extend
-            for row in reader:
-                if len(row) != width:
-                    ragged = RaggedRow(n + 1, width, len(row))
-                    for _ in reader:  # a later unsplittable line still wins
-                        pass
-                    break
-                extend(row)
-                n += 1
-    except csv.Error as exc:
-        raise MalformedCsv(f"line {reader.line_num}: {exc}") from None
-    if header is None:
+def _decode_chunk(cells: list[str], first: int, columns) -> None:
+    """Append the codes of a chunk of rows (flat, row-major ``cells``;
+    ``first`` rows come before it) to each column's pieces, or raise
+    IllegalState for the chunk's first illegal cell in row-major order."""
+    width = len(columns)
+    rows = len(cells) // width
+    illegal: list[tuple[int, int, str, str]] = []  # (row, column index, name, cell)
+    for j, (name, lookup, dtype, pieces) in enumerate(columns):
+        column = cells[j::width]
+        try:
+            pieces.append(np.fromiter(map(lookup.__getitem__, column), dtype, rows))
+        except (LookupError, ValueError):
+            # the memo only holds legal cells, so the first cell it lacks fails
+            i = next(i for i, cell in enumerate(column) if cell not in lookup)
+            illegal.append((i, j, name, column[i].strip()))
+    if illegal:
+        i, _, name, cell = min(illegal)
+        raise IllegalState(cell, first + i + 1, name)
+
+
+def _read_rows(reader, schema: Schema) -> Dataset:
+    """The dataset whose CSV rows ``reader`` yields, checked and decoded
+    chunk by chunk; a CSV reader error is left to the caller."""
+    header = [h.strip() for h in next(reader, ())]
+    if not header:  # an empty file, or a blank first line
         raise RaggedRow(0, 1, 0)
-    header = [h.strip() for h in header]
-
     spec_by_name = {v.name: v for v in schema.variables}
     rt_allowed = set(schema.response_time_columns)
     for name in header:
@@ -281,29 +287,60 @@ def load_dataset(text: str, schema: Schema) -> Dataset:
     if len(set(header)) != len(header):
         raise UnknownColumn("duplicate column names in header")
 
-    cat_cols: dict[str, np.ndarray] = {}
-    rt_cols: dict[str, np.ndarray] = {}
-    illegal: list[tuple[int, int, str, str]] = []  # (row, column index, name, cell)
-    for j, name in enumerate(header):
-        column = cells[j::width]
+    columns = []  # (name, memo, dtype, decoded pieces)
+    for name in header:
         if name in spec_by_name:
-            lookup = _CellCodes(_state_code(spec_by_name[name].states))
-            out, dtype = cat_cols, np.int16
+            lookup, dtype = _CellCodes(_state_code(spec_by_name[name].states)), np.int16
         else:
-            lookup = _CellCodes(_response_time)
-            out, dtype = rt_cols, np.int32
-        try:
-            out[name] = np.fromiter(map(lookup.__getitem__, column), dtype, n)
-        except (LookupError, ValueError):
-            # the memo only holds legal cells, so the first cell it lacks fails
-            i = next(i for i, cell in enumerate(column) if cell not in lookup)
-            illegal.append((i + 1, j, name, column[i].strip()))
-    if illegal:
-        row, _, name, cell = min(illegal)
-        raise IllegalState(cell, row, name)
-    if ragged is not None:
-        raise ragged
+            lookup, dtype = _CellCodes(_response_time), np.int32
+        columns.append((name, lookup, dtype, [np.empty(0, dtype)]))
+    width = len(header)
+    n = 0
+    while True:
+        cells: list[str] = []
+        extend = cells.extend
+        for row in islice(reader, _CHUNK_ROWS):
+            if len(row) != width:
+                _decode_chunk(cells, n, columns)  # an earlier illegal cell wins
+                raise RaggedRow(n + len(cells) // width + 1, width, len(row))
+            extend(row)
+        if not cells:
+            break
+        _decode_chunk(cells, n, columns)
+        n += len(cells) // width
+    decoded = {name: np.concatenate(pieces) for name, _, _, pieces in columns}
+    cat_cols = {k: v for k, v in decoded.items() if k in spec_by_name}
+    rt_cols = {k: v for k, v in decoded.items() if k not in spec_by_name}
     return Dataset(schema, n, cat_cols, rt_cols, "ingest")
+
+
+def load_dataset(text: str, schema: Schema) -> Dataset:
+    """Parse the dataset CSV format.
+
+    First row holds column headers; cells that are empty or ``?`` are
+    missing, and cells are stripped of surrounding whitespace. Errors carry
+    1-based data-row numbers and column names. Precedence: a line the CSV
+    reader cannot split, then the header (an empty file or a blank first
+    line is a ragged row 0), then the first illegal cell in row-major order,
+    then the first row whose width differs from the header's.
+
+    The cell text held at once does not grow with the file: the CSV reader
+    takes its lines from slices of ``text`` (no whole copy of it is made),
+    and rows are gathered ``_CHUNK_ROWS`` at a time into a flat cell list
+    whose columns are decoded at C speed, each through one memo of its
+    distinct cell texts kept for the whole file. No result depends on
+    either constant.
+    """
+    reader = csv.reader(_lines(text))
+    try:
+        try:
+            return _read_rows(reader, schema)
+        except RiskbnError:
+            for _ in reader:  # an unsplittable line anywhere still wins
+                pass
+            raise
+    except csv.Error as exc:
+        raise MalformedCsv(f"line {reader.line_num}: {exc}") from None
 
 
 def _csv_field(value: str, alone: bool) -> str:

@@ -170,7 +170,7 @@ def load_dataset_per_row(text: str, schema: Schema) -> Dataset:
         rows = list(reader)
     except csv.Error as exc:
         raise MalformedCsv(f"line {reader.line_num}: {exc}") from None
-    if not rows:
+    if not rows or not rows[0]:  # an empty file, or a blank first line
         raise RaggedRow(0, 1, 0)
     header = [h.strip() for h in rows.pop(0)]
 

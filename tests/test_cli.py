@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -350,6 +351,27 @@ def test_summarize_stdout_without_out(tmp_path, capsys):
     data.write_text("Gender\nMale\nFemale\n")
     assert main(["summarize", "--data", str(data)]) == 0
     assert "Gender,Male,1,50" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["summarize", "fit"])
+def test_blank_first_line_exits_2(tmp_path, capsys, command):
+    data = tmp_path / "b.csv"
+    data.write_text("\n\n")
+    out = tmp_path / ("o.csv" if command == "summarize" else "m.json")
+    assert main([command, "--data", str(data), "--out", str(out)]) == 2
+    assert "data row 0 has 0 cells, expected 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_manifest_digests_are_sha256_of_each_file(tmp_path):
+    data = tmp_path / "d.csv"  # past one 1 MiB read block
+    main(["simulate", "--n", "10000", "--seed", "4", "--out", str(data)])
+    assert data.stat().st_size > 1 << 20
+    out = tmp_path / "m.json"
+    assert main(["fit", "--data", str(data), "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
+    assert manifest["inputs"] == {str(data): hashlib.sha256(data.read_bytes()).hexdigest()}
+    assert manifest["outputs"] == {str(out): hashlib.sha256(out.read_bytes()).hexdigest()}
 
 
 # --- input boundary -------------------------------------------------------------------

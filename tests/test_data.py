@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +27,7 @@ from riskbn.data import (
 )
 from riskbn.errors import (
     IllegalState,
+    MalformedCsv,
     RiskbnError,
     MissingMetaColumn,
     RaggedRow,
@@ -202,6 +205,78 @@ def test_load_dataset_matches_per_row_oracle_on_text(body):
     schema = default_schema()
     assert _load_outcome(load_dataset, text, schema) \
         == _load_outcome(load_dataset_per_row, text, schema)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3])
+def test_load_dataset_matches_per_row_oracle_in_tiny_chunks(monkeypatch, chunk_rows):
+    # chunk edges then fall across illegal cells, ragged rows and unsplittable
+    # lines, and every line is read from a slice of its own
+    monkeypatch.setattr("riskbn.data._CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr("riskbn.data._SLICE_CHARS", 1)
+    test_load_dataset_matches_per_row_oracle()
+    test_load_dataset_matches_per_row_oracle_on_text()
+
+
+def _load_in_every_chunking(monkeypatch, text, schema, slice_chars=None):
+    """Load ``text`` in chunks of 1-4 rows and at each slice size given
+    (default: every size up to the text's length); every outcome must equal
+    the per-row oracle's, which is returned."""
+    expected = _load_outcome(load_dataset_per_row, text, schema)
+    for chunk_rows in (1, 2, 3, 4):
+        for chars in slice_chars or range(1, len(text) + 2):
+            monkeypatch.setattr("riskbn.data._CHUNK_ROWS", chunk_rows)
+            monkeypatch.setattr("riskbn.data._SLICE_CHARS", chars)
+            assert _load_outcome(load_dataset, text, schema) == expected, (chunk_rows, chars)
+    return expected
+
+
+def test_quoted_line_breaks_across_slice_cuts_stay_in_their_cell(monkeypatch):
+    schema = Schema((VariableSpec("Q", ("x\ny", "p\r\nq", "r")),
+                     VariableSpec("Gender", ("Male", "Female"))))
+    text = 'Q,Gender\n"x\ny",Male\r\n"p\r\nq", Female \n r ,\n'
+    assert _load_in_every_chunking(monkeypatch, text, schema) \
+        == (3, {"Q": [0, 1, 2], "Gender": [0, 1, -1]}, {})
+
+
+def test_bare_carriage_return_line_ends_split_records(monkeypatch):
+    text = "Gender,Age\rMale,12\rFemale,13\r\n?,14\nNonBinary,15\r"
+    assert _load_in_every_chunking(monkeypatch, text, default_schema()) \
+        == (4, {"Gender": [0, 1, -1, 2], "Age": [0, 1, 2, 3]}, {})
+
+
+def test_unsplittable_line_in_a_later_chunk_beats_an_illegal_cell(monkeypatch):
+    text = "Gender\nBlue\nMale\nMale\n" + "x" * 200_000 + "\nMale\n"
+    outcome = _load_in_every_chunking(monkeypatch, text, default_schema(), (1, 7, 1 << 16))
+    assert outcome[0] is MalformedCsv and outcome[1].startswith("line 5: ")
+
+
+def test_illegal_cell_beats_a_ragged_row_later_in_its_chunk(monkeypatch):
+    text = "Gender,Age\nMale,12\nBlue,12\nMale\nMale,99\n"
+    assert _load_in_every_chunking(monkeypatch, text, default_schema()) \
+        == (IllegalState, "illegal value 'Blue' for column 'Gender' in data row 2")
+
+
+@pytest.mark.parametrize("text", ["", "\n", "\n\n\n", "\r\nMale\n"])
+def test_blank_first_line_is_ragged_row_zero(text):
+    with pytest.raises(RaggedRow) as exc:
+        load_dataset(text, default_schema())
+    assert exc.value.row == 0
+    assert str(exc.value) == "data row 0 has 0 cells, expected 1"
+    with pytest.raises(MalformedCsv):  # an unsplittable line anywhere still comes first
+        load_dataset(text + "x" * 200_000 + "\n", default_schema())
+
+
+def test_load_dataset_of_100k_cohort_in_bounded_memory():
+    # holding every cell's text before decoding any peaks near 190 MB here
+    text = save_dataset(simulate_dataset(100_000, 0))
+    tracemalloc.start()
+    try:
+        ds = load_dataset(text, default_schema())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.n == 100_000 and len(ds.columns) == 21
+    assert peak <= 32e6
 
 
 _QUOTED_SCHEMA = Schema((
