@@ -161,6 +161,12 @@ def strength_ranking(network: Network, target: str,
     return StrengthReport(target, tuple(scores), control, control_score)
 
 
+def default_target_state(states: Sequence[str]) -> str:
+    """The state a profile reports when none is named: ``Yes`` when the
+    target has such a state, otherwise its last state."""
+    return "Yes" if "Yes" in states else states[-1]
+
+
 def conditional_profile(network: Network, target: str, source: str,
                         target_state: str | None = None) -> tuple[tuple[str, float], ...]:
     """Per-source-state posterior of the target's affirmative state.
@@ -171,9 +177,8 @@ def conditional_profile(network: Network, target: str, source: str,
     """
     if source == target:
         raise DomainError("source and target must differ")
-    t_states = network.spec(target).states
     if target_state is None:
-        target_state = "Yes" if "Yes" in t_states else t_states[-1]
+        target_state = default_target_state(network.spec(target).states)
     t_idx = network.state_index(target, target_state)
     joint = joint_table(network, [source, target])
     weights = joint.sum(axis=1)

@@ -40,6 +40,7 @@ from . import __version__
 from .analysis import (
     bf_threshold_posterior,
     conditional_profile,
+    default_target_state,
     multifactor_search,
     risk_profiles,
     spearman,
@@ -263,8 +264,7 @@ def cmd_profile(args) -> int:
     profile = conditional_profile(network, args.target, args.source, args.target_state)
     resolved_state = args.target_state
     if resolved_state is None:
-        states = network.spec(args.target).states
-        resolved_state = "Yes" if "Yes" in states else states[-1]
+        resolved_state = default_target_state(network.spec(args.target).states)
     out = Path(args.out)
     _write_csv(out, ["state", "posterior"], [[s, float(p)] for s, p in profile])
     svg_path = out.with_suffix(".svg")

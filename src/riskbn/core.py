@@ -6,6 +6,9 @@ of truth for every query, learning and analysis operation in the package.
 Conventions fixed here and relied on everywhere else:
 
 * Canonical variable order is schema declaration order.
+* Topological order places, at each step, the earliest-declared node whose
+  parents are all placed. ``ancestral_sample``, and so the bytes
+  ``simulate`` writes, depend on this order.
 * A node's CPT parents are listed in canonical order.
 * CPT rows enumerate parent configurations in row-major order with the
   LAST parent's state index varying fastest.
@@ -15,10 +18,11 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import heapq
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -81,61 +85,64 @@ class DagStructure:
 
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
+    _parents: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "edges", tuple((p, c) for p, c in self.edges))
-        declared = set(self.nodes)
-        if len(declared) != len(self.nodes):
+        parents: dict[str, list[str]] = {n: [] for n in self.nodes}
+        if len(parents) != len(self.nodes):
             raise ShapeMismatch("duplicate node names in DAG")
         seen = set()
         for parent, child in self.edges:
-            if parent not in declared:
+            if parent not in parents:
                 raise UnknownVariable(f"edge references undeclared node '{parent}'")
-            if child not in declared:
+            if child not in parents:
                 raise UnknownVariable(f"edge references undeclared node '{child}'")
             if parent == child:
                 raise ShapeMismatch(f"self-loop on '{parent}'")
             if (parent, child) in seen:
                 raise ShapeMismatch(f"duplicate edge {parent} -> {child}")
             seen.add((parent, child))
-        cycle = _find_cycle(self.nodes, self.edges)
-        if cycle:
-            raise CycleDetected(cycle)
+            parents[child].append(parent)
+        object.__setattr__(self, "_parents", {n: tuple(ps) for n, ps in parents.items()})
+        _topological(self.nodes, self._parents)
 
-    def parents_of(self, node: str) -> list[str]:
-        return [p for p, c in self.edges if c == node]
+    def parents_of(self, node: str) -> tuple[str, ...]:
+        """``node``'s parents in edge order."""
+        return self._parents.get(node, ())
 
 
-def _find_cycle(nodes: Sequence[str], edges: Iterable[tuple[str, str]]) -> list[str] | None:
-    """Return one directed cycle as a node list, or None if acyclic."""
-    succ: dict[str, list[str]] = {n: [] for n in nodes}
-    for p, c in edges:
-        succ[p].append(c)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in nodes}
-    stack: list[str] = []
-
-    def visit(n: str) -> list[str] | None:
-        color[n] = GREY
-        stack.append(n)
-        for m in succ[n]:
-            if color[m] == GREY:
-                return stack[stack.index(m):]
-            if color[m] == WHITE:
-                found = visit(m)
-                if found:
-                    return found
-        stack.pop()
-        color[n] = BLACK
-        return None
-
-    for n in nodes:
-        if color[n] == WHITE:
-            found = visit(n)
-            if found:
-                return found
-    return None
+def _topological(nodes: Sequence[str],
+                 parents: Mapping[str, Sequence[str]]) -> tuple[str, ...]:
+    """Kahn's algorithm: each step places the earliest-listed node whose
+    parents are all placed. Raises CycleDetected, naming one cycle, when
+    some nodes can never be placed."""
+    position = {n: i for i, n in enumerate(nodes)}
+    waiting = [len(parents[n]) for n in nodes]
+    children: list[list[int]] = [[] for _ in nodes]
+    for i, n in enumerate(nodes):
+        for p in parents[n]:
+            children[position[p]].append(i)
+    ready = [i for i, w in enumerate(waiting) if not w]  # ascending, so already a heap
+    order = []
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(nodes[i])
+        for c in children[i]:
+            waiting[c] -= 1
+            if not waiting[c]:
+                heapq.heappush(ready, c)
+    if len(order) < len(nodes):
+        # each node left over waits on a parent left over too, so walking
+        # such parent links from one of them must reach some node twice
+        path: dict[str, int] = {}
+        node = nodes[next(i for i, w in enumerate(waiting) if w)]
+        while node not in path:
+            path[node] = len(path)
+            node = next(p for p in parents[node] if waiting[position[p]])
+        raise CycleDetected([node] + list(path)[path[node] + 1:][::-1])
+    return tuple(order)
 
 
 class Cpt:
@@ -205,7 +212,7 @@ class Network:
     __slots__ = ("schema", "dag", "cpts", "_index", "_spec", "_parents", "_children", "_topo")
 
     def __init__(self, schema: Sequence[VariableSpec], dag: DagStructure,
-                 cpts: Mapping[str, Cpt], _topo: tuple[str, ...]):
+                 cpts: Mapping[str, Cpt]):
         self.schema = tuple(schema)
         self.dag = dag
         self.cpts = dict(cpts)
@@ -217,7 +224,7 @@ class Network:
             children[p].append(c)
         self._children = {n: tuple(sorted(cs, key=self._index.__getitem__))
                           for n, cs in children.items()}
-        self._topo = _topo
+        self._topo = _topological(self.variables, self._parents)
 
     # -- lookups -------------------------------------------------------------
 
@@ -339,32 +346,7 @@ def build_network(schema: Sequence[VariableSpec], dag: DagStructure,
     if extra_cpts:
         raise ShapeMismatch(f"CPTs for unknown variables: {sorted(extra_cpts)}")
 
-    topo = _topological(names, dag)
-    return Network(schema, dag, cpt_map, tuple(topo))
-
-
-def _topological(names: Sequence[str], dag: DagStructure) -> list[str]:
-    """Kahn's algorithm; ties broken by schema declaration order."""
-    order = {n: i for i, n in enumerate(names)}
-    indegree = {n: 0 for n in names}
-    succ: dict[str, list[str]] = {n: [] for n in names}
-    for p, c in dag.edges:
-        indegree[c] += 1
-        succ[p].append(c)
-    ready = sorted((n for n in names if indegree[n] == 0), key=order.__getitem__)
-    out: list[str] = []
-    while ready:
-        n = ready.pop(0)
-        out.append(n)
-        changed = False
-        for m in succ[n]:
-            indegree[m] -= 1
-            if indegree[m] == 0:
-                ready.append(m)
-                changed = True
-        if changed:
-            ready.sort(key=order.__getitem__)
-    return out
+    return Network(schema, dag, cpt_map)
 
 
 def config_index(states: Sequence, cards: Sequence[int]) -> np.ndarray:
@@ -426,11 +408,7 @@ def serialize_model(network: Network) -> str:
 
 def parse_model(text: str) -> Network:
     """Parse the JSON model format back into a validated :class:`Network`."""
-    schema, dag, cpt_map = parse_model_parts(text)
-    for name in dag.nodes:
-        if name not in cpt_map:
-            raise MissingCpt(f"model file has no CPT for variable '{name}'")
-    return build_network(schema, dag, cpt_map)
+    return build_network(*parse_model_parts(text))
 
 
 _JSON_TOKENS = re.compile(r'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?|[\[\]{}]')

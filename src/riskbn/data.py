@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Iterable, Mapping, Sequence
@@ -42,6 +43,7 @@ _RT_MAX = int(np.iinfo(np.int32).max)  # response times are stored as int32
 _MAX_RUN_LABELS = 4096  # joint labels of one fused column run in save_dataset
 _CHUNK_ROWS = 8192  # rows load_dataset holds as cell text before decoding them
 _SLICE_CHARS = 1 << 16  # least characters of text load_dataset hands the CSV reader at once
+_LINE_END = re.compile(r"\r\n?|\n")  # where io.StringIO(newline="") ends a line
 
 #: Published survey marginals (percent). Two columns do not sum to 100:
 #: Gender totals 99.0 and Daily_Hours_Internet totals 97.6; the generator
@@ -243,11 +245,12 @@ def _response_time(cell: str) -> int:
 def _lines(text: str):
     """The lines of ``io.StringIO(text, newline="")``, read from successive
     slices of ``text`` so that no whole copy of it is made. Each slice ends
-    just after a ``\\n`` at least ``_SLICE_CHARS`` characters on, so no line
-    end (``\\r\\n``, ``\\n`` or a bare ``\\r``) straddles two slices."""
+    just after the first line end (``\\r\\n``, ``\\n`` or a bare ``\\r``)
+    at least ``_SLICE_CHARS`` characters on, so none straddles two slices."""
     start = 0
     while start < len(text):
-        cut = text.find("\n", start + _SLICE_CHARS - 1) + 1 or len(text)
+        end = _LINE_END.search(text, start + _SLICE_CHARS - 1)
+        cut = end.end() if end else len(text)
         yield from io.StringIO(text[start:cut], newline="")
         start = cut
 

@@ -23,7 +23,7 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import Distribution, Evidence, Network, config_index
+from .core import Distribution, Evidence, Network, config_index, topological_order
 from .errors import (
     DomainError,
     IncompleteAssignment,
@@ -237,7 +237,7 @@ def ancestral_sample(network: Network, n: int, seed: int) -> SampleBatch:
         states = np.zeros((n, len(variables)), dtype=np.int16)
     except ValueError:  # numpy refuses the shape before allocating
         raise DomainError(f"sample size {n} is too large for one array") from None
-    for name in network._topo:
+    for name in topological_order(network):
         parents = network.parents(name)
         row_idx = config_index([states[:, col[p]] for p in parents],
                                [network.cardinality(p) for p in parents])

@@ -1,5 +1,6 @@
 """Shared test fixtures: hand-built networks, a random-network generator, an
-independent full-joint enumeration oracle and per-row dataset CSV oracles.
+independent full-joint enumeration oracle, a brute-force topological-order
+oracle and per-row dataset CSV oracles.
 
 The joint oracle builds the complete joint tensor directly from CPT lookups
 over index grids; it shares no code with the variable-elimination engine, so
@@ -13,6 +14,7 @@ import csv
 import io
 import os
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -85,6 +87,31 @@ def random_network(rng: np.random.Generator, max_vars: int = 10,
                     rows[r] /= rows[r].sum()
         cpts.append(Cpt(name, tuple(parent_map[name]), rows))
     return build_network(schema, dag, cpts)
+
+
+def uniform_network(names: Sequence[str], dag: DagStructure) -> Network:
+    """Binary variables declared in ``names`` order over ``dag``, with every
+    CPT row uniform."""
+    position = {n: i for i, n in enumerate(names)}
+    cpts = []
+    for name in names:
+        parents = tuple(sorted(dag.parents_of(name), key=position.__getitem__))
+        cpts.append(Cpt(name, parents, np.full((2 ** len(parents), 2), 0.5)))
+    return build_network([VariableSpec(n, ("0", "1")) for n in names], dag, cpts)
+
+
+def topological_order_oracle(nodes: Sequence[str],
+                             edges: Sequence[tuple[str, str]]) -> tuple[str, ...]:
+    """Repeatedly place the earliest of ``nodes`` whose parents are all
+    placed; the result falls short of ``nodes`` when the rest lie on or
+    behind a cycle."""
+    placed: list[str] = []
+    while True:
+        ready = [n for n in nodes if n not in placed
+                 and all(p in placed for p, c in edges if c == n)]
+        if not ready:
+            return tuple(placed)
+        placed.append(ready[0])
 
 
 def shuffle_schema(rng: np.random.Generator, network: Network) -> Network:

@@ -13,11 +13,11 @@ import riskbn.cli
 from riskbn.analysis import bf_threshold_posterior, conditional_profile
 from riskbn.cli import _build_parser, _read_ranking_csv, main
 from riskbn.errors import RiskbnError
-from riskbn.core import parse_model, serialize_model
+from riskbn.core import DagStructure, parse_model, serialize_model
 from riskbn.data import build_default_generator
 from riskbn.learning import default_prior
 
-from helpers import chain_network, child_env
+from helpers import chain_network, child_env, uniform_network
 
 
 @pytest.fixture()
@@ -61,6 +61,25 @@ def test_validate_cycle_exit_2_names_cycle(tmp_path, capsys):
     assert main(["validate", str(path)]) == 2
     err = capsys.readouterr().err
     assert "A" in err and "B" in err and "->" in err
+
+
+_DEEP = tuple(f"V{i}" for i in range(1100))  # past the default recursion limit
+
+
+def test_validate_deep_chain_exit_0(tmp_path):
+    path = tmp_path / "chain.json"
+    dag = DagStructure(_DEEP, tuple(zip(_DEEP, _DEEP[1:])))
+    path.write_text(serialize_model(uniform_network(_DEEP, dag)))
+    assert main(["validate", str(path)]) == 0
+
+
+def test_validate_deep_cycle_exit_2(tmp_path, capsys):
+    doc = {"variables": [{"name": n, "states": ["0", "1"]} for n in _DEEP],
+           "edges": [[p, c] for p, c in zip(_DEEP, _DEEP[1:] + _DEEP[:1])]}
+    path = tmp_path / "cyclic.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert "->" in capsys.readouterr().err
 
 
 def test_validate_unreadable_exit_1(tmp_path):

@@ -28,7 +28,7 @@ from riskbn.errors import (
     UnknownVariable,
 )
 
-from helpers import chain_network, random_network
+from helpers import chain_network, random_network, topological_order_oracle, uniform_network
 from riskbn.data import build_default_generator
 
 
@@ -179,6 +179,46 @@ def test_topological_respects_every_edge_random():
         position = {v: i for i, v in enumerate(order)}
         for p, c in net.dag.edges:
             assert position[p] < position[c]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_dag_names_a_cycle_or_orders_like_the_oracle(data):
+    nodes = data.draw(st.lists(st.text("abc", min_size=1, max_size=2),
+                               min_size=1, max_size=7, unique=True))
+    pairs = [(p, c) for p in nodes for c in nodes if p != c]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
+    declared = data.draw(st.permutations(nodes))
+    try:
+        dag = DagStructure(tuple(nodes), tuple(edges))
+    except CycleDetected as exc:
+        cycle = exc.cycle
+        assert len(topological_order_oracle(nodes, edges)) < len(nodes)
+        assert len(set(cycle)) == len(cycle) >= 2
+        assert all(pair in edges for pair in zip(cycle, cycle[1:] + cycle[:1]))
+        return
+    for node in nodes:
+        assert dag.parents_of(node) == tuple(p for p, c in edges if c == node)
+    net = uniform_network(declared, dag)
+    assert topological_order(net) == topological_order_oracle(declared, edges)
+
+
+def _names(n: int) -> tuple[str, ...]:
+    return tuple(f"V{i}" for i in range(n))
+
+
+def test_5000_node_chain_builds_and_parses():
+    names = _names(5000)
+    net = uniform_network(names, DagStructure(names, tuple(zip(names, names[1:]))))
+    assert topological_order(net) == names
+    assert parse_model(serialize_model(net)) == net
+
+
+def test_5000_node_cycle_is_named_in_full():
+    names = _names(5000)
+    with pytest.raises(CycleDetected) as exc:
+        DagStructure(names, tuple(zip(names, names[1:] + names[:1])))
+    assert exc.value.cycle == list(names)
 
 
 # --- serialization -------------------------------------------------------------

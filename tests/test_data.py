@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from riskbn.data import (
     Dataset,
     FilterConfig,
     Schema,
+    _lines,
     apply_filters,
     build_default_generator,
     calibration_targets,
@@ -266,17 +268,44 @@ def test_blank_first_line_is_ragged_row_zero(text):
         load_dataset(text + "x" * 200_000 + "\n", default_schema())
 
 
-def test_load_dataset_of_100k_cohort_in_bounded_memory():
-    # holding every cell's text before decoding any peaks near 190 MB here
-    text = save_dataset(simulate_dataset(100_000, 0))
+_CR_LINES = "".join(f"Male,{i}\r" for i in range(30_000))
+
+
+@pytest.mark.parametrize("slice_chars", [7, 1 << 16])
+@pytest.mark.parametrize("text", [
+    _CR_LINES,
+    _CR_LINES.replace("\r", "\r\n"),
+    "".join(f"Male,{i}" + ("\r", "\r\n", "\n")[i % 3] for i in range(30_000)),
+    _CR_LINES + "Male,-1\n",
+], ids=["cr", "crlf", "mixed", "cr-then-lf"])
+def test_lines_match_one_string_reader(monkeypatch, text, slice_chars):
+    monkeypatch.setattr("riskbn.data._SLICE_CHARS", slice_chars)
+    assert list(_lines(text)) == list(io.StringIO(text, newline=""))
+
+
+def _load_peak(text: str, n: int) -> int:
     tracemalloc.start()
     try:
         ds = load_dataset(text, default_schema())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ds.n == 100_000 and len(ds.columns) == 21
-    assert peak <= 32e6
+    assert ds.n == n and len(ds.columns) == 21
+    return peak
+
+
+def test_load_dataset_of_100k_cohort_in_bounded_memory():
+    # holding every cell's text before decoding any peaks near 190 MB here
+    assert _load_peak(save_dataset(simulate_dataset(100_000, 0)), 100_000) <= 32e6
+
+
+def test_bare_carriage_return_cohort_loads_in_the_memory_of_a_newline_one():
+    # a whole-text copy of this cohort nearly doubles the peak
+    text = save_dataset(simulate_dataset(20_000, 0))
+    peak = _load_peak(text, 20_000)
+    cr_text = text.replace("\n", "\r")
+    assert _load_peak(cr_text, 20_000) <= 1.2 * peak
+    assert _load_peak(cr_text[:-1] + "\n", 20_000) <= 1.2 * peak  # one \n, at the very end
 
 
 _QUOTED_SCHEMA = Schema((
