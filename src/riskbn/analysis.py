@@ -17,10 +17,15 @@ its information-theoretic bound so the score stays in [0, 1].
 The multi-factor search and the risk profiles score every evidence
 combination of a given size exactly. Rather than one elimination per state
 combination, they read all state combinations of a variable subset from its
-joint table with the target. Those tables form a marginalization lattice:
-one elimination per subset of the largest size, each smaller subset summed
-out of one of them. Results depend only on the network, the pool, the
-target and the sizes, and are tested against full joint enumeration.
+joint table with the target. Those tables form a marginalization lattice
+(``_subset_tables``): usually one elimination of the whole pool's table,
+from which every subset's table is summed one axis at a time out of its
+smallest superset, depth first, so at most twice the root's cells are held
+at once. Where the whole-pool table would outgrow the network's largest CPT,
+or its descent would sum more cells than one elimination per subset of the
+largest size reads from the target's CPT, those subsets are the roots
+instead. Results depend only on the network, the pool, the target and the
+sizes, and are tested against full joint enumeration.
 """
 
 from __future__ import annotations
@@ -241,6 +246,27 @@ def estimate_evaluations(cards: Sequence[int], k_values: Iterable[int]) -> int:
     return sum(poly[k] for k in k_values if k < len(poly))
 
 
+def _descent(subset: tuple[int, ...], m: int, order: Sequence[int],
+             k_values: Sequence[int]):
+    """Depth-first plan of the lattice below ``subset``: yield (child,
+    dropped) for each table to build. The child is its parent less the pool
+    position ``dropped``, and its parent is the last one yielded (or
+    ``subset``) among those one size larger.
+
+    ``order`` lists the pool positions by cardinality, then canonical order;
+    ``subset`` holds its first ``m`` entries but not the next. A subset's
+    parent is the subset plus the first entry of ``order`` it lacks, its
+    smallest superset, so each subset is built exactly once. A child is
+    built only when it or a subset below it has a size in ``k_values``.
+    """
+    size = len(subset) - 1
+    for i in range(m):
+        if any(size - i <= k <= size for k in k_values):
+            child = tuple(c for c in subset if c != order[i])
+            yield child, order[i]
+            yield from _descent(child, i, order, k_values)
+
+
 def _subset_tables(network: Network, target: str, target_state: str,
                    candidate_pool: Sequence[str], k_range: Iterable[int],
                    max_evals: int):
@@ -249,13 +275,20 @@ def _subset_tables(network: Network, target: str, target_state: str,
 
     The table's axes follow the subset, in canonical variable order, with
     the target last; the posterior is P(target = target_state | subset
-    states), or -1 where those states have probability zero. Subsets of
-    the largest size k each take one elimination, C(pool, k) in all; a
-    smaller subset S is summed out of exactly one of those tables, that of
-    S plus the first pool variables S lacks. One elimination table is held
-    at a time, and the results depend only on the network, the pool, the
-    target and the sizes. Subsets come in lattice order, not enumeration
-    order. Pool, size and cap checks run before any elimination.
+    states), or -1 where those states have probability zero.
+
+    The tables form a marginalization lattice with one elimination per
+    root. Every other table sums one axis out of its smallest superset
+    (``_descent``), depth first, so one root-to-leaf path of tables is held
+    at a time: at most twice the root's cells, since every variable has at
+    least two states. The root is the whole pool, one elimination, unless
+    its table would have more cells than the network's largest CPT, or its
+    descent would sum more cells than the C(pool, max k) eliminations of
+    the largest subsets read from the target's CPT alone; then those
+    subsets are the roots. The choice rests on cardinalities and CPT sizes
+    only, and the results depend only on the network, the pool, the target
+    and the sizes. Subsets come in lattice order, not enumeration order.
+    Pool, size and cap checks run before any elimination.
     """
     pool = list(dict.fromkeys(candidate_pool))
     if not pool:
@@ -271,24 +304,40 @@ def _subset_tables(network: Network, target: str, target_state: str,
         raise DomainError("k range is empty")
     if k_values[0] < 1 or k_values[-1] > len(pool):
         raise DomainError(f"k must lie within [1, {len(pool)}]")
-    estimated = estimate_evaluations([network.cardinality(v) for v in pool], k_values)
+    cards = [network.cardinality(v) for v in pool]
+    estimated = estimate_evaluations(cards, k_values)
     if estimated > max_evals:
         raise PoolTooLarge(estimated, max_evals)
 
+    order = sorted(range(len(pool)), key=lambda i: (cards[i], i))
     top = k_values[-1]
-    for combo in itertools.combinations(range(len(pool)), top):
-        joint = joint_table(network, [pool[i] for i in combo] + [target])
-        # the axes S sums out are the first pool variables S lacks, so they
-        # lie in the leading run of combo that holds pool indices 0, 1, ...
-        prefix = next((i for i, c in enumerate(combo) if c != i), top)
-        for k in k_values:
-            for drop in itertools.combinations(range(prefix), top - k):
-                subset = tuple(pool[c] for i, c in enumerate(combo) if i not in drop)
-                table = joint.sum(axis=drop) if drop else joint
+    whole = tuple(range(len(pool)))
+    t_card = network.cardinality(target)
+    if top < len(pool) and t_card * math.prod(cards) <= max(
+            cpt.rows.size for cpt in network.cpts.values()):
+        budget = math.comb(len(pool), top) * network.cpts[target].rows.size
+        summed = 0
+        for child, dropped in _descent(whole, len(pool), order, k_values):
+            summed += t_card * cards[dropped] * math.prod(cards[c] for c in child)
+            if summed > budget:
+                break
+        else:
+            top = len(pool)
+
+    for root in itertools.combinations(whole, top):
+        m = next((i for i, c in enumerate(order) if c not in root), len(order))
+        path = [joint_table(network, [pool[c] for c in root] + [target])]
+        for subset, dropped in itertools.chain([(root, None)],
+                                               _descent(root, m, order, k_values)):
+            if dropped is not None:
+                del path[len(root) - len(subset):]
+                path.append(path[-1].sum(axis=sum(c < dropped for c in subset)))
+            if len(subset) in k_values:
+                table = path[-1]
                 denom = table.sum(axis=-1)
                 post = np.full(denom.shape, -1.0)
                 np.divide(table[..., t_idx], denom, out=post, where=denom > 0)
-                yield subset, table, post
+                yield tuple(pool[c] for c in subset), table, post
 
 
 def _assignment(network: Network, subset: Sequence[str],
@@ -304,9 +353,11 @@ def multifactor_search(network: Network, target: str, target_state: str,
 
     For each k, every subset of k distinct pool variables and every state
     combination is evaluated; zero-probability combinations are skipped and
-    counted. Takes C(pool, max k) eliminations (see ``_subset_tables``), and
-    the result depends only on the network, the pool, the target and the
-    k range. Ties on the maximum (exact ``==``) keep every achieving set,
+    counted. Takes one elimination of the whole pool, or C(pool, max k) when
+    that table is too large or its descent too costly (see
+    ``_subset_tables``); holds one root-to-leaf path of lattice tables at a
+    time. The result depends only on the network, the pool, the target and
+    the k range. Ties on the maximum (exact ``==``) keep every achieving set,
     in enumeration order (canonical variable order, row-major states).
     """
     best: dict[int, tuple[float | None, list, int, int]] = {}
@@ -357,9 +408,10 @@ def risk_profiles(network: Network, target: str, target_state: str,
                   max_evals: int = DEFAULT_MAX_EVALS) -> RiskProfileSet:
     """Collect every evidence set of exactly ``k`` assignments whose target
     posterior is at least ``threshold`` (exact ``>=``); profiles sort by
-    posterior (descending, then lexicographically). Takes C(pool, k)
-    eliminations, and the result depends only on the network, the pool,
-    the target, ``k`` and ``threshold``."""
+    posterior (descending, then lexicographically). Takes one elimination of
+    the whole pool, or C(pool, k) by the root rule of ``_subset_tables``,
+    and the result depends only on the network, the pool, the target, ``k``
+    and ``threshold``."""
     if not 0.0 <= threshold <= 1.0:
         raise DomainError("threshold must lie in [0, 1]")
     profiles: list[RiskProfile] = []

@@ -6,14 +6,19 @@ are byte-identical (up to the version comment, written by the CLI)."""
 
 from __future__ import annotations
 
+import html
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 _FONT = "font-family=\"sans-serif\" font-size=\"12\""
 BAR_COLOR = "#4878a8"
 HIGHLIGHT_COLOR = "#d9822b"
 LINE_COLORS = ("#4878a8", "#d9822b", "#5a9e6f", "#b05cc6")
 THRESHOLD_COLOR = "#c44040"
+
+
+def escape(text: str) -> str:
+    """``&``, ``<`` and ``>`` as entities; quotes stay as they are."""
+    return html.escape(text, quote=False)
 
 
 def _f(x: float) -> str:

@@ -8,9 +8,10 @@ outright). Elimination order is greedy min-degree on the factor interaction
 graph with declaration-order tie-breaks, so every query is deterministic.
 Each step is one ``np.einsum`` contraction (``_contract``) of the factors
 that mention the eliminated variable; a last contraction multiplies what is
-left into the targets' axes, in the order the caller gave. A CPT factor is a
-view of the CPT rows over (parents..., child), sliced by the evidence, so no
-factor is transposed or copied before it is contracted.
+left into the targets' axes, in the order the caller gave, two factors at a
+time when more than two are left. A CPT factor is a view of the CPT rows
+over (parents..., child), sliced by the evidence, so no factor is
+transposed or copied before it is contracted.
 
 All query functions are pure over an immutable :class:`~riskbn.core.Network`
 and safe to call concurrently.
@@ -140,6 +141,14 @@ def _query_factor(network: Network, targets: Sequence[str], evidence: Evidence) 
         factors = [f for f in factors if name not in f.scope]
         scope = sorted({v for f in touched for v in f.scope} - {name}, key=network.index)
         factors.append(Factor(tuple(scope), _contract(touched, scope)))
+    # only targets are left, so nothing is summed: one einsum would multiply
+    # every factor once per output cell, which is slow for many wide factors;
+    # multiplying them in pairs, left to right as einsum does, keeps the
+    # product's rounding
+    while len(factors) > 2:
+        a, b, *rest = factors
+        scope = a.scope + tuple(v for v in b.scope if v not in a.scope)
+        factors = [Factor(scope, _contract([a, b], scope)), *rest]
     return Factor(tuple(targets), _contract(factors, targets))
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ from riskbn.analysis import (
     strength_ranking,
 )
 from riskbn.core import Cpt, DagStructure, VariableSpec, build_network
-from riskbn.data import build_default_generator
+from riskbn.data import build_default_generator, default_dag, default_schema, simulate_dataset
 from riskbn.errors import (
     DegenerateSourceWarning,
     DomainError,
@@ -31,6 +32,7 @@ from riskbn.errors import (
     PoolTooLarge,
 )
 from riskbn.inference import joint_table, marginal
+from riskbn.learning import fit_cpts
 
 from helpers import JointOracle, chain_network, copy_network, random_network
 
@@ -396,12 +398,52 @@ def test_multifactor_matches_oracle_enumeration():
                     assert p == pytest.approx(best, abs=1e-12)
 
 
-@pytest.mark.parametrize("seed", [55, 56, 58])
-def test_subset_tables_match_per_subset_elimination(monkeypatch, seed):
-    rng = np.random.default_rng(seed)
-    net = random_network(rng, max_vars=6, max_states=3, allow_zeros=True)
-    target = net.variables[-1]
-    pool = list(net.variables[:-1])
+def predicted_roots(net, target, pool, k_values):
+    """Number of eliminations the root rule asks for, found by brute force:
+    the built tables are the needed subsets and all their smallest
+    supersets, up to but excluding the whole pool."""
+    pool = sorted(pool, key=net.index)
+    top = max(k_values)
+    card = {v: net.cardinality(v) for v in pool + [target]}
+
+    def cells(subset):
+        return card[target] * math.prod(card[v] for v in subset)
+
+    def parent(subset):
+        missing = [v for v in pool if v not in subset]
+        return subset | {min(missing, key=lambda v: (card[v], net.index(v)))}
+
+    if top == len(pool):
+        return 1
+    if cells(pool) > max(cpt.rows.size for cpt in net.cpts.values()):
+        return math.comb(len(pool), top)
+    built = set()
+    for k in k_values:
+        for subset in itertools.combinations(pool, k):
+            subset = frozenset(subset)
+            while len(subset) < len(pool) and subset not in built:
+                built.add(subset)
+                subset = parent(subset)
+    summed = sum(cells(parent(subset)) for subset in built)
+    budget = math.comb(len(pool), top) * net.cpts[target].rows.size
+    return 1 if summed <= budget else math.comb(len(pool), top)
+
+
+def fan_in_network(rng, n_roots, n_parents):
+    """Binary roots X0..X(n-1) and a binary target T whose parents are the
+    first ``n_parents`` of them; random CPT rows."""
+    names = [f"X{i}" for i in range(n_roots)]
+    schema = [VariableSpec(n, ("0", "1")) for n in names + ["T"]]
+    dag = DagStructure(tuple(names) + ("T",), tuple((n, "T") for n in names[:n_parents]))
+    cpts = [Cpt(n, (), rng.dirichlet([1, 1])[None, :]) for n in names]
+    cpts.append(Cpt("T", tuple(names[:n_parents]), rng.dirichlet([1, 1], 2 ** n_parents)))
+    return build_network(schema, dag, cpts)
+
+
+def check_subset_tables(monkeypatch, net, target, pool, k_values):
+    """Every subset's table and posterior match per-subset elimination at
+    1e-12, each subset comes once, and the eliminations are the predicted
+    roots; returns the number of eliminations."""
     t_state = net.spec(target).states[0]
     t_idx = net.state_index(target, t_state)
     eliminations = []
@@ -411,21 +453,62 @@ def test_subset_tables_match_per_subset_elimination(monkeypatch, seed):
         return joint_table(network, variables)
 
     monkeypatch.setattr(analysis, "joint_table", counting_joint_table)
+    seen = []
+    for subset, table, post in analysis._subset_tables(
+            net, target, t_state, pool, k_values, DEFAULT_MAX_EVALS):
+        seen.append(subset)
+        reference = joint_table(net, list(subset) + [target])
+        np.testing.assert_allclose(table, reference, rtol=0, atol=1e-12)
+        denom = reference.sum(axis=-1)
+        with np.errstate(invalid="ignore"):
+            expected = np.where(denom > 0, reference[..., t_idx] / denom, -1.0)
+        np.testing.assert_allclose(post, expected, rtol=0, atol=1e-12)
+    assert sorted(seen) == sorted(itertools.chain.from_iterable(
+        itertools.combinations(sorted(pool, key=net.index), k) for k in k_values))
+    assert len(eliminations) == predicted_roots(net, target, pool, k_values)
+    return len(eliminations)
+
+
+@pytest.mark.parametrize("seed", [55, 56, 58])
+def test_subset_tables_match_per_subset_elimination(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, max_vars=6, max_states=3, allow_zeros=True)
+    target = net.variables[-1]
+    pool = list(net.variables[:-1])
     for k_values in ([1, 2, 3], [2], [1, 3]):
-        eliminations.clear()
-        seen = []
-        for subset, table, post in analysis._subset_tables(
-                net, target, t_state, pool, k_values, DEFAULT_MAX_EVALS):
-            seen.append(subset)
-            reference = joint_table(net, list(subset) + [target])
-            np.testing.assert_allclose(table, reference, rtol=0, atol=1e-12)
-            denom = reference.sum(axis=-1)
-            with np.errstate(invalid="ignore"):
-                expected = np.where(denom > 0, reference[..., t_idx] / denom, -1.0)
-            np.testing.assert_allclose(post, expected, rtol=0, atol=1e-12)
-        assert sorted(seen) == sorted(itertools.chain.from_iterable(
-            itertools.combinations(pool, k) for k in k_values))
-        assert len(eliminations) == math.comb(len(pool), max(k_values))
+        check_subset_tables(monkeypatch, net, target, pool, k_values)
+
+
+@pytest.mark.parametrize("n_parents, k_values, roots", [
+    (2, [1, 2], math.comb(14, 2)),    # whole-pool table past the largest CPT
+    (14, [1, 13], 14),                # descent sums more than the top eliminations read
+    (14, [1, 2], 1),                  # one elimination of the whole pool
+])
+def test_subset_tables_root_rule_branches(monkeypatch, n_parents, k_values, roots):
+    net = fan_in_network(np.random.default_rng(n_parents), 14, n_parents)
+    pool = [f"X{i}" for i in range(14)]
+    assert check_subset_tables(monkeypatch, net, "T", pool, k_values) == roots
+
+
+def test_multifactor_profiling_pool_k1_to_10_in_bounded_memory():
+    # the whole-pool root is 145,800 doubles; the descent holds one
+    # root-to-leaf path of tables, under twice the root, plus one subset's
+    # posteriors
+    net = fit_cpts(default_schema().network_variables, default_dag(),
+                   simulate_dataset(100_000, 0))
+    target = "Previous_CB_Offending"
+    pool = [v.name for v in net.schema
+            if v.kind in ("demographic", "psychological", "outcome") and v.name != target]
+    root_bytes = 8 * net.cardinality(target) * math.prod(net.cardinality(v) for v in pool)
+    assert root_bytes == 8 * 145_800
+    tracemalloc.start()
+    try:
+        result = multifactor_search(net, target, "Yes", pool, range(1, 11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [e.k for e in result.entries] == list(range(1, 11))
+    assert peak <= 4 * root_bytes
 
 
 @pytest.mark.parametrize("k_values", [[1], [1, 2], [1, 3], [1, 2, 3]])

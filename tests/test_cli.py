@@ -684,6 +684,19 @@ def test_ranking_csv_parses_or_raises_riskbn_error(tmp_path, text):
 
 # --- start-up ---------------------------------------------------------------------------
 
+def test_cli_import_loads_no_network_modules():
+    # every command pays for what riskbn.cli imports; SVG escaping needs no
+    # URL, HTTP or TLS stack
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "import riskbn.cli\n"
+              "added = {'urllib.request', 'http.client', 'ssl'} & (set(sys.modules) - before)\n"
+              "assert not added, sorted(added)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_runs_without_scipy(tmp_path):
     # scipy is a test-only dependency: importing the CLI must not load it,
     # and compare must work where it cannot be imported at all.
