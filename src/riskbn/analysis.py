@@ -22,10 +22,9 @@ joint table with the target. Those tables form a marginalization lattice
 from which every subset's table is summed one axis at a time out of its
 smallest superset, depth first, so at most twice the root's cells are held
 at once. Where the whole-pool table would outgrow the network's largest CPT,
-or its descent would sum more cells than one elimination per subset of the
-largest size reads from the target's CPT, those subsets are the roots
-instead. Results depend only on the network, the pool, the target and the
-sizes, and are tested against full joint enumeration.
+the subsets of the largest size are the roots instead. Results depend only
+on the network, the pool, the target and the sizes, and are tested against
+full joint enumeration.
 """
 
 from __future__ import annotations
@@ -282,13 +281,12 @@ def _subset_tables(network: Network, target: str, target_state: str,
     (``_descent``), depth first, so one root-to-leaf path of tables is held
     at a time: at most twice the root's cells, since every variable has at
     least two states. The root is the whole pool, one elimination, unless
-    its table would have more cells than the network's largest CPT, or its
-    descent would sum more cells than the C(pool, max k) eliminations of
-    the largest subsets read from the target's CPT alone; then those
-    subsets are the roots. The choice rests on cardinalities and CPT sizes
-    only, and the results depend only on the network, the pool, the target
-    and the sizes. Subsets come in lattice order, not enumeration order.
-    Pool, size and cap checks run before any elimination.
+    its table would have more cells than the network's largest CPT; then
+    the C(pool, max k) subsets of the largest size are the roots. The
+    choice rests on cardinalities and CPT sizes only, and bounds memory;
+    the results depend only on the network, the pool, the target and the
+    sizes. Subsets come in lattice order, not enumeration order. Pool, size
+    and cap checks run before any elimination.
     """
     pool = list(dict.fromkeys(candidate_pool))
     if not pool:
@@ -312,17 +310,9 @@ def _subset_tables(network: Network, target: str, target_state: str,
     order = sorted(range(len(pool)), key=lambda i: (cards[i], i))
     top = k_values[-1]
     whole = tuple(range(len(pool)))
-    t_card = network.cardinality(target)
-    if top < len(pool) and t_card * math.prod(cards) <= max(
+    if network.cardinality(target) * math.prod(cards) <= max(
             cpt.rows.size for cpt in network.cpts.values()):
-        budget = math.comb(len(pool), top) * network.cpts[target].rows.size
-        summed = 0
-        for child, dropped in _descent(whole, len(pool), order, k_values):
-            summed += t_card * cards[dropped] * math.prod(cards[c] for c in child)
-            if summed > budget:
-                break
-        else:
-            top = len(pool)
+        top = len(pool)
 
     for root in itertools.combinations(whole, top):
         m = next((i for i, c in enumerate(order) if c not in root), len(order))
@@ -354,7 +344,7 @@ def multifactor_search(network: Network, target: str, target_state: str,
     For each k, every subset of k distinct pool variables and every state
     combination is evaluated; zero-probability combinations are skipped and
     counted. Takes one elimination of the whole pool, or C(pool, max k) when
-    that table is too large or its descent too costly (see
+    that table would outgrow the network's largest CPT (see
     ``_subset_tables``); holds one root-to-leaf path of lattice tables at a
     time. The result depends only on the network, the pool, the target and
     the k range. Ties on the maximum (exact ``==``) keep every achieving set,

@@ -9,9 +9,9 @@ graph with declaration-order tie-breaks, so every query is deterministic.
 Each step is one ``np.einsum`` contraction (``_contract``) of the factors
 that mention the eliminated variable; a last contraction multiplies what is
 left into the targets' axes, in the order the caller gave, two factors at a
-time when more than two are left. A CPT factor is a view of the CPT rows
-over (parents..., child), sliced by the evidence, so no factor is
-transposed or copied before it is contracted.
+time where that reads fewer cells than one einsum (``_pairs_read_less``).
+A CPT factor is a view of the CPT rows over (parents..., child), sliced by
+the evidence, so no factor is transposed or copied before it is contracted.
 
 All query functions are pure over an immutable :class:`~riskbn.core.Network`
 and safe to call concurrently.
@@ -19,6 +19,7 @@ and safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -122,6 +123,28 @@ def _elimination_order(network: Network, factors: Sequence[Factor],
     return order
 
 
+def _pairs_read_less(network: Network, factors: Sequence[Factor],
+                     targets: Sequence[str]) -> bool:
+    """Whether multiplying ``factors`` two at a time, left to right, reads
+    fewer cells than one einsum over all of them. A contraction reads one
+    cell of each operand per output cell and writes that cell: one einsum
+    costs n + 1 per cell of the targets' table, each pair three per cell of
+    its product, the last pair three per cell of the targets' table. Wide
+    tables of many factors pass; a scalar product of sliced CPTs does not."""
+    out = math.prod(network.cardinality(v) for v in targets)
+    if len(factors) < 3 or out <= 3:
+        return False  # a product has at least one cell: pairs cost at least 3 each
+    margin = (len(factors) - 2) * out
+    sizes: dict[str, int] = {}
+    for i, f in enumerate(factors[:-1]):
+        sizes.update(zip(f.scope, f.values.shape))
+        if i:
+            margin -= 3 * math.prod(sizes.values())
+        if margin <= 0:
+            break
+    return margin > 0
+
+
 def _query_factor(network: Network, targets: Sequence[str], evidence: Evidence) -> Factor:
     """Unnormalized joint P(targets, evidence) as a factor over ``targets``."""
     evidence_idx = network.check_evidence(evidence)
@@ -141,14 +164,13 @@ def _query_factor(network: Network, targets: Sequence[str], evidence: Evidence) 
         factors = [f for f in factors if name not in f.scope]
         scope = sorted({v for f in touched for v in f.scope} - {name}, key=network.index)
         factors.append(Factor(tuple(scope), _contract(touched, scope)))
-    # only targets are left, so nothing is summed: one einsum would multiply
-    # every factor once per output cell, which is slow for many wide factors;
-    # multiplying them in pairs, left to right as einsum does, keeps the
-    # product's rounding
-    while len(factors) > 2:
-        a, b, *rest = factors
-        scope = a.scope + tuple(v for v in b.scope if v not in a.scope)
-        factors = [Factor(scope, _contract([a, b], scope)), *rest]
+    # only targets are left, so nothing is summed; multiplying the factors two
+    # at a time, left to right as einsum does, keeps the product's rounding
+    if _pairs_read_less(network, factors, targets):
+        while len(factors) > 2:
+            a, b, *rest = factors
+            scope = a.scope + tuple(v for v in b.scope if v not in a.scope)
+            factors = [Factor(scope, _contract([a, b], scope)), *rest]
     return Factor(tuple(targets), _contract(factors, targets))
 
 

