@@ -65,7 +65,7 @@ from .data import (
     default_dag,
     default_schema,
     load_dataset,
-    save_dataset,
+    render_dataset,
     simulate_dataset,
     summarize,
 )
@@ -430,7 +430,8 @@ def cmd_simulate(args) -> int:
     schema = _data_schema(network.schema) if network else None
     dataset = simulate_dataset(args.n, seed, network, schema)
     out = Path(args.out)
-    out.write_text(save_dataset(dataset))
+    with out.open("w") as fh:
+        fh.writelines(render_dataset(dataset))
     _write_manifest(args, [out], {"seed": seed, "generated": generated},
                     generator=GENERATOR_ID)
     print(f"{args.n} records written to {out} (seed {seed})")

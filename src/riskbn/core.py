@@ -23,6 +23,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -507,8 +508,10 @@ def parse_model_parts(
         if (not isinstance(rows, list) or not rows
                 or not all(isinstance(r, list) for r in rows)):
             raise ModelSyntaxError(f"rows of '{name}' must be a non-empty array of arrays")
+        if not set(map(type, chain.from_iterable(rows))) <= {int, float}:  # JSON numbers only
+            raise ModelSyntaxError(f"rows of '{name}' are not numeric")
         try:
             cpt_map[name] = Cpt(name, tuple(parents), rows)
-        except (ValueError, TypeError):
+        except (ValueError, TypeError, OverflowError):  # ragged, or an int past float64
             raise ModelSyntaxError(f"rows of '{name}' are not numeric") from None
     return schema, dag, cpt_map

@@ -20,7 +20,7 @@ import io
 import re
 from dataclasses import dataclass, field, replace
 from itertools import islice
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -41,8 +41,8 @@ DEFAULT_CONTROL = "A1Q1_PhotoSharing"
 MISSING_TOKENS = ("", "?")
 _RT_MAX = int(np.iinfo(np.int32).max)  # response times are stored as int32
 _MAX_RUN_LABELS = 4096  # joint labels of one fused column run in save_dataset
-_CHUNK_ROWS = 8192  # rows load_dataset holds as cell text before decoding them
-_SLICE_CHARS = 1 << 16  # least characters of text load_dataset hands the CSV reader at once
+_CHUNK_ROWS = 8192  # rows load_dataset holds as cell text, and render_dataset renders, at once
+_SLICE_CHARS = 1 << 18  # least characters of text load_dataset reads at once
 _LINE_END = re.compile(r"\r\n?|\n")  # where io.StringIO(newline="") ends a line
 
 #: Published survey marginals (percent). Two columns do not sum to 100:
@@ -242,17 +242,23 @@ def _response_time(cell: str) -> int:
     return value
 
 
-def _lines(text: str):
-    """The lines of ``io.StringIO(text, newline="")``, read from successive
-    slices of ``text`` so that no whole copy of it is made. Each slice ends
-    just after the first line end (``\\r\\n``, ``\\n`` or a bare ``\\r``)
-    at least ``_SLICE_CHARS`` characters on, so none straddles two slices."""
-    start = 0
+def _slices(text: str, start: int = 0):
+    """Successive slices of ``text`` from ``start``. Each ends just after
+    the first line end (``\\r\\n``, ``\\n`` or a bare ``\\r``, where
+    ``io.StringIO(newline="")`` ends a line) at least ``_SLICE_CHARS``
+    characters on, so no line straddles two slices."""
     while start < len(text):
         end = _LINE_END.search(text, start + _SLICE_CHARS - 1)
         cut = end.end() if end else len(text)
-        yield from io.StringIO(text[start:cut], newline="")
+        yield text[start:cut]
         start = cut
+
+
+def _lines(text: str):
+    """The lines of ``io.StringIO(text, newline="")``, read from successive
+    slices of ``text`` so that no whole copy of it is made."""
+    for piece in _slices(text):
+        yield from io.StringIO(piece, newline="")
 
 
 def _decode_chunk(cells: list[str], first: int, columns) -> None:
@@ -275,10 +281,10 @@ def _decode_chunk(cells: list[str], first: int, columns) -> None:
         raise IllegalState(cell, first + i + 1, name)
 
 
-def _read_rows(reader, schema: Schema) -> Dataset:
-    """The dataset whose CSV rows ``reader`` yields, checked and decoded
-    chunk by chunk; a CSV reader error is left to the caller."""
-    header = [h.strip() for h in next(reader, ())]
+def _columns(header_row: Sequence[str], schema: Schema) -> list:
+    """Check a header row and give each of its columns a
+    (name, memo, dtype, decoded pieces) entry."""
+    header = [h.strip() for h in header_row]
     if not header:  # an empty file, or a blank first line
         raise RaggedRow(0, 1, 0)
     spec_by_name = {v.name: v for v in schema.variables}
@@ -289,15 +295,29 @@ def _read_rows(reader, schema: Schema) -> Dataset:
         raise UnknownColumn(f"column '{name}' is not declared in the schema")
     if len(set(header)) != len(header):
         raise UnknownColumn("duplicate column names in header")
-
-    columns = []  # (name, memo, dtype, decoded pieces)
+    columns = []
     for name in header:
         if name in spec_by_name:
             lookup, dtype = _CellCodes(_state_code(spec_by_name[name].states)), np.int16
         else:
             lookup, dtype = _CellCodes(_response_time), np.int32
         columns.append((name, lookup, dtype, [np.empty(0, dtype)]))
-    width = len(header)
+    return columns
+
+
+def _dataset(schema: Schema, n: int, columns) -> Dataset:
+    decoded = {name: np.concatenate(pieces) for name, _, _, pieces in columns}
+    spec_by_name = {v.name: v for v in schema.variables}
+    cat_cols = {k: v for k, v in decoded.items() if k in spec_by_name}
+    rt_cols = {k: v for k, v in decoded.items() if k not in spec_by_name}
+    return Dataset(schema, n, cat_cols, rt_cols, "ingest")
+
+
+def _read_rows(reader, schema: Schema) -> Dataset:
+    """The dataset whose CSV rows ``reader`` yields, checked and decoded
+    chunk by chunk; a CSV reader error is left to the caller."""
+    columns = _columns(next(reader, ()), schema)
+    width = len(columns)
     n = 0
     while True:
         cells: list[str] = []
@@ -311,10 +331,155 @@ def _read_rows(reader, schema: Schema) -> Dataset:
             break
         _decode_chunk(cells, n, columns)
         n += len(cells) // width
-    decoded = {name: np.concatenate(pieces) for name, _, _, pieces in columns}
-    cat_cols = {k: v for k, v in decoded.items() if k in spec_by_name}
-    rt_cols = {k: v for k, v in decoded.items() if k not in spec_by_name}
-    return Dataset(schema, n, cat_cols, rt_cols, "ingest")
+    return _dataset(schema, n, columns)
+
+
+# _WORD_MASKS[r] keeps the first r bytes of a little-endian 8-byte word
+_WORD_MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
+_HASH_FACTORS = np.array([0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9], dtype=np.uint64)
+
+
+def _words(windows: np.ndarray, start: np.ndarray, length: np.ndarray):
+    """The 8-byte words that cover each cell of at least 8 bytes (the words
+    at 0, 8, 16, ... bytes into it, its last 8 bytes for the last one), all
+    cells' words in one array; each word's number in its cell; and where
+    each cell's words begin."""
+    count = (length + 7) >> 3
+    first = np.cumsum(count) - count
+    k = np.arange(count.sum()) - np.repeat(first, count)
+    at = np.repeat(start, count) + np.minimum(8 * k, np.repeat(length - 8, count))
+    return windows[at], k, first
+
+
+def _split_slice(b: np.ndarray, width: int, field_limit: int):
+    """Where the cells of ``b``, the UTF-8 bytes of whole lines of text
+    holding no ``"``, start and how long they are: two (width, rows) arrays,
+    a row per line. None at a line of another width (a blank line among
+    them) or a field past ``field_limit`` bytes."""
+    # line ends: \n, \r, and \r\n counted once, at its \r
+    breaks = np.flatnonzero((b == 10) | (b == 13))
+    pair = np.zeros(len(breaks), bool)
+    pair[:-1] = (breaks[1:] == breaks[:-1] + 1) & (b[breaks[:-1]] == 13) & (b[breaks[1:]] == 10)
+    keep = np.ones(len(breaks), bool)
+    keep[1:] = ~pair[:-1]
+    line_end = breaks[keep]
+    next_line = line_end + 1 + pair[keep]
+    if not len(line_end) or next_line[-1] < len(b):  # the text's last line has no line end
+        line_end = np.append(line_end, len(b))
+        next_line = np.append(next_line, len(b) + 1)
+    rows = len(line_end)
+    line_start = np.empty(rows, np.int64)
+    line_start[0] = 0
+    line_start[1:] = next_line[:-1]
+    commas = np.flatnonzero(b == 44)
+    if len(commas) != rows * (width - 1) or not (line_end > line_start).all():
+        return None
+    commas = commas.reshape(rows, width - 1).T
+    if width > 1 and ((commas[0] < line_start).any() or (commas[-1] >= line_end).any()):
+        return None
+    start = np.empty((width, rows), np.int64)
+    start[0] = line_start
+    start[1:] = commas + 1
+    length = np.empty((width, rows), np.int64)
+    length[:-1] = commas
+    length[-1] = line_end
+    length -= start
+    if length.max() > field_limit:
+        return None
+    return start, length
+
+
+def _decode_slice(piece: str, columns, field_limit: int) -> np.ndarray | None:
+    """The codes of the rows of ``piece``, whole lines of text holding no
+    ``"`` and no NUL, as a (width, rows) array; or None at anything the CSV
+    reader might read otherwise or refuse (see :func:`_split_slice`), at an
+    illegal cell, or at a hash that groups two different cell texts.
+
+    Each column's cells are grouped by a key and only one cell of each group
+    is decoded, through its column's memo. A cell of at most 8 bytes is its
+    own key: its bytes in one word, whose zero bytes past the cell's end
+    tell its length, as no cell holds a NUL. A longer cell's key is a hash
+    of its words and its length, so each such cell is checked word for word
+    against its neighbour in its group."""
+    width = len(columns)
+    raw = piece.encode("utf-8", "surrogatepass")
+    size = len(raw)
+    raw += bytes(8)  # so that a word can be read at any cell's start
+    b = np.frombuffer(raw, np.uint8)
+    cells = _split_slice(b[:size], width, field_limit)
+    if cells is None:
+        return None
+    start, length = cells[0].ravel(), cells[1].ravel()  # column by column
+    rows = cells[0].shape[1]
+
+    windows = np.ndarray(size + 1, "<u8", raw, strides=(1,))  # the 8 bytes from each offset
+    key = windows[start] & _WORD_MASKS[np.minimum(length, 8)]
+    is_long = length > 8
+    long = np.flatnonzero(is_long)
+    if len(long):
+        words, k, first = _words(windows, start[long], length[long])
+        key[long] = (np.add.reduceat(words * _HASH_FACTORS[0] ** k.astype(np.uint64), first)
+                     + length[long].astype(np.uint64) * _HASH_FACTORS[1])
+    order = np.argsort(key.reshape(width, rows), axis=1)
+    order += np.arange(0, width * rows, rows)[:, None]
+    order = order.ravel()  # cells sorted by key within each column
+    key = key[order]
+    new = np.empty(len(order), bool)  # where a group starts
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    new[::rows] = True
+    # a group that holds a long cell must hold one text
+    is_long = is_long[order]
+    pairs = np.flatnonzero(~new[1:] & (is_long[1:] | is_long[:-1])) + 1
+    if len(pairs):
+        cell, neighbour = order[pairs], order[pairs - 1]
+        if (not np.array_equal(length[cell], length[neighbour])
+                or not np.array_equal(_words(windows, start[cell], length[cell])[0],
+                                      _words(windows, start[neighbour], length[cell])[0])):
+            return None
+
+    # decode one cell of each group; groups come in column order
+    reps = order[new]
+    span = length[reps] + 1  # the cell and the comma or line end after it
+    at = np.cumsum(span)
+    chars = b[np.repeat(start[reps] - (at - span), span) + np.arange(at[-1])]
+    chars[at - 1] = 44
+    texts = chars.tobytes().decode("utf-8", "surrogatepass").split(",")
+    bounds = np.cumsum(new.reshape(width, rows).sum(axis=1)).tolist()
+    codes = np.empty(len(reps), np.int32)
+    lo = 0
+    for (_, lookup, dtype, _), hi in zip(columns, bounds):
+        try:
+            codes[lo:hi] = np.fromiter(map(lookup.__getitem__, texts[lo:hi]), dtype, hi - lo)
+        except (LookupError, ValueError):
+            return None
+        lo = hi
+    coded = np.empty(len(order), np.int32)
+    coded[order] = codes[np.cumsum(new) - 1]
+    return coded.reshape(width, rows)
+
+
+def _load_quote_free(text: str, schema: Schema) -> Dataset | None:
+    """The dataset in ``text``, which holds no ``"``, split by
+    :func:`_decode_slice`; or None where the CSV path must decide, as at a
+    NUL (which Python 3.10's CSV reader refuses)."""
+    if "\0" in text:
+        return None
+    end = _LINE_END.search(text)
+    cut = end.end() if end else len(text)
+    try:
+        columns = _columns(next(csv.reader([text[:cut]]), ()), schema)
+    except (RiskbnError, csv.Error):
+        return None
+    field_limit = csv.field_size_limit()
+    n = 0
+    for piece in _slices(text, cut):
+        coded = _decode_slice(piece, columns, field_limit)
+        if coded is None:
+            return None
+        for (_, _, dtype, pieces), column in zip(columns, coded):
+            pieces.append(column.astype(dtype))
+        n += coded.shape[1]
+    return _dataset(schema, n, columns)
 
 
 def load_dataset(text: str, schema: Schema) -> Dataset:
@@ -327,13 +492,26 @@ def load_dataset(text: str, schema: Schema) -> Dataset:
     line is a ragged row 0), then the first illegal cell in row-major order,
     then the first row whose width differs from the header's.
 
-    The cell text held at once does not grow with the file: the CSV reader
-    takes its lines from slices of ``text`` (no whole copy of it is made),
-    and rows are gathered ``_CHUNK_ROWS`` at a time into a flat cell list
-    whose columns are decoded at C speed, each through one memo of its
-    distinct cell texts kept for the whole file. No result depends on
-    either constant.
+    Two tokenizers read CSV text, with the same result and the same error.
+    A text holding no ``"`` is split by numpy, one slice at a time: each
+    slice is encoded once, its commas and line ends are found by vector
+    compares, and only each column's distinct cell texts are decoded.
+    Anything out of the way (a NUL, a ragged or blank line, a field past
+    ``csv.field_size_limit()``, an illegal cell) makes the numpy path give
+    up without raising, and the whole text goes to the CSV reader, which
+    raises the error. The CSV reader reads every other text from the start.
+
+    The memory held does not grow with the file beyond the decoded columns:
+    both paths read slices of ``text`` of at least ``_SLICE_CHARS``
+    characters (no whole copy of it is made), and the CSV reader's rows are
+    gathered ``_CHUNK_ROWS`` at a time into a flat cell list. Both decode
+    each column through one memo of its distinct cell texts, kept for the
+    whole file. No result depends on either constant.
     """
+    if '"' not in text:
+        dataset = _load_quote_free(text, schema)
+        if dataset is not None:
+            return dataset
     reader = csv.reader(_lines(text))
     try:
         try:
@@ -355,41 +533,56 @@ def _csv_field(value: str, alone: bool) -> str:
 
 
 def save_dataset(dataset: Dataset) -> str:
-    """Render a dataset back to CSV; inverse of :func:`load_dataset`.
+    """Render a dataset back to CSV; inverse of :func:`load_dataset`. The
+    text is that of :func:`render_dataset` joined."""
+    return "".join(render_dataset(dataset))
+
+
+def render_dataset(dataset: Dataset) -> Iterator[str]:
+    """The text of :func:`save_dataset` in pieces: the header line, then
+    blocks of ``_CHUNK_ROWS`` rows, so that a writer of the pieces holds one
+    block of rows at a time and never the whole text.
 
     The output is byte for byte what ``csv.writer`` (minimal quoting,
     ``\\n`` line ends) writes row by row. Each state label is quoted once.
     Neighbouring categorical columns are fused into runs whose joint labels
-    (``"a,b,c"``) number at most ``_MAX_RUN_LABELS``; each run is rendered by
-    indexing its label array with the run's combined codes, and the rows are
-    joined from the runs.
+    (``"a,b,c"``) number at most ``_MAX_RUN_LABELS``. In each block, a run
+    is rendered by indexing its label array with the run's combined codes,
+    and the rows are joined from the runs.
     """
     header = [v.name for v in dataset.schema.variables if v.name in dataset.columns]
     header += [name for name in dataset.schema.response_time_columns
                if name in dataset.response_times]
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(header)
+    yield buf.getvalue()
     alone = len(header) == 1
     missing = _csv_field("", alone)
     spec_by_name = {v.name: v for v in dataset.schema.variables}
-    runs: list[tuple[list[str], np.ndarray]] = []
+    runs: list[tuple[list[str], list[tuple[np.ndarray, int]]]] = []  # (labels, members)
     for name in header:
         if name in dataset.columns:
             labels = [_csv_field(s, alone) for s in spec_by_name[name].states] + [missing]
-            codes = dataset.columns[name] % np.int64(len(labels))  # -1 -> missing, the last
+            members = [(dataset.columns[name], len(labels))]
             if runs and len(runs[-1][0]) * len(labels) <= _MAX_RUN_LABELS:
-                run_labels, run_codes = runs.pop()
-                codes = run_codes * len(labels) + codes
+                run_labels, run_members = runs.pop()
                 labels = [f"{a},{b}" for a in run_labels for b in labels]
-            runs.append((labels, codes))
-    columns = [np.array(labels, dtype=object)[codes].tolist() for labels, codes in runs]
-    columns += [[str(v) if v >= 0 else missing for v in dataset.response_times[name].tolist()]
-                for name in header if name in dataset.response_times]
-    rows = map(",".join, zip(*columns)) if columns else [""] * dataset.n
-    if dataset.n:
-        buf.write("\n".join(rows))
-        buf.write("\n")
-    return buf.getvalue()
+                members = run_members + members
+            runs.append((labels, members))
+    label_arrays = [(np.array(labels, dtype=object), members) for labels, members in runs]
+    times = [dataset.response_times[name] for name in header if name in dataset.response_times]
+    for lo in range(0, dataset.n, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, dataset.n)
+        columns = []
+        for labels, members in label_arrays:
+            codes = 0
+            for column, size in members:  # -1 -> missing, the last label
+                codes = codes * size + column[lo:hi] % np.int64(size)
+            columns.append(labels[codes].tolist())
+        columns += [[str(v) if v >= 0 else missing for v in column[lo:hi].tolist()]
+                    for column in times]
+        rows = map(",".join, zip(*columns)) if columns else [""] * (hi - lo)
+        yield "\n".join(rows) + "\n"
 
 
 # --- calibration filters --------------------------------------------------------

@@ -94,6 +94,18 @@ def test_validate_unnormalized_exit_2(tmp_path):
     assert main(["validate", str(path)]) == 2
 
 
+@pytest.mark.parametrize("row", [["0.5", "0.5"], [True, False], [None, 1.0], [[0.7], [0.3]],
+                                 [10 ** 400, 0]],
+                         ids=["strings", "booleans", "null", "arrays", "past_float64"])
+def test_validate_non_numeric_cpt_cells_exit_2(tmp_path, capsys, row):
+    doc = json.loads(serialize_model(chain_network()))
+    doc["cpts"]["A"]["rows"] = [row]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert "rows of 'A' are not numeric" in capsys.readouterr().err
+
+
 # --- fit --------------------------------------------------------------------------
 
 def test_fit_empty_dataset_returns_priors(tmp_path):

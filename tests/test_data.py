@@ -1,5 +1,7 @@
+import csv
 import io
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from riskbn.data import (
     FilterConfig,
     Schema,
     _lines,
+    _load_quote_free,
     apply_filters,
     build_default_generator,
     calibration_targets,
@@ -23,6 +26,7 @@ from riskbn.data import (
     default_dag,
     default_schema,
     load_dataset,
+    render_dataset,
     save_dataset,
     simulate_dataset,
     summarize,
@@ -219,6 +223,87 @@ def test_load_dataset_matches_per_row_oracle_in_tiny_chunks(monkeypatch, chunk_r
     test_load_dataset_matches_per_row_oracle_on_text()
 
 
+_QUOTE_FREE_COLUMNS = _DIFF_COLUMNS + ["Migratory_Background"]
+_QUOTE_FREE_CELLS = ["", "?", " ? ", "Male", " Male ", "\tFemale\x0b", "Blue", "Männlich",
+                     "12", "Yes", "No", "900", " 900 ", "+5", "5_000", "-5", "٣", "1e3",
+                     "2147483647", "2147483648", "ParentsBornAbroad", " ParentsBornAbroad ",
+                     "ParentsBornAbroadX", "BornAbroad", "\u2028No"]
+
+
+@given(st.lists(st.sampled_from(_QUOTE_FREE_COLUMNS), min_size=1, max_size=4),
+       st.lists(st.lists(st.sampled_from(_QUOTE_FREE_CELLS), max_size=5), max_size=8),
+       st.lists(st.sampled_from(_DIFF_SEPARATORS), min_size=1, max_size=3),
+       st.booleans(), st.sampled_from([1, 7, 1 << 16]))
+@example(["Gender"], [["Male"], [], ["Female"]], ["\n"], True, 1 << 16)  # a blank line
+@example(["Gender"], [["Male"], ["Female"]], ["\n"], False, 1 << 16)  # no line end at the end
+@example(["Gender", "Age"], [["Male", "12", "13"], ["Female"]], ["\n"], True, 1 << 16)
+@example(["Gender"], [["Ma\x00le"]], ["\n"], True, 1 << 16)  # NUL: csv on 3.10 refuses it
+@example(["Gender"], [["Male"], ["Male\x00"]], ["\n"], True, 1 << 16)  # one word, but not one text
+@example(["rt_A1Q1_PhotoSharing"], [["900"], ["\x00"]], ["\r\n"], False, 7)
+@example(["Gender", "Age"], [["Male", "12"], [" " * 200_000 + "Male", "12"]], ["\n"], True, 7)
+@example(["Gender", "Age"], [["Male", "12"], ["Female", "x" * 200_000]], ["\r"], False, 1)
+@settings(max_examples=400, deadline=None)
+def test_quote_free_load_matches_per_row_oracle(header, rows, separators, last_end, slice_chars):
+    lines = [",".join(row) for row in [header, *rows]]
+    text = "".join(line + separators[i % len(separators)] for i, line in enumerate(lines))
+    if not last_end:
+        text = text[:-len(separators[(len(lines) - 1) % len(separators)])]
+    schema = default_schema()
+    expected = _load_outcome(load_dataset_per_row, text, schema)
+    with mock.patch("riskbn.data._SLICE_CHARS", slice_chars):
+        assert _load_outcome(load_dataset, text, schema) == expected
+        if "\0" not in text and isinstance(expected[0], int):  # loaded: numpy read it all
+            assert _load_outcome(_load_quote_free, text, schema) == expected
+
+
+_LOOKALIKES = Schema((VariableSpec("Q", (
+    "BornAbroad", "BornAbroaX", "ParentsBornAbroad", "ParentsBXrnAbroad", "aaaaaaaaa", "aaaaaaaaaa",
+    "aaaaaaaab")),))
+
+
+@pytest.mark.parametrize("pair", [
+    ("BornAbroad", "BornAbroaX"),  # last words differ
+    ("aaaaaaaaa", "aaaaaaaab"),  # the shortest hashed cells
+    ("ParentsBornAbroad", "ParentsBXrnAbroad"),  # a word in between differs
+    ("aaaaaaaaaa", "aaaaaaaaa"),  # lengths differ; the first word of each is all of the shorter
+])
+def test_cells_that_share_a_hash_are_told_apart(monkeypatch, pair):
+    text = "Q\n" + "".join(f"{cell}\n" * 3 for cell in pair)
+    expected = _load_outcome(load_dataset_per_row, text, _LOOKALIKES)
+    assert _load_outcome(_load_quote_free, text, _LOOKALIKES) == expected
+    # a hash of the first word alone puts both texts in one group
+    monkeypatch.setattr("riskbn.data._HASH_FACTORS", np.zeros(2, np.uint64))
+    assert _load_quote_free(text, _LOOKALIKES) is None
+    assert _load_outcome(load_dataset, text, _LOOKALIKES) == expected
+
+
+def test_cells_either_side_of_the_exact_key_length_are_told_apart():
+    # up to 8 bytes a cell is its own key; from 9 on it is hashed and checked
+    states = ("aaaaaaaA", "aaaaaaaI", "aaaaaaaaA", "aaaaaaaaI", "aaaaaaaaaA", "aaaaaaaaaI")
+    schema = Schema((VariableSpec("Q", states),))
+    text = "Q\n" + "\n".join(states * 2) + "\n"
+    assert _load_outcome(_load_quote_free, text, schema) \
+        == _load_outcome(load_dataset_per_row, text, schema)
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
+def test_quote_free_cohort_reaches_csv_reader_only_for_its_header(monkeypatch, line_end):
+    text = save_dataset(simulate_dataset(20_000, 0)).replace("\n", line_end)
+    rows_read = []
+    reader = csv.reader
+
+    def spy(lines):
+        for row in reader(lines):
+            rows_read.append(row)
+            yield row
+
+    monkeypatch.setattr(csv, "reader", spy)
+    ds = load_dataset(text, default_schema())
+    assert ds.n == 20_000 and len(rows_read) == 1
+    assert _load_outcome(lambda t, s: ds, text, ds.schema) \
+        == _load_outcome(load_dataset_per_row, text, ds.schema)
+
+
 def _load_in_every_chunking(monkeypatch, text, schema, slice_chars=None):
     """Load ``text`` in chunks of 1-4 rows and at each slice size given
     (default: every size up to the text's length); every outcome must equal
@@ -306,6 +391,27 @@ def test_bare_carriage_return_cohort_loads_in_the_memory_of_a_newline_one():
     cr_text = text.replace("\n", "\r")
     assert _load_peak(cr_text, 20_000) <= 1.2 * peak
     assert _load_peak(cr_text[:-1] + "\n", 20_000) <= 1.2 * peak  # one \n, at the very end
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_dataset_of_100k_cohort_in_bounded_memory():
+    ds = simulate_dataset(100_000, 0)
+    size = len(save_dataset(ds))
+    # rendering every row before joining any peaks near 2.9 times the text
+    assert _traced_peak(lambda: save_dataset(ds)) <= 2.2 * size
+    # a writer of render_dataset's pieces holds one block of rows, however many rows there are
+    peak = _traced_peak(lambda: sum(map(len, render_dataset(ds))))
+    small = simulate_dataset(20_000, 0)
+    assert peak <= 0.4 * size
+    assert peak <= 1.2 * _traced_peak(lambda: sum(map(len, render_dataset(small))))
 
 
 _QUOTED_SCHEMA = Schema((
