@@ -134,10 +134,14 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _read_text(path: str) -> str:
+    """A text input, less one leading UTF-8 byte-order mark (Excel writes
+    one). The mark is decoded with the text, so a bad byte is reported at
+    its offset in the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise NotUtf8(f"{path} is not UTF-8 text (byte {exc.start})") from None
+    return text.removeprefix("\ufeff")
 
 
 def _load_model(path: str) -> Network:
@@ -173,6 +177,13 @@ def _data_schema(network_specs: tuple[VariableSpec, ...]) -> Schema:
 def _load_data(args, network_specs: tuple[VariableSpec, ...]) -> Dataset:
     schema = _data_schema(network_specs)
     return load_dataset(_read_text(args.data), schema)
+
+
+def _target_state(args, network: Network) -> str:
+    """``--target-state``, or the state a profile reports when none is named."""
+    if args.target_state is not None:
+        return args.target_state
+    return default_target_state(network.spec(args.target).states)
 
 
 def _pool_by_kind(network: Network, kinds: tuple[str, ...], target: str) -> list[str]:
@@ -236,8 +247,10 @@ def cmd_strength(args) -> int:
     network = _load_model(args.model)
     candidates = args.candidates.split(",") if args.candidates else None
     control = args.control if args.control != "none" else None
-    if control == DEFAULT_CONTROL and control not in network.variables:
-        control = None  # custom models need not carry the built-in control
+    if args.control is None and DEFAULT_CONTROL in network.variables \
+            and DEFAULT_CONTROL != args.target:
+        # the built-in control, where the model has it and it is not the target
+        control = DEFAULT_CONTROL
     report = strength_ranking(network, args.target, candidates, control)
     rows = []
     for name, score in report.entries:
@@ -254,25 +267,23 @@ def cmd_strength(args) -> int:
         highlight=report.control, reference=report.control_score, axis_max=1.0,
         comment=f"riskbn {__version__}",
     ))
-    _write_manifest(args, [out, svg_path])
+    _write_manifest(args, [out, svg_path], control=control)
     print(f"ranking written to {out} ({len(report.entries)} variables)")
     return 0
 
 
 def cmd_profile(args) -> int:
     network = _load_model(args.model)
-    profile = conditional_profile(network, args.target, args.source, args.target_state)
-    resolved_state = args.target_state
-    if resolved_state is None:
-        resolved_state = default_target_state(network.spec(args.target).states)
+    target_state = _target_state(args, network)
+    profile = conditional_profile(network, args.target, args.source, target_state)
     out = Path(args.out)
     _write_csv(out, ["state", "posterior"], [[s, float(p)] for s, p in profile])
     svg_path = out.with_suffix(".svg")
     svg_path.write_text(vbar_chart(
-        f"P({args.target} = {resolved_state} | {args.source})",
+        f"P({args.target} = {target_state} | {args.source})",
         list(profile), axis_max=1.0, comment=f"riskbn {__version__}",
     ))
-    _write_manifest(args, [out, svg_path])
+    _write_manifest(args, [out, svg_path], target_state=target_state)
     print(f"profile written to {out}")
     return 0
 
@@ -281,6 +292,7 @@ def cmd_multifactor(args) -> int:
     if args.k_min > args.k_max:
         raise InvalidOption(f"--k-min {args.k_min} is above --k-max {args.k_max}")
     network = _load_model(args.model)
+    target_state = _target_state(args, network)
     k_range = range(args.k_min, args.k_max + 1)
     if args.pool:
         pools = [("custom", list(dict.fromkeys(args.pool.split(","))))]
@@ -299,7 +311,7 @@ def cmd_multifactor(args) -> int:
     series = []
     for pool_name, pool in pools:
         ks = [k for k in k_range if k <= len(pool)]
-        result = multifactor_search(network, args.target, args.target_state, pool, ks,
+        result = multifactor_search(network, args.target, target_state, pool, ks,
                                     max_evals=args.max_evals)
         points = []
         for entry in result.entries:
@@ -316,18 +328,20 @@ def cmd_multifactor(args) -> int:
                rows)
     svg_path = out.with_suffix(".svg")
     svg_path.write_text(line_chart(
-        f"Max posterior P({args.target} = {args.target_state}) by evidence count",
+        f"Max posterior P({args.target} = {target_state}) by evidence count",
         series, hlines=[(f"{label}: {_fmt(v)}", v) for label, v in thresholds],
         x_label="fixed evidence count", y_label="posterior",
         comment=f"riskbn {__version__}",
     ))
-    _write_manifest(args, [out, svg_path], thresholds=dict(thresholds))
+    _write_manifest(args, [out, svg_path], target_state=target_state,
+                    thresholds=dict(thresholds))
     print(f"multifactor table written to {out}")
     return 0
 
 
 def cmd_profiles(args) -> int:
     network = _load_model(args.model)
+    target_state = _target_state(args, network)
     if args.pool:
         pool = args.pool.split(",")
     else:
@@ -335,7 +349,7 @@ def cmd_profiles(args) -> int:
     threshold = args.threshold
     if threshold is None:
         threshold = bf_threshold_posterior(args.prior_p, math.sqrt(10.0))
-    result = risk_profiles(network, args.target, args.target_state, pool, args.k,
+    result = risk_profiles(network, args.target, target_state, pool, args.k,
                            threshold, max_evals=args.max_evals)
     n = len(result.profiles)
     rows = [[v, s, count, float(count / n) if n else ""]
@@ -349,7 +363,7 @@ def cmd_profiles(args) -> int:
         [(f"{v} = {s}", float(c)) for (v, s), c in result.frequency],
         value_format="%d", comment=f"riskbn {__version__}",
     ))
-    _write_manifest(args, [out, svg_path], threshold=threshold)
+    _write_manifest(args, [out, svg_path], target_state=target_state, threshold=threshold)
     if n == 0:
         print("no profiles met the threshold")
     print(f"profile table written to {out} ({n} profiles)")
@@ -567,8 +581,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("strength", help="strength-of-influence ranking")
     p.add_argument("--model", required=True)
     p.add_argument("--target", default=DEFAULT_OUTCOME)
-    p.add_argument("--control", default=DEFAULT_CONTROL,
-                   help="control variable marking the irrelevance line ('none' to disable)")
+    p.add_argument("--control", default=None,
+                   help="control variable marking the irrelevance line ('none' to disable; "
+                        f"default: {DEFAULT_CONTROL} when the model has it and it is not "
+                        "the target)")
     p.add_argument("--candidates", help="comma-separated candidate variables")
     p.add_argument("--out", type=_table_path, required=True)
     p.set_defaults(func=cmd_strength)
@@ -577,14 +593,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--target", default=DEFAULT_OUTCOME)
     p.add_argument("--source", required=True)
-    p.add_argument("--target-state", default=None)
+    p.add_argument("--target-state", default=None,
+                   help="default: Yes when the target has it, otherwise its last state")
     p.add_argument("--out", type=_table_path, required=True)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("multifactor", help="brute-force multi-evidence risk search")
     p.add_argument("--model", required=True)
     p.add_argument("--target", default=DEFAULT_OUTCOME)
-    p.add_argument("--target-state", default="Yes")
+    p.add_argument("--target-state", default=None,
+                   help="default: Yes when the target has it, otherwise its last state")
     p.add_argument("--pool", help="comma-separated pool (default: game and profiling pools)")
     p.add_argument("--k-min", type=_whole("--k-min", 1), default=1)
     p.add_argument("--k-max", type=_whole("--k-max", 1), default=5)
@@ -596,7 +614,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profiles", help="risk-profile frequency table")
     p.add_argument("--model", required=True)
     p.add_argument("--target", default=DEFAULT_OUTCOME)
-    p.add_argument("--target-state", default="Yes")
+    p.add_argument("--target-state", default=None,
+                   help="default: Yes when the target has it, otherwise its last state")
     p.add_argument("--pool", help="comma-separated pool (default: profiling variables)")
     p.add_argument("--k", type=_whole("--k", 1), default=5)
     p.add_argument("--threshold", type=_probability("--threshold", "[0, 1]"), default=None,

@@ -645,21 +645,17 @@ def apply_filters(dataset: Dataset, config: FilterConfig) -> tuple[Dataset, Filt
     flagged = rt_bad | honesty_bad
     if config.action == "drop":
         keep = ~flagged
-        columns = {k: v[keep].copy() for k, v in dataset.columns.items()}
-        rts = {k: v[keep].copy() for k, v in dataset.response_times.items()}
+        columns = {k: v[keep] for k, v in dataset.columns.items()}
+        rts = {k: v[keep] for k, v in dataset.response_times.items()}
         out = Dataset(dataset.schema, int(keep.sum()), columns, rts, dataset.provenance)
     else:
-        outcome_names = {v.name for v in dataset.schema.variables if v.kind == "outcome"}
-        columns = {}
-        for k, v in dataset.columns.items():
-            if k in outcome_names:
-                v = v.copy()
-                v[flagged] = -1
-            else:
-                v = v.copy()
-            columns[k] = v
-        rts = {k: v.copy() for k, v in dataset.response_times.items()}
-        out = Dataset(dataset.schema, n, columns, rts, dataset.provenance)
+        # only the outcome columns change; every other array is read-only
+        # and is shared with the input
+        columns = dict(dataset.columns)
+        for v in dataset.schema.variables:
+            if v.kind == "outcome" and v.name in columns:
+                columns[v.name] = np.where(flagged, np.int16(-1), columns[v.name])
+        out = replace(dataset, columns=columns)
     report = FilterReport(
         n_input=n,
         n_output=out.n,

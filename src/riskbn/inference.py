@@ -1,17 +1,23 @@
 """Exact probabilistic queries on a network.
 
-Every query that eliminates (posteriors, marginals, joint tables and
-evidence probabilities) goes through one entry point, ``_query_factor``:
-variable elimination over the ancestor closure of the involved variables
-(barren descendants contribute factors that sum to one and are skipped
-outright). Elimination order is greedy min-degree on the factor interaction
-graph with declaration-order tie-breaks, so every query is deterministic.
-Each step is one ``np.einsum`` contraction (``_contract``) of the factors
-that mention the eliminated variable; a last contraction multiplies what is
-left into the targets' axes, in the order the caller gave, two factors at a
-time where that reads fewer cells than one einsum (``_pairs_read_less``).
-A CPT factor is a view of the CPT rows over (parents..., child), sliced by
-the evidence, so no factor is transposed or copied before it is contracted.
+Every query that eliminates is a call of :func:`joint_table`: variable
+elimination over the ancestor closure of the involved variables (barren
+descendants contribute factors that sum to one and are skipped outright),
+in greedy min-degree order with declaration-order tie-breaks, so every query
+is deterministic. A factor is a ``(scope, values)`` pair; a CPT factor is a
+view of the CPT rows over (parents..., child), sliced by the evidence, so no
+factor is transposed or copied before it is contracted. Each step contracts
+the factors that mention the eliminated variable (``_contract``); a last
+contraction multiplies what is left into the targets' axes, in the order the
+caller gave. :func:`joint_probability` is the chain rule, not an elimination.
+
+``_contract`` is the only caller of ``np.einsum``, and it folds: numpy
+refuses an einsum of 64 operands or more (32 or more before numpy 2.0), and
+one step may touch any number of factors (a root with 70 observed children
+touches 71). So the factors are multiplied left to right, at most 31 to a
+call; each partial product keeps all of its variables, so every cell rounds
+as in one einsum call. The last product folds two at a time where that reads
+fewer cells than one wide call (``_pairs_read_less``).
 
 All query functions are pure over an immutable :class:`~riskbn.core.Network`
 and safe to call concurrently.
@@ -37,46 +43,42 @@ GENERATOR_ID = "numpy-pcg64-cdf"
 
 # --- factors -----------------------------------------------------------------
 
-@dataclass
-class Factor:
-    """Non-negative table over the Cartesian product of its scope's states.
-
-    ``values`` has one axis per scope variable, in scope order; a CPT factor
-    keeps the CPT's (parents..., child) order, so it is a view of the rows.
-    """
-
-    scope: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        if len(set(self.scope)) != len(self.scope):
-            raise DomainError("factor scope has repeated variables")
+# A factor: its scope, and a non-negative array with one axis per scope
+# variable, in scope order.
+_Factor = tuple[tuple[str, ...], np.ndarray]
 
 
-def _cpt_factor(network: Network, name: str, evidence_idx: Mapping[str, int]) -> Factor:
+def _cpt_factor(network: Network, name: str, evidence_idx: Mapping[str, int]) -> _Factor:
     """View of ``name``'s CPT over (parents..., name), sliced by any evidence."""
     cpt = network.cpts[name]
     axes_vars = cpt.parents + (name,)
     values = cpt.rows.reshape([network.cardinality(v) for v in axes_vars])
     index = tuple(evidence_idx.get(v, slice(None)) for v in axes_vars)
-    return Factor(tuple(v for v in axes_vars if v not in evidence_idx), values[index])
+    return tuple(v for v in axes_vars if v not in evidence_idx), values[index]
 
 
-def _contract(factors: Sequence[Factor], keep: Sequence[str]) -> np.ndarray:
+def _contract(factors: Sequence[_Factor], keep: Sequence[str], width: int = 31) -> np.ndarray:
     """Sum over every variable not in ``keep`` of the product of ``factors``,
     with axes in ``keep``'s order, as a fresh array (never a view of a CPT).
 
-    Labels are numbered per call, so numpy's 52-label limit bounds only one
-    step's union scope, far past any table that fits in memory.
+    At most ``width`` factors go to one einsum call: the first ``width`` are
+    replaced by their product over all of their variables until few enough
+    are left. Labels are numbered per call, so numpy's 52-label limit bounds
+    only one step's union scope, far past any table that fits in memory.
     """
+    factors = list(factors)
+    while len(factors) > width:
+        head = factors[:width]
+        scope = tuple(dict.fromkeys(v for s, _ in head for v in s))
+        factors[:width] = [(scope, _contract(head, scope))]
     if not factors:
         return np.array(1.0)  # the empty product
     labels: dict[str, int] = {}
     sizes: dict[str, int] = {}
     operands: list = []
-    for f in factors:
-        operands += [f.values, [labels.setdefault(v, len(labels)) for v in f.scope]]
-        sizes.update(zip(f.scope, f.values.shape))
+    for scope, values in factors:
+        operands += [values, [labels.setdefault(v, len(labels)) for v in scope]]
+        sizes.update(zip(scope, values.shape))
     out = np.empty([sizes[v] for v in keep])
     return np.einsum(*operands, [labels[v] for v in keep], out=out)
 
@@ -101,12 +103,11 @@ def _relevant(network: Network, names: Iterable[str]) -> list[str]:
     return sorted(ancestor_closure(network.parents, names), key=network.index)
 
 
-def _elimination_order(network: Network, factors: Sequence[Factor],
+def _elimination_order(network: Network, factors: Sequence[_Factor],
                        eliminate: set[str]) -> list[str]:
     """Greedy min-degree order over the factor interaction graph."""
     neighbors: dict[str, set[str]] = {v: set() for v in eliminate}
-    scopes = [set(f.scope) for f in factors]
-    for scope in scopes:
+    for scope in (set(s) for s, _ in factors):
         for v in scope & eliminate:
             neighbors[v] |= scope - {v}
     order: list[str] = []
@@ -123,7 +124,7 @@ def _elimination_order(network: Network, factors: Sequence[Factor],
     return order
 
 
-def _pairs_read_less(network: Network, factors: Sequence[Factor],
+def _pairs_read_less(network: Network, factors: Sequence[_Factor],
                      targets: Sequence[str]) -> bool:
     """Whether multiplying ``factors`` two at a time, left to right, reads
     fewer cells than one einsum over all of them. A contraction reads one
@@ -136,8 +137,8 @@ def _pairs_read_less(network: Network, factors: Sequence[Factor],
         return False  # a product has at least one cell: pairs cost at least 3 each
     margin = (len(factors) - 2) * out
     sizes: dict[str, int] = {}
-    for i, f in enumerate(factors[:-1]):
-        sizes.update(zip(f.scope, f.values.shape))
+    for i, (scope, values) in enumerate(factors[:-1]):
+        sizes.update(zip(scope, values.shape))
         if i:
             margin -= 3 * math.prod(sizes.values())
         if margin <= 0:
@@ -145,36 +146,36 @@ def _pairs_read_less(network: Network, factors: Sequence[Factor],
     return margin > 0
 
 
-def _query_factor(network: Network, targets: Sequence[str], evidence: Evidence) -> Factor:
-    """Unnormalized joint P(targets, evidence) as a factor over ``targets``."""
-    evidence_idx = network.check_evidence(evidence)
-    if len(set(targets)) != len(targets):
-        raise DomainError(f"query variables repeat: {list(targets)}")
-    for t in targets:
+# --- public queries ----------------------------------------------------------
+
+def joint_table(network: Network, variables: Sequence[str],
+                evidence: Evidence | None = None) -> np.ndarray:
+    """Unnormalized joint P(variables, evidence) as an array; the one
+    elimination, which posteriors, marginals and evidence probabilities call.
+
+    Axes follow ``variables`` in the order given; the array is the caller's own.
+    """
+    evidence_idx = network.check_evidence(evidence or {})
+    if len(set(variables)) != len(variables):
+        raise DomainError(f"query variables repeat: {list(variables)}")
+    for t in variables:
         network.spec(t)
         if t in evidence_idx:
             raise DomainError(f"query variable '{t}' is also evidence")
-    relevant = _relevant(network, list(targets) + list(evidence_idx))
+    relevant = _relevant(network, list(variables) + list(evidence_idx))
     factors = [_cpt_factor(network, name, evidence_idx) for name in relevant]
-    eliminate = set(relevant) - set(targets) - set(evidence_idx)
+    eliminate = set(relevant) - set(variables) - set(evidence_idx)
     for name in _elimination_order(network, factors, eliminate):
-        touched = [f for f in factors if name in f.scope]
-        if not touched:
-            continue
-        factors = [f for f in factors if name not in f.scope]
-        scope = sorted({v for f in touched for v in f.scope} - {name}, key=network.index)
-        factors.append(Factor(tuple(scope), _contract(touched, scope)))
-    # only targets are left, so nothing is summed; multiplying the factors two
-    # at a time, left to right as einsum does, keeps the product's rounding
-    if _pairs_read_less(network, factors, targets):
-        while len(factors) > 2:
-            a, b, *rest = factors
-            scope = a.scope + tuple(v for v in b.scope if v not in a.scope)
-            factors = [Factor(scope, _contract([a, b], scope)), *rest]
-    return Factor(tuple(targets), _contract(factors, targets))
+        touched = [f for f in factors if name in f[0]]
+        factors = [f for f in factors if name not in f[0]]
+        scope = tuple(sorted({v for s, _ in touched for v in s} - {name}, key=network.index))
+        factors.append((scope, _contract(touched, scope)))
+    # only the variables are left, so nothing is summed; folding two at a
+    # time multiplies left to right as one einsum does, with the same bits
+    if _pairs_read_less(network, factors, variables):
+        return _contract(factors, variables, 2)
+    return _contract(factors, variables)
 
-
-# --- public queries ----------------------------------------------------------
 
 def joint_probability(network: Network, full_assignment: Mapping[str, str]) -> float:
     """Chain-rule probability of one complete assignment."""
@@ -191,7 +192,7 @@ def joint_probability(network: Network, full_assignment: Mapping[str, str]) -> f
 
 def evidence_probability(network: Network, evidence: Evidence) -> float:
     """Exact P(evidence); 1.0 for empty evidence (an empty product)."""
-    return float(_query_factor(network, (), evidence).values)
+    return float(joint_table(network, (), evidence))
 
 
 def posterior(network: Network, target: str, evidence: Evidence) -> Distribution:
@@ -200,8 +201,7 @@ def posterior(network: Network, target: str, evidence: Evidence) -> Distribution
     Raises :class:`ZeroProbabilityEvidence` when P(evidence) = 0, so that
     combination searches can tell impossible evidence from low risk.
     """
-    factor = _query_factor(network, [target], evidence)
-    values = factor.values
+    values = joint_table(network, [target], evidence)
     total = float(values.sum())
     if total <= 0.0:
         raise ZeroProbabilityEvidence(
@@ -214,15 +214,6 @@ def posterior(network: Network, target: str, evidence: Evidence) -> Distribution
 def marginal(network: Network, variable: str) -> Distribution:
     """Marginal distribution; identical to a posterior with empty evidence."""
     return posterior(network, variable, {})
-
-
-def joint_table(network: Network, variables: Sequence[str],
-                evidence: Evidence | None = None) -> np.ndarray:
-    """Unnormalized joint P(variables, evidence) as an array.
-
-    Axes follow ``variables`` in the order given; the array is the caller's own.
-    """
-    return _query_factor(network, variables, evidence or {}).values
 
 
 # --- sampling ----------------------------------------------------------------

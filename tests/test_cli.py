@@ -200,6 +200,36 @@ def test_strength_control_equal_to_target_exit_3(tmp_path, generator_model, caps
     assert main(["strength", "--model", str(generator_model), "--control",
                  "Previous_CB_Offending", "--out", str(tmp_path / "s.csv")]) == 3
     assert "control and target must differ" in capsys.readouterr().err
+    # named, the built-in control is refused as the target like any other
+    assert main(["strength", "--model", str(generator_model), "--target", "A1Q1_PhotoSharing",
+                 "--control", "A1Q1_PhotoSharing", "--out", str(tmp_path / "s.csv")]) == 3
+    assert "control and target must differ" in capsys.readouterr().err
+
+
+def _manifest_config(out) -> dict:
+    return json.loads(open(str(out) + ".manifest.json").read())["config"]
+
+
+def test_strength_default_control_is_recorded(tmp_path, generator_model):
+    out = tmp_path / "s.csv"
+    assert main(["strength", "--model", str(generator_model), "--out", str(out)]) == 0
+    assert _manifest_config(out)["control"] == "A1Q1_PhotoSharing"
+
+
+def test_strength_on_the_default_control_runs_without_a_control(tmp_path, generator_model):
+    out = tmp_path / "s.csv"
+    assert main(["strength", "--model", str(generator_model), "--target", "A1Q1_PhotoSharing",
+                 "--out", str(out)]) == 0
+    assert _manifest_config(out)["control"] is None
+    assert all(row.split(",")[2] == "no" for row in out.read_text().splitlines()[1:])
+
+
+def test_strength_default_control_dropped_where_the_model_lacks_it(tmp_path):
+    model = tmp_path / "chain.json"
+    model.write_text(serialize_model(chain_network()))
+    out = tmp_path / "s.csv"
+    assert main(["strength", "--model", str(model), "--target", "B", "--out", str(out)]) == 0
+    assert _manifest_config(out)["control"] is None
 
 
 # --- profile ------------------------------------------------------------------------
@@ -233,6 +263,18 @@ def test_multifactor_two_pools_rows_and_thresholds(tmp_path, generator_model):
     assert strong == pytest.approx(bf_threshold_posterior(0.1, 10.0), abs=1e-12)
     svg = out.with_suffix(".svg").read_text()
     assert "substantial" in svg and "strong" in svg
+
+
+@pytest.mark.parametrize("command", ["multifactor", "profiles"])
+def test_target_without_yes_takes_its_last_state(tmp_path, generator_model, command):
+    # as for profile: Yes when the target has it, otherwise its last state
+    out = tmp_path / "t.csv"
+    size = ["--k-max", "2"] if command == "multifactor" else ["--k", "2"]
+    assert main([command, "--model", str(generator_model), "--target", "Age", *size,
+                 "--out", str(out)]) == 0
+    assert _manifest_config(out)["target_state"] == "16"
+    if command == "multifactor":
+        assert "P(Age = 16) by evidence count" in out.with_suffix(".svg").read_text()
 
 
 def test_multifactor_cap_exceeded_exit_3(tmp_path, generator_model):
@@ -382,6 +424,27 @@ def test_summarize_stdout_without_out(tmp_path, capsys):
     data.write_text("Gender\nMale\nFemale\n")
     assert main(["summarize", "--data", str(data)]) == 0
     assert "Gender,Male,1,50" in capsys.readouterr().out
+
+
+def test_byte_order_mark_is_dropped_from_every_text_input(tmp_path):
+    data = tmp_path / "d.csv"
+    main(["simulate", "--n", "300", "--seed", "5", "--out", str(data)])
+    bom_data = tmp_path / "d_bom.csv"
+    bom_data.write_bytes(b"\xef\xbb\xbf" + data.read_bytes())
+    plain, marked = tmp_path / "m.csv", tmp_path / "m_bom.csv"
+    assert main(["summarize", "--data", str(data), "--out", str(plain)]) == 0
+    assert main(["summarize", "--data", str(bom_data), "--out", str(marked)]) == 0
+    assert plain.read_bytes() == marked.read_bytes()
+    model = tmp_path / "bom.json"
+    model.write_bytes(b"\xef\xbb\xbf" + serialize_model(chain_network()).encode())
+    assert main(["validate", str(model)]) == 0
+
+
+def test_bad_byte_after_a_byte_order_mark_is_reported_at_its_file_offset(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_bytes(b"\xef\xbb\xbfGender\nF\xe9male\n")
+    assert main(["summarize", "--data", str(data)]) == 2
+    assert f"{data} is not UTF-8 text (byte 11)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["summarize", "fit"])

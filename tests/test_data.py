@@ -513,6 +513,19 @@ def test_honesty_filter_drop_and_blank():
     assert report2.flagged_honesty == 1
 
 
+def test_blank_filter_shares_every_array_it_does_not_change():
+    ds = _meta_dataset()
+    blank = FilterConfig(min_response_time_ms=800, action="blank")
+    out, _ = apply_filters(ds, blank)
+    assert out.columns["Previous_CB_Offending"].tolist() == [0, -1, 0]
+    assert out.columns["Previous_CB_Offending"].dtype == np.int16
+    assert not out.columns["Previous_CB_Offending"].flags.writeable
+    assert ds.columns["Previous_CB_Offending"].tolist() == [0, 1, 0]  # input unchanged
+    assert out.columns["honesty"] is ds.columns["honesty"]
+    for name, col in ds.response_times.items():
+        assert out.response_times[name] is col
+
+
 def test_missing_meta_column_raises():
     ds = load_dataset("Gender\nMale\n", default_schema())
     with pytest.raises(MissingMetaColumn):

@@ -266,6 +266,87 @@ def test_final_product_pairs_only_where_fewer_cells_are_read():
     assert not inference._pairs_read_less(net, scalars, [])
 
 
+# --- wide models: more factors than one einsum call takes ------------------------
+
+def star_network(n_children: int = 70, seed: int = 0):
+    """Root R (3 states) with ``n_children`` binary children C0, C1, ..."""
+    rng = np.random.default_rng(seed)
+    children = [f"C{i}" for i in range(n_children)]
+    schema = [VariableSpec("R", ("a", "b", "c"))] + [VariableSpec(c, ("0", "1")) for c in children]
+    dag = DagStructure(("R", *children), tuple(("R", c) for c in children))
+    cpts = [Cpt("R", (), [[0.5, 0.3, 0.2]])]
+    for c in children:
+        p = rng.uniform(0.05, 0.95, size=3)
+        cpts.append(Cpt(c, ("R",), np.stack([1 - p, p], axis=1)))
+    return build_network(schema, dag, cpts)
+
+
+def test_star_with_every_child_observed_matches_the_closed_form(monkeypatch):
+    net = star_network()
+    children = net.variables[1:]
+    evidence = {c: "01"[i % 2] for i, c in enumerate(children)}
+    prior = net.cpts["R"].rows[0]
+    likelihood = np.ones(3)
+    for c in children:
+        likelihood *= net.cpts[c].rows[:, net.state_index(c, evidence[c])]
+    joint = prior * likelihood
+    # numpy 2 takes at most 63 operands to one einsum call and numpy before
+    # 2.0 at most 31; the 71 factors of this query must go in calls of 31
+    einsum, widths = np.einsum, []
+
+    def counting_einsum(*operands, **kwargs):
+        widths.append(len(operands) // 2)
+        return einsum(*operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting_einsum)
+    assert evidence_probability(net, evidence) == pytest.approx(joint.sum(), rel=1e-12, abs=0)
+    dist = posterior(net, "R", evidence)
+    assert dist.probabilities == pytest.approx(joint / joint.sum(), rel=1e-12, abs=0)
+    assert max(widths) == 31
+
+
+def test_long_chain_complete_record_matches_the_chain_rule():
+    n = 100
+    names = [f"X{i}" for i in range(n)]
+    schema = [VariableSpec(v, ("0", "1")) for v in names]
+    dag = DagStructure(tuple(names), tuple(zip(names, names[1:])))
+    rng = np.random.default_rng(3)
+    cpts = [Cpt(names[0], (), [[0.4, 0.6]])]
+    for parent, child in zip(names, names[1:]):
+        p = rng.uniform(0.05, 0.95, size=2)
+        cpts.append(Cpt(child, (parent,), np.stack([1 - p, p], axis=1)))
+    net = build_network(schema, dag, cpts)
+    record = {v: "01"[int(b)] for v, b in zip(names, rng.integers(0, 2, size=n))}
+    assert evidence_probability(net, record) == joint_probability(net, record)
+
+
+def test_query_on_a_star_with_70_observed_children_exits_0(tmp_path, capsys):
+    from riskbn.cli import main
+
+    model = tmp_path / "star.json"
+    model.write_text(serialize_model(star_network()))
+    evidence = ",".join(f"C{i}=1" for i in range(70))
+    assert main(["query", "--model", str(model), "--target", "R", "--evidence", evidence]) == 0
+    assert "P(R=a | evidence) = " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_fold_width_keeps_the_bits(monkeypatch, width):
+    # each partial product keeps all of its variables, so folding the
+    # factors in calls of any width multiplies every cell in the same order
+    rng = np.random.default_rng(29)
+    cases = []
+    for _ in range(40):
+        net = random_network(rng, max_vars=8, max_states=3)
+        picks = rng.choice(len(net.variables), size=int(rng.integers(0, 4)), replace=False)
+        targets = [net.variables[j] for j in picks]
+        cases.append((net, targets, random_evidence(rng, net, exclude=tuple(targets))))
+    expected = [joint_table(*case) for case in cases]
+    monkeypatch.setattr(inference._contract, "__defaults__", (width,))
+    for case, table in zip(cases, expected):
+        assert np.array_equal(joint_table(*case), table)
+
+
 _QUERY = """
 import sys
 from riskbn.core import parse_model
