@@ -4,9 +4,10 @@ Subcommands: validate, fit, strength, profile, multifactor, profiles,
 query, compare, simulate, summarize. Every command that writes files also writes a
 JSON run manifest next to its primary output (same path plus
 ``.manifest.json``). Its ``config`` is every parsed flag plus the values the
-command resolves; it also carries seeds and SHA-256 digests of inputs and
-outputs. Table outputs are byte-deterministic for a fixed configuration and
-seed; manifests additionally carry a timestamp.
+command resolves; it also carries seeds, SHA-256 digests of inputs and
+outputs, and the process's peak resident memory (``peak_rss_kb``). Table
+outputs are byte-deterministic for a fixed configuration and seed;
+manifests additionally carry a timestamp and the peak memory.
 
 Each flag's domain is stated once, as its argparse ``type=``, so a bad value
 is refused before any file is read. Exit codes:
@@ -14,8 +15,9 @@ is refused before any file is read. Exit codes:
 * 0: success.
 * 1: a file cannot be read or written. An ``--out`` whose directory is
   missing or not writable is refused before any input is read.
-* 2: a flag value outside its own domain, an input file that fails to parse
-  or validate, or a name the model or schema lacks.
+* 2: a flag value outside its own domain, an ``--out`` that would overwrite
+  an input file (refused before any input is read), an input file that
+  fails to parse or validate, or a name the model or schema lacks.
 * 3: inputs that are each valid but cannot be combined: k above the pool
   size, source equal to target, zero-probability evidence, the evaluation
   cap exceeded, constant ranks, a sample too large for one array.
@@ -30,6 +32,7 @@ import io
 import json
 import math
 import os
+import resource
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -53,7 +56,7 @@ from .core import (
     VariableSpec,
     parse_model,
     parse_model_parts,
-    serialize_model,
+    render_model,
 )
 from .data import (
     DEFAULT_CONTROL,
@@ -102,6 +105,13 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _peak_rss_kb() -> int:
+    """This process's peak resident set size so far, in kilobytes (macOS
+    reports ``ru_maxrss`` in bytes, Linux in kilobytes)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak // 1024 if sys.platform == "darwin" else peak
+
+
 def _write_manifest(args, outputs: list[Path], seeds: dict | None = None,
                     **resolved) -> Path:
     """Manifest beside ``outputs[0]``: every parsed flag plus ``resolved``
@@ -118,6 +128,7 @@ def _write_manifest(args, outputs: list[Path], seeds: dict | None = None,
         "seeds": seeds or {},
         "inputs": {p: _sha256(Path(p)) for p in inputs},
         "outputs": {str(p): _sha256(p) for p in outputs},
+        "peak_rss_kb": _peak_rss_kb(),
     }
     path = Path(f"{outputs[0]}.manifest.json")
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -133,14 +144,19 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text(buf.getvalue())
 
 
+def _read_input(path: str) -> bytes:
+    """The bytes of an input file; every input file is read through here."""
+    return Path(path).read_bytes()
+
+
 def _read_text(path: str) -> str:
     """A text input, less one leading UTF-8 byte-order mark (Excel writes
     one). The mark is decoded with the text, so a bad byte is reported at
     its offset in the file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = _read_input(path).decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise NotUtf8(f"{path} is not UTF-8 text (byte {exc.start})") from None
+        raise NotUtf8(path, exc.start) from None
     return text.removeprefix("\ufeff")
 
 
@@ -175,8 +191,13 @@ def _data_schema(network_specs: tuple[VariableSpec, ...]) -> Schema:
 
 
 def _load_data(args, network_specs: tuple[VariableSpec, ...]) -> Dataset:
+    """The ``--data`` cohort, read as bytes: ``load_dataset`` decodes only
+    what it must, so the file is never held as bytes and text at once."""
     schema = _data_schema(network_specs)
-    return load_dataset(_read_text(args.data), schema)
+    try:
+        return load_dataset(_read_input(args.data), schema)
+    except NotUtf8 as exc:
+        raise NotUtf8(args.data, exc.offset) from None
 
 
 def _target_state(args, network: Network) -> str:
@@ -237,7 +258,8 @@ def cmd_fit(args) -> int:
               f"final objective {_fmt(trace.log_likelihoods[trace.selected][-1])}")
     else:
         network = fit_cpts(schema, dag, dataset, prior)
-    out.write_text(serialize_model(network))
+    with out.open("w") as fh:
+        fh.writelines(render_model(network))
     _write_manifest(args, outputs, seeds)
     print(f"model written to {out}")
     return 0
@@ -530,6 +552,31 @@ def _check_writable(out: str) -> None:
                               f"{directory} is not a writable directory")
 
 
+def _written(args) -> list[Path]:
+    """Every file the command writes for its ``--out``."""
+    out = Path(args.out)
+    written = [out, Path(f"{out}.manifest.json")]
+    if args.func in _CHART_COMMANDS:
+        written.append(out.with_suffix(".svg"))
+    if args.func is cmd_fit and args.latent:
+        written.append(Path(f"{out}.trace.json"))
+    return written
+
+
+def _check_not_an_input(args) -> None:
+    """Refuse an ``--out`` that would overwrite an input file before any
+    input is read."""
+    inputs = [getattr(args, k) for k in _INPUT_FLAGS if getattr(args, k, None)]
+    for path in _written(args):
+        for source in inputs:
+            try:
+                same = os.path.samefile(path, source)
+            except OSError:  # one of them does not exist
+                same = False
+            if same:
+                raise InvalidOption(f"--out {args.out} would overwrite the input file {source}")
+
+
 def _evidence(text: str) -> dict[str, str]:
     """``--evidence``: comma-separated ``Var=state`` pairs, case-sensitive."""
     evidence: dict[str, str] = {}
@@ -654,12 +701,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_CHART_COMMANDS = (cmd_strength, cmd_profile, cmd_multifactor, cmd_profiles)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "out", None) is not None:
             _check_writable(args.out)
+            _check_not_an_input(args)
         return args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,7 +24,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -373,16 +373,26 @@ def topological_order(network: Network) -> tuple[str, ...]:
 
 # --- model file format -------------------------------------------------------
 
-def _json_lines(items: Sequence[str], indent: int, brackets: str = "[]") -> str:
-    """Already-encoded ``items`` inside ``brackets``, one item per line."""
+_BLOCK_ROWS = 4096  # CPT rows render_model encodes at once
+
+
+def _json_lines(items: Sequence[str], indent: int) -> str:
+    """Already-encoded ``items`` inside brackets, one item per line."""
     if not items:
-        return brackets
+        return "[]"
     pad = " " * indent
-    return f"{brackets[0]}\n{pad}" + f",\n{pad}".join(items) + f"\n{pad[:-2]}{brackets[1]}"
+    return f"[\n{pad}" + f",\n{pad}".join(items) + f"\n{pad[:-2]}]"
 
 
 def serialize_model(network: Network) -> str:
-    """Render a network as the JSON model format (bit-exact probabilities).
+    """Render a network as the JSON model format (bit-exact probabilities):
+    the pieces of :func:`render_model` joined."""
+    return "".join(render_model(network))
+
+
+def render_model(network: Network) -> Iterator[str]:
+    """The text of :func:`serialize_model` in pieces, so that a writer of
+    the pieces holds at most ``_BLOCK_ROWS`` CPT rows as text at a time.
 
     One variable, edge or CPT row per line. Every value goes through the C
     JSON encoder; ``json.dumps`` with ``indent`` would run the pure-Python one.
@@ -391,20 +401,21 @@ def serialize_model(network: Network) -> str:
     variables = [encode({"name": v.name, "states": list(v.states), "kind": v.kind})
                  for v in network.schema]
     edges = [encode([p, c]) for p, c in network.dag.edges]
-    cpts = []
-    for name in network.variables:
+    yield ("{\n"
+           f'  "variables": {_json_lines(variables, 4)},\n'
+           f'  "edges": {_json_lines(edges, 4)},\n'
+           '  "cpts": {')
+    for i, name in enumerate(network.variables):
         cpt = network.cpts[name]
-        # rows hold numbers only, so "], [" occurs only between two rows
-        rows = encode(cpt.rows.tolist())[1:-1].replace("], [", "]\n[").split("\n")
-        cpts.append(f"{encode(name)}: {{\n"
-                    f'      "parents": {encode(list(cpt.parents))},\n'
-                    f'      "rows": {_json_lines(rows, 8)}\n'
-                    "    }")
-    return ("{\n"
-            f'  "variables": {_json_lines(variables, 4)},\n'
-            f'  "edges": {_json_lines(edges, 4)},\n'
-            f'  "cpts": {_json_lines(cpts, 4, "{}")}\n'
-            "}\n")
+        yield (f"{',' if i else ''}\n    {encode(name)}: {{\n"
+               f'      "parents": {encode(list(cpt.parents))},\n'
+               '      "rows": [')
+        for lo in range(0, len(cpt.rows), _BLOCK_ROWS):
+            # rows hold numbers only, so "], [" occurs only between two rows
+            block = encode(cpt.rows[lo:lo + _BLOCK_ROWS].tolist())[1:-1]
+            yield f"{',' if lo else ''}\n        " + block.replace("], [", "],\n        [")
+        yield "\n      ]\n    }"
+    yield "\n  }\n}\n" if network.variables else "}\n}\n"
 
 
 def parse_model(text: str) -> Network:
@@ -445,9 +456,12 @@ def parse_model_parts(
 
     CPTs may be absent or partial: callers that only need structure (e.g.
     ``fit`` with a schema/DAG override) use the parts directly.
+
+    Each CPT's rows become an array as soon as its JSON object closes (see
+    :func:`_rows_array`), so the number lists of one CPT at a time are alive.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_rows_array)
     except json.JSONDecodeError as exc:
         raise ModelSyntaxError(exc.msg, exc.lineno, exc.colno) from None
     except RecursionError:
@@ -504,14 +518,30 @@ def parse_model_parts(
         for p in parents:
             if p not in known:
                 raise ModelSyntaxError(f"CPT of '{name}' references unknown parent '{p}'")
-        rows = entry["rows"]
-        if (not isinstance(rows, list) or not rows
-                or not all(isinstance(r, list) for r in rows)):
-            raise ModelSyntaxError(f"rows of '{name}' must be a non-empty array of arrays")
-        if not set(map(type, chain.from_iterable(rows))) <= {int, float}:  # JSON numbers only
+        rows = entry.pop("rows")  # so that the Cpt's copy is the array's only lasting one
+        if not isinstance(rows, np.ndarray):  # _rows_array left it as it was
+            if not _is_table(rows):
+                raise ModelSyntaxError(f"rows of '{name}' must be a non-empty array of arrays")
             raise ModelSyntaxError(f"rows of '{name}' are not numeric")
-        try:
-            cpt_map[name] = Cpt(name, tuple(parents), rows)
-        except (ValueError, TypeError, OverflowError):  # ragged, or an int past float64
-            raise ModelSyntaxError(f"rows of '{name}' are not numeric") from None
+        cpt_map[name] = Cpt(name, tuple(parents), rows)
     return schema, dag, cpt_map
+
+
+def _is_table(rows) -> bool:
+    return isinstance(rows, list) and bool(rows) and all(isinstance(r, list) for r in rows)
+
+
+def _rows_array(pairs: list[tuple[str, object]]) -> dict:
+    """``json.loads``'s hook for each object: the object as a dict, with a
+    ``"rows"`` table of JSON numbers (no ``true`` or ``false``) made a
+    float64 array. Any other ``"rows"`` value, and a ragged table or one
+    with an integer past float64, is left for :func:`parse_model_parts` to
+    refuse."""
+    obj = dict(pairs)
+    rows = obj.get("rows")
+    if _is_table(rows) and set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        try:
+            obj["rows"] = np.array(rows, dtype=np.float64)
+        except (ValueError, TypeError, OverflowError):
+            pass
+    return obj

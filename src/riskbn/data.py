@@ -29,6 +29,7 @@ from .errors import (
     IllegalState,
     MalformedCsv,
     MissingMetaColumn,
+    NotUtf8,
     RaggedRow,
     RiskbnError,
     SchemaMismatch,
@@ -42,8 +43,9 @@ MISSING_TOKENS = ("", "?")
 _RT_MAX = int(np.iinfo(np.int32).max)  # response times are stored as int32
 _MAX_RUN_LABELS = 4096  # joint labels of one fused column run in save_dataset
 _CHUNK_ROWS = 8192  # rows load_dataset holds as cell text, and render_dataset renders, at once
-_SLICE_CHARS = 1 << 18  # least characters of text load_dataset reads at once
-_LINE_END = re.compile(r"\r\n?|\n")  # where io.StringIO(newline="") ends a line
+_SLICE_BYTES = 1 << 18  # least bytes of its input load_dataset reads at once
+_LINE_END = re.compile(rb"\r\n?|\n")  # where io.StringIO(newline="") ends a line
+_BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark, which Excel writes
 
 #: Published survey marginals (percent). Two columns do not sum to 100:
 #: Gender totals 99.0 and Daily_Hours_Internet totals 97.6; the generator
@@ -242,23 +244,38 @@ def _response_time(cell: str) -> int:
     return value
 
 
-def _slices(text: str, start: int = 0):
-    """Successive slices of ``text`` from ``start``. Each ends just after
+def _slices(data: bytes, start: int = 0):
+    """Successive slices of ``data`` from ``start``. Each ends just after
     the first line end (``\\r\\n``, ``\\n`` or a bare ``\\r``, where
-    ``io.StringIO(newline="")`` ends a line) at least ``_SLICE_CHARS``
-    characters on, so no line straddles two slices."""
-    while start < len(text):
-        end = _LINE_END.search(text, start + _SLICE_CHARS - 1)
-        cut = end.end() if end else len(text)
-        yield text[start:cut]
+    ``io.StringIO(newline="")`` ends a line) at least ``_SLICE_BYTES`` bytes
+    on, so no line, and no UTF-8 character, straddles two slices."""
+    while start < len(data):
+        end = _LINE_END.search(data, start + _SLICE_BYTES - 1)
+        cut = end.end() if end else len(data)
+        yield data[start:cut]
         start = cut
 
 
-def _lines(text: str):
-    """The lines of ``io.StringIO(text, newline="")``, read from successive
-    slices of ``text`` so that no whole copy of it is made."""
-    for piece in _slices(text):
-        yield from io.StringIO(piece, newline="")
+def _lines(data: bytes, start: int = 0):
+    """The lines of ``io.StringIO(data[start:].decode(), newline="")``, decoded
+    from successive slices of ``data`` so that no whole copy of it is made."""
+    for piece in _slices(data, start):
+        yield from io.StringIO(piece.decode("utf-8", "surrogatepass"), newline="")
+
+
+def _check_utf8(data: bytes) -> None:
+    """Raise NotUtf8 at the first byte of ``data`` that is not UTF-8. Bytes
+    that are all ASCII are checked without decoding; any others are decoded
+    one slice at a time, and each slice's text is thrown away."""
+    if data.isascii():
+        return
+    at = 0
+    for piece in _slices(data):
+        try:
+            piece.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise NotUtf8("dataset", at + exc.start) from None
+        at += len(piece)
 
 
 def _decode_chunk(cells: list[str], first: int, columns) -> None:
@@ -389,11 +406,12 @@ def _split_slice(b: np.ndarray, width: int, field_limit: int):
     return start, length
 
 
-def _decode_slice(piece: str, columns, field_limit: int) -> np.ndarray | None:
-    """The codes of the rows of ``piece``, whole lines of text holding no
-    ``"`` and no NUL, as a (width, rows) array; or None at anything the CSV
-    reader might read otherwise or refuse (see :func:`_split_slice`), at an
-    illegal cell, or at a hash that groups two different cell texts.
+def _decode_slice(piece: bytes, columns, field_limit: int) -> np.ndarray | None:
+    """The codes of the rows of ``piece``, the UTF-8 bytes of whole lines of
+    text holding no ``"`` and no NUL, as a (width, rows) array; or None at
+    anything the CSV reader might read otherwise or refuse (see
+    :func:`_split_slice`), at an illegal cell, or at a hash that groups two
+    different cell texts.
 
     Each column's cells are grouped by a key and only one cell of each group
     is decoded, through its column's memo. A cell of at most 8 bytes is its
@@ -402,9 +420,8 @@ def _decode_slice(piece: str, columns, field_limit: int) -> np.ndarray | None:
     of its words and its length, so each such cell is checked word for word
     against its neighbour in its group."""
     width = len(columns)
-    raw = piece.encode("utf-8", "surrogatepass")
-    size = len(raw)
-    raw += bytes(8)  # so that a word can be read at any cell's start
+    size = len(piece)
+    raw = piece + bytes(8)  # so that a word can be read at any cell's start
     b = np.frombuffer(raw, np.uint8)
     cells = _split_slice(b[:size], width, field_limit)
     if cells is None:
@@ -458,21 +475,22 @@ def _decode_slice(piece: str, columns, field_limit: int) -> np.ndarray | None:
     return coded.reshape(width, rows)
 
 
-def _load_quote_free(text: str, schema: Schema) -> Dataset | None:
-    """The dataset in ``text``, which holds no ``"``, split by
-    :func:`_decode_slice`; or None where the CSV path must decide, as at a
+def _load_quote_free(data: bytes, schema: Schema, start: int = 0) -> Dataset | None:
+    """The dataset in ``data[start:]``, UTF-8 bytes that hold no ``"``, split
+    by :func:`_decode_slice`; or None where the CSV path must decide, as at a
     NUL (which Python 3.10's CSV reader refuses)."""
-    if "\0" in text:
+    if b"\0" in data:
         return None
-    end = _LINE_END.search(text)
-    cut = end.end() if end else len(text)
+    end = _LINE_END.search(data, start)
+    cut = end.end() if end else len(data)
     try:
-        columns = _columns(next(csv.reader([text[:cut]]), ()), schema)
+        header = data[start:cut].decode("utf-8", "surrogatepass")
+        columns = _columns(next(csv.reader([header]), ()), schema)
     except (RiskbnError, csv.Error):
         return None
     field_limit = csv.field_size_limit()
     n = 0
-    for piece in _slices(text, cut):
+    for piece in _slices(data, cut):
         coded = _decode_slice(piece, columns, field_limit)
         if coded is None:
             return None
@@ -482,8 +500,12 @@ def _load_quote_free(text: str, schema: Schema) -> Dataset | None:
     return _dataset(schema, n, columns)
 
 
-def load_dataset(text: str, schema: Schema) -> Dataset:
-    """Parse the dataset CSV format.
+def load_dataset(data: str | bytes, schema: Schema) -> Dataset:
+    """Parse the dataset CSV format, given as text or as the bytes of a file.
+
+    Bytes must be UTF-8 (NotUtf8, at the offset of the first bad byte, comes
+    before any other error) and may begin with a byte-order mark, which is
+    skipped. Text is read as its UTF-8 encoding.
 
     First row holds column headers; cells that are empty or ``?`` are
     missing, and cells are stripped of surrounding whitespace. Errors carry
@@ -492,27 +514,32 @@ def load_dataset(text: str, schema: Schema) -> Dataset:
     line is a ragged row 0), then the first illegal cell in row-major order,
     then the first row whose width differs from the header's.
 
-    Two tokenizers read CSV text, with the same result and the same error.
-    A text holding no ``"`` is split by numpy, one slice at a time: each
-    slice is encoded once, its commas and line ends are found by vector
-    compares, and only each column's distinct cell texts are decoded.
-    Anything out of the way (a NUL, a ragged or blank line, a field past
+    Two tokenizers read the bytes, with the same result and the same error.
+    Bytes holding no ``"`` are split by numpy, one slice at a time: the
+    commas and line ends of each slice are found by vector compares, and
+    only each column's distinct cell texts are decoded. Anything out of the
+    way (a NUL, a ragged or blank line, a field past
     ``csv.field_size_limit()``, an illegal cell) makes the numpy path give
-    up without raising, and the whole text goes to the CSV reader, which
-    raises the error. The CSV reader reads every other text from the start.
+    up without raising, and the whole input goes to the CSV reader, which
+    raises the error. The CSV reader reads every other input from the start.
 
-    The memory held does not grow with the file beyond the decoded columns:
-    both paths read slices of ``text`` of at least ``_SLICE_CHARS``
-    characters (no whole copy of it is made), and the CSV reader's rows are
-    gathered ``_CHUNK_ROWS`` at a time into a flat cell list. Both decode
-    each column through one memo of its distinct cell texts, kept for the
-    whole file. No result depends on either constant.
+    The memory held does not grow with the file beyond the decoded columns
+    (and, for text, its encoding): both paths read slices of at least
+    ``_SLICE_BYTES`` bytes, only the CSV reader's slices are decoded, and
+    its rows are gathered ``_CHUNK_ROWS`` at a time into a flat cell list.
+    Both decode each column through one memo of its distinct cell texts,
+    kept for the whole file. No result depends on either constant.
     """
-    if '"' not in text:
-        dataset = _load_quote_free(text, schema)
+    if isinstance(data, str):
+        data, start = data.encode("utf-8", "surrogatepass"), 0
+    else:
+        _check_utf8(data)
+        start = len(_BOM) if data.startswith(_BOM) else 0
+    if b'"' not in data:
+        dataset = _load_quote_free(data, schema, start)
         if dataset is not None:
             return dataset
-    reader = csv.reader(_lines(text))
+    reader = csv.reader(_lines(data, start))
     try:
         try:
             return _read_rows(reader, schema)

@@ -138,7 +138,12 @@ class MissingMetaColumn(RiskbnError):
 
 
 class NotUtf8(RiskbnError):
-    """An input file is not UTF-8 text."""
+    """An input is not UTF-8 text; ``offset`` is its first bad byte."""
+
+    def __init__(self, source: str, offset: int):
+        self.source = source
+        self.offset = offset
+        super().__init__(f"{source} is not UTF-8 text (byte {offset})")
 
 
 # --- CLI --------------------------------------------------------------------

@@ -146,8 +146,9 @@ def default_prior(schema: Sequence[VariableSpec], outcome: str = DEFAULT_OUTCOME
 
 # --- dataset encoding ----------------------------------------------------------
 
-def _codes_matrix(schema: Sequence[VariableSpec], dataset: Dataset) -> np.ndarray:
-    """(n, len(schema)) int32 state codes, -1 missing; validates columns."""
+def _network_columns(schema: Sequence[VariableSpec], dataset: Dataset) -> list:
+    """Each schema variable's int16 state codes (-1 missing) as the dataset
+    holds them, None where it has no such column; validates columns."""
     names = {v.name for v in schema}
     for col_name in dataset.columns:
         spec = dataset.schema.get(col_name)
@@ -155,17 +156,22 @@ def _codes_matrix(schema: Sequence[VariableSpec], dataset: Dataset) -> np.ndarra
             continue
         if col_name not in names:
             raise SchemaMismatch(f"dataset column '{col_name}' is not a network variable")
-    codes = np.full((dataset.n, len(schema)), -1, dtype=np.int32)
-    for j, v in enumerate(schema):
-        col = dataset.columns.get(v.name)
-        if col is None:
-            continue
+    columns = [dataset.columns.get(v.name) for v in schema]
+    for v, col in zip(schema, columns):
         ds_spec = dataset.schema.get(v.name)
-        if ds_spec is not None and ds_spec.states != v.states:
+        if col is not None and ds_spec is not None and ds_spec.states != v.states:
             raise SchemaMismatch(
                 f"states of '{v.name}' differ between dataset and network schema"
             )
-        codes[:, j] = col
+    return columns
+
+
+def _codes_matrix(columns: Sequence[np.ndarray | None], n: int) -> np.ndarray:
+    """(n, len(columns)) int32 state codes, -1 missing."""
+    codes = np.full((n, len(columns)), -1, dtype=np.int32)
+    for j, col in enumerate(columns):
+        if col is not None:
+            codes[:, j] = col
     return codes
 
 
@@ -200,12 +206,18 @@ def _families(schema: Sequence[VariableSpec], dag: DagStructure) -> tuple[_Famil
     return tuple(families)
 
 
-def _family_counts(codes: np.ndarray, family: _Family) -> np.ndarray:
-    """Row/state counts for one family, listwise-deleting incomplete records."""
-    complete = (codes[:, list(family.members)] >= 0).all(axis=1)
-    flat = config_index([codes[complete, m] for m in family.members], family.cards)
-    counts = np.bincount(flat, minlength=family.n_rows * family.n_states)
-    return counts.reshape(family.n_rows, family.n_states).astype(np.float64)
+def _family_counts(columns: Sequence[np.ndarray | None], family: _Family) -> np.ndarray:
+    """Row/state counts for one family, read from its members' columns,
+    listwise-deleting incomplete records."""
+    members = [columns[m] for m in family.members]
+    size = family.n_rows * family.n_states
+    if any(col is None for col in members):  # no record is complete
+        counts = np.zeros(size)
+    else:
+        complete = np.logical_and.reduce([col >= 0 for col in members])
+        flat = config_index(members, family.cards)[complete]
+        counts = np.bincount(flat, minlength=size).astype(np.float64)
+    return counts.reshape(family.n_rows, family.n_states)
 
 
 def _posterior_mean(counts: np.ndarray, alpha: np.ndarray, ess: float) -> np.ndarray:
@@ -458,12 +470,12 @@ def fit_cpts(schema: Sequence[VariableSpec], dag: DagStructure, dataset: Dataset
     """
     schema = tuple(schema)
     prior = prior if prior is not None else default_prior(schema)
-    codes = _codes_matrix(schema, dataset)
+    columns = _network_columns(schema, dataset)
     cpts = []
     for f in _families(schema, dag):
         alpha = prior.ess * prior.mean_rows(f.name, f.n_rows, f.n_states)
         cpts.append(Cpt(f.name, f.parents,
-                        _posterior_mean(_family_counts(codes, f), alpha, prior.ess)))
+                        _posterior_mean(_family_counts(columns, f), alpha, prior.ess)))
     return build_network(schema, dag, cpts)
 
 
@@ -475,11 +487,11 @@ def log_likelihood(network: Network, dataset: Dataset) -> float:
     rather than being clamped away.
     """
     schema = network.schema
-    codes = _codes_matrix(schema, dataset)
+    columns = _network_columns(schema, dataset)
     if dataset.n == 0:
         return 0.0
     log_cpts = _log_cpts({name: cpt.rows for name, cpt in network.cpts.items()})
-    patterns = _patterns(codes, _families(schema, network.dag), ())
+    patterns = _patterns(_codes_matrix(columns, dataset.n), _families(schema, network.dag), ())
     logp, _ = _e_step(patterns, log_cpts, _static_terms(patterns, log_cpts), dataset.n)
     zero = int(np.isneginf(logp).sum())
     if zero:
@@ -562,10 +574,10 @@ class _EmProblem:
             raise SchemaMismatch("em_fit needs at least one latent variable")
         latent_cols = {order[name] for name in self.latents}
 
-        codes = _codes_matrix(self.schema, dataset)
+        columns = _network_columns(self.schema, dataset)
         self.n = dataset.n
         self.families = _families(self.schema, dag)
-        self.patterns = _patterns(codes, self.families, latent_cols)
+        self.patterns = _patterns(_codes_matrix(columns, self.n), self.families, latent_cols)
 
         # Prior means and pseudo-counts (ess * mean) per family, read-only
         # and shared by every restart and iteration. The log-prior term
@@ -590,7 +602,7 @@ class _EmProblem:
         self.latent_families: list[_Family] = []
         for f in self.families:
             if latent_cols.isdisjoint(f.members):
-                self.static_cpts[f.name] = _posterior_mean(_family_counts(codes, f),
+                self.static_cpts[f.name] = _posterior_mean(_family_counts(columns, f),
                                                            self.alphas[f.name], prior.ess)
             else:
                 self.latent_families.append(f)

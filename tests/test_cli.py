@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import resource
 import subprocess
 import sys
 
@@ -663,14 +664,14 @@ def _out_index(command):
 
 @pytest.fixture()
 def input_reads(monkeypatch):
-    """Paths the CLI reads as text, in order."""
+    """Paths of the input files the CLI reads, in order."""
     reads = []
-    read_text = riskbn.cli._read_text
+    read_input = riskbn.cli._read_input
 
     def recording(path):
         reads.append(path)
-        return read_text(path)
-    monkeypatch.setattr(riskbn.cli, "_read_text", recording)
+        return read_input(path)
+    monkeypatch.setattr(riskbn.cli, "_read_input", recording)
     return reads
 
 
@@ -708,6 +709,63 @@ def test_unwritable_out_exits_1_before_any_input_is_read(tmp_path, monkeypatch, 
     assert f"cannot write --out {out}" in capsys.readouterr().err
     assert input_reads == []
     assert not (tmp_path / "nodir").exists()
+
+
+# Each case names an --out one of whose files (the table, its chart, its
+# manifest or the EM trace) is an input file: (that input, argv).
+_OUT_NAMES_INPUT = {
+    "summarize": ("d.csv", ["summarize", "--data", "d.csv", "--schema", "chain.json",
+                            "--out", "./d.csv"]),
+    "summarize_manifest": ("t.csv.manifest.json", ["summarize", "--data", "t.csv.manifest.json",
+                                                   "--schema", "chain.json", "--out", "t.csv"]),
+    "fit": ("d.csv", ["fit", "--data", "d.csv", "--schema", "chain.json", "--out", "d.csv"]),
+    "fit_dag": ("g.json", ["fit", "--data", "d.csv", "--schema", "chain.json",
+                           "--dag", "g.json", "--out", "g.json"]),
+    "fit_trace": ("m.json.trace.json", ["fit", "--data", "b.csv", "--schema",
+                                        "m.json.trace.json", "--latent", "A",
+                                        "--em-restarts", "1", "--out", "m.json"]),
+    "strength": ("chain.json", ["strength", "--model", "chain.json", "--target", "B",
+                                "--out", "chain.json"]),
+    "strength_chart": ("s.svg", ["strength", "--model", "s.svg", "--target", "B",
+                                 "--out", "s.csv"]),
+    "query_manifest": ("q.json.manifest.json", ["query", "--model", "q.json.manifest.json",
+                                                "--target", "B", "--out", "q.json"]),
+    "simulate": ("chain.json", ["simulate", "--n", "3", "--seed", "1", "--model", "chain.json",
+                                "--out", "chain.json"]),
+    "compare": ("b.csv", ["compare", "a.csv", "b.csv", "--out", "b.csv"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OUT_NAMES_INPUT))
+def test_out_that_names_an_input_exits_2_and_leaves_the_input_unchanged(
+        tmp_path, monkeypatch, capsys, input_reads, case):
+    _boundary_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for copy, source in [("g.json", "chain.json"), ("m.json.trace.json", "chain.json"),
+                         ("s.svg", "chain.json"), ("q.json.manifest.json", "chain.json"),
+                         ("t.csv.manifest.json", "d.csv"), ("b.csv", "a.csv")]:
+        (tmp_path / copy).write_bytes((tmp_path / source).read_bytes())
+    if case == "fit_trace":  # A is latent, so the cohort must not observe it
+        (tmp_path / "b.csv").write_text("B\n0\n1\n")
+    victim, argv = _OUT_NAMES_INPUT[case]
+    before = (tmp_path / victim).read_bytes()
+    assert main(argv) == 2
+    assert "would overwrite the input file" in capsys.readouterr().err
+    assert (tmp_path / victim).read_bytes() == before
+    assert input_reads == []
+
+
+@pytest.mark.parametrize("command", _WRITING_COMMANDS)
+def test_manifest_records_peak_rss_in_kilobytes(tmp_path, monkeypatch, command):
+    _boundary_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    scale = 1024 if sys.platform == "darwin" else 1  # macOS reports bytes
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // scale
+    assert main(_argv(command)) == 0
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // scale
+    out = dict(_VALID_ARGV[command])["--out"]
+    peak = json.loads((tmp_path / f"{out}.manifest.json").read_text())["peak_rss_kb"]
+    assert type(peak) is int and 0 < before <= peak <= after
 
 
 def test_fit_latent_unwritable_out_never_runs_em(tmp_path, monkeypatch):

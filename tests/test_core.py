@@ -1,4 +1,6 @@
+import copy
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from riskbn.core import (
     config_index,
     parse_model,
     parse_model_parts,
+    render_model,
     serialize_model,
     topological_order,
 )
@@ -339,6 +342,126 @@ def test_serialize_model_one_cpt_row_per_line():
             assert line.startswith("        [")
             assert json.loads(line.strip().rstrip(",")) == row.tolist()
         assert lines[len(rows)] == "      ]"
+
+
+def _ints_for_whole_numbers(doc):
+    """``doc`` with every CPT entry that is 0.0 or 1.0 written as 0 or 1."""
+    for entry in doc["cpts"].values():
+        if isinstance(entry["rows"], list):
+            entry["rows"] = [[int(p) if type(p) is float and p in (0.0, 1.0) else p
+                              for p in row] if isinstance(row, list) else row
+                             for row in entry["rows"]]
+    return doc
+
+
+_LAYOUTS = {
+    "indent": lambda doc, k: json.dumps(doc, indent=k),
+    "compact": lambda doc, k: json.dumps(doc, separators=(",", ":")),
+    "integers": lambda doc, k: json.dumps(_ints_for_whole_numbers(doc), indent=k),
+}
+
+
+def _same_bits(a, b) -> bool:
+    return a == b and all(a.cpts[n].rows.tobytes() == b.cpts[n].rows.tobytes()
+                          for n in a.variables)
+
+
+def _parse_error(text):
+    with pytest.raises(ModelSyntaxError) as exc:
+        parse_model(text)
+    return str(exc.value)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(_LAYOUTS)), st.integers(0, 4))
+@settings(max_examples=150, deadline=None)
+def test_any_layout_of_a_model_parses_to_the_same_bits(seed, layout, indent):
+    rng = np.random.default_rng(seed)
+    doc = json.loads(serialize_model(random_network(rng, allow_zeros=True)))
+    name = doc["variables"][int(rng.integers(len(doc["variables"])))]["name"]
+    rows = doc["cpts"][name]["rows"]
+    rows[0] = [1.0] + [0.0] * (len(rows[0]) - 1)  # a deterministic row
+    net = parse_model(json.dumps(doc))
+    assert _same_bits(parse_model(serialize_model(net)), net)
+    assert _same_bits(parse_model(_LAYOUTS[layout](copy.deepcopy(doc), indent)), net)
+
+    # the rows a model may not hold keep their error, whatever the layout
+    for bad, message in [
+        ([[True] + r[1:] for r in rows], "are not numeric"),
+        (rows + [rows[0] + [0.0]], "are not numeric"),  # ragged
+        ({"0": rows[0]}, "must be a non-empty array of arrays"),
+        (rows[0], "must be a non-empty array of arrays"),
+        ([], "must be a non-empty array of arrays"),
+    ]:
+        broken = copy.deepcopy(doc)
+        broken["cpts"][name]["rows"] = bad
+        assert _parse_error(_LAYOUTS[layout](broken, indent)) == f"rows of '{name}' {message}"
+
+
+def test_an_integer_past_float64_in_rows_is_not_numeric():
+    doc = json.loads(serialize_model(chain_network()))
+    doc["cpts"]["B"]["rows"][1][0] = 10 ** 400
+    assert _parse_error(json.dumps(doc)) == "rows of 'B' are not numeric"
+
+
+def test_rows_outside_a_cpt_entry_are_ignored():
+    # the hook that turns rows into arrays sees every object; only CPT entries count
+    doc = json.loads(serialize_model(chain_network()))
+    doc["rows"] = [[0.5, 0.5]]
+    doc["variables"][0]["rows"] = [[True]]
+    assert parse_model(json.dumps(doc)) == chain_network()
+
+
+def _wide_network(n_children: int, card: int = 64):
+    """Roots A and B of ``card`` states each, and ``n_children`` binary
+    children of both: each child's CPT has card ** 2 rows."""
+    states = tuple(map(str, range(card)))
+    specs = [VariableSpec("A", states), VariableSpec("B", states)]
+    specs += [VariableSpec(f"C{i}", ("0", "1")) for i in range(n_children)]
+    edges = [(p, f"C{i}") for i in range(n_children) for p in ("A", "B")]
+    uniform = np.full((1, card), 1 / card)
+    cpts = [Cpt("A", (), uniform), Cpt("B", (), uniform)]
+    rng = np.random.default_rng(n_children)
+    for i in range(n_children):
+        p = rng.random(card * card)
+        cpts.append(Cpt(f"C{i}", ("A", "B"), np.stack([p, 1 - p], axis=1)))
+    return build_network(specs, DagStructure([v.name for v in specs], edges), cpts)
+
+
+def _traced(call) -> tuple[int, int]:
+    """Peak and final traced bytes of ``call()``, its result still held."""
+    tracemalloc.start()
+    try:
+        result = call()  # noqa: F841 -- held, so its memory is in the final figure
+        current, peak = tracemalloc.get_traced_memory()
+        return peak, current
+    finally:
+        tracemalloc.stop()
+
+
+def test_model_parse_holds_one_cpt_of_number_lists_at_a_time():
+    # above what the parsed CPTs themselves hold, a parse of eight equal CPTs
+    # peaks like a parse of one; holding every CPT's JSON lists before
+    # turning any into an array peaks near eight times as high
+    def excess(n_children):
+        text = serialize_model(_wide_network(n_children))
+        peak, held = _traced(lambda: parse_model_parts(text))
+        return peak - held
+    assert excess(8) <= 1.2 * excess(1)
+
+
+def test_model_renderer_holds_one_block_of_rows_at_a_time():
+    small, large = _wide_network(1, 64), _wide_network(1, 128)  # 4,096 and 16,384 rows
+    peak_small = _traced(lambda: sum(map(len, render_model(small))))[0]
+    assert _traced(lambda: sum(map(len, render_model(large))))[0] <= 1.2 * peak_small
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 4096])
+def test_serialized_model_is_its_rendered_pieces_in_any_block_size(monkeypatch, block_rows):
+    nets = [build_default_generator(0).network, chain_network(), _wide_network(2, 7)]
+    expected = [serialize_model(net) for net in nets]
+    monkeypatch.setattr("riskbn.core._BLOCK_ROWS", block_rows)
+    for net, text in zip(nets, expected):
+        assert "".join(render_model(net)) == serialize_model(net) == text
 
 
 def test_parse_unknown_cpt_variable():

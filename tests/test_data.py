@@ -36,6 +36,7 @@ from riskbn.errors import (
     MalformedCsv,
     RiskbnError,
     MissingMetaColumn,
+    NotUtf8,
     RaggedRow,
     UnknownColumn,
 )
@@ -181,6 +182,22 @@ def _load_outcome(load, text, schema):
             {k: v.tolist() for k, v in ds.response_times.items()})
 
 
+_BOM = b"\xef\xbb\xbf"
+
+
+def _load_text_and_bytes(text, schema):
+    """The outcome of loading ``text``, which must equal that of loading its
+    UTF-8 bytes, with and without a byte-order mark before them."""
+    outcome = _load_outcome(load_dataset, text, schema)
+    assert _load_outcome(load_dataset, text.encode(), schema) == outcome
+    assert _load_outcome(load_dataset, _BOM + text.encode(), schema) == outcome
+    return outcome
+
+
+def _quote_free(text, schema):
+    return _load_quote_free(text.encode(), schema)
+
+
 _DIFF_COLUMNS = ["Gender", "Age", "honesty", "rt_A1Q1_PhotoSharing", "rt_A1Q2_Sociable"]
 _DIFF_CELLS = ["", "?", " ? ", "Male", " Male ", '"Male"', '" Female "', '"a,b"', "Blue",
                "12", "Yes", "No", "\r", "900", "+5", "5_000", "-5", "2147483647",
@@ -200,7 +217,7 @@ _DIFF_SEPARATORS = ["\n", "\r\n", "\r"]
 def test_load_dataset_matches_per_row_oracle(header, rows, separator):
     text = separator.join(",".join(row) for row in [header, *rows]) + separator
     schema = default_schema()
-    assert _load_outcome(load_dataset, text, schema) \
+    assert _load_text_and_bytes(text, schema) \
         == _load_outcome(load_dataset_per_row, text, schema)
 
 
@@ -209,7 +226,7 @@ def test_load_dataset_matches_per_row_oracle(header, rows, separator):
 def test_load_dataset_matches_per_row_oracle_on_text(body):
     text = "Gender,Age,rt_A1Q1_PhotoSharing\n" + body
     schema = default_schema()
-    assert _load_outcome(load_dataset, text, schema) \
+    assert _load_text_and_bytes(text, schema) \
         == _load_outcome(load_dataset_per_row, text, schema)
 
 
@@ -218,7 +235,7 @@ def test_load_dataset_matches_per_row_oracle_in_tiny_chunks(monkeypatch, chunk_r
     # chunk edges then fall across illegal cells, ragged rows and unsplittable
     # lines, and every line is read from a slice of its own
     monkeypatch.setattr("riskbn.data._CHUNK_ROWS", chunk_rows)
-    monkeypatch.setattr("riskbn.data._SLICE_CHARS", 1)
+    monkeypatch.setattr("riskbn.data._SLICE_BYTES", 1)
     test_load_dataset_matches_per_row_oracle()
     test_load_dataset_matches_per_row_oracle_on_text()
 
@@ -250,10 +267,10 @@ def test_quote_free_load_matches_per_row_oracle(header, rows, separators, last_e
         text = text[:-len(separators[(len(lines) - 1) % len(separators)])]
     schema = default_schema()
     expected = _load_outcome(load_dataset_per_row, text, schema)
-    with mock.patch("riskbn.data._SLICE_CHARS", slice_chars):
-        assert _load_outcome(load_dataset, text, schema) == expected
+    with mock.patch("riskbn.data._SLICE_BYTES", slice_chars):
+        assert _load_text_and_bytes(text, schema) == expected
         if "\0" not in text and isinstance(expected[0], int):  # loaded: numpy read it all
-            assert _load_outcome(_load_quote_free, text, schema) == expected
+            assert _load_outcome(_quote_free, text, schema) == expected
 
 
 _LOOKALIKES = Schema((VariableSpec("Q", (
@@ -270,10 +287,10 @@ _LOOKALIKES = Schema((VariableSpec("Q", (
 def test_cells_that_share_a_hash_are_told_apart(monkeypatch, pair):
     text = "Q\n" + "".join(f"{cell}\n" * 3 for cell in pair)
     expected = _load_outcome(load_dataset_per_row, text, _LOOKALIKES)
-    assert _load_outcome(_load_quote_free, text, _LOOKALIKES) == expected
+    assert _load_outcome(_quote_free, text, _LOOKALIKES) == expected
     # a hash of the first word alone puts both texts in one group
     monkeypatch.setattr("riskbn.data._HASH_FACTORS", np.zeros(2, np.uint64))
-    assert _load_quote_free(text, _LOOKALIKES) is None
+    assert _quote_free(text, _LOOKALIKES) is None
     assert _load_outcome(load_dataset, text, _LOOKALIKES) == expected
 
 
@@ -282,7 +299,7 @@ def test_cells_either_side_of_the_exact_key_length_are_told_apart():
     states = ("aaaaaaaA", "aaaaaaaI", "aaaaaaaaA", "aaaaaaaaI", "aaaaaaaaaA", "aaaaaaaaaI")
     schema = Schema((VariableSpec("Q", states),))
     text = "Q\n" + "\n".join(states * 2) + "\n"
-    assert _load_outcome(_load_quote_free, text, schema) \
+    assert _load_outcome(_quote_free, text, schema) \
         == _load_outcome(load_dataset_per_row, text, schema)
 
 
@@ -312,8 +329,8 @@ def _load_in_every_chunking(monkeypatch, text, schema, slice_chars=None):
     for chunk_rows in (1, 2, 3, 4):
         for chars in slice_chars or range(1, len(text) + 2):
             monkeypatch.setattr("riskbn.data._CHUNK_ROWS", chunk_rows)
-            monkeypatch.setattr("riskbn.data._SLICE_CHARS", chars)
-            assert _load_outcome(load_dataset, text, schema) == expected, (chunk_rows, chars)
+            monkeypatch.setattr("riskbn.data._SLICE_BYTES", chars)
+            assert _load_text_and_bytes(text, schema) == expected, (chunk_rows, chars)
     return expected
 
 
@@ -364,14 +381,14 @@ _CR_LINES = "".join(f"Male,{i}\r" for i in range(30_000))
     _CR_LINES + "Male,-1\n",
 ], ids=["cr", "crlf", "mixed", "cr-then-lf"])
 def test_lines_match_one_string_reader(monkeypatch, text, slice_chars):
-    monkeypatch.setattr("riskbn.data._SLICE_CHARS", slice_chars)
-    assert list(_lines(text)) == list(io.StringIO(text, newline=""))
+    monkeypatch.setattr("riskbn.data._SLICE_BYTES", slice_chars)
+    assert list(_lines(text.encode())) == list(io.StringIO(text, newline=""))
 
 
-def _load_peak(text: str, n: int) -> int:
+def _load_peak(data: str | bytes, n: int) -> int:
     tracemalloc.start()
     try:
-        ds = load_dataset(text, default_schema())
+        ds = load_dataset(data, default_schema())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -385,12 +402,35 @@ def test_load_dataset_of_100k_cohort_in_bounded_memory():
 
 
 def test_bare_carriage_return_cohort_loads_in_the_memory_of_a_newline_one():
-    # a whole-text copy of this cohort nearly doubles the peak
-    text = save_dataset(simulate_dataset(20_000, 0))
-    peak = _load_peak(text, 20_000)
-    cr_text = text.replace("\n", "\r")
-    assert _load_peak(cr_text, 20_000) <= 1.2 * peak
-    assert _load_peak(cr_text[:-1] + "\n", 20_000) <= 1.2 * peak  # one \n, at the very end
+    # a whole copy of this cohort nearly doubles the peak
+    raw = save_dataset(simulate_dataset(20_000, 0)).encode()
+    peak = _load_peak(raw, 20_000)
+    cr_raw = raw.replace(b"\n", b"\r")
+    assert _load_peak(cr_raw, 20_000) <= 1.2 * peak
+    assert _load_peak(cr_raw[:-1] + b"\n", 20_000) <= 1.2 * peak  # one \n, at the very end
+
+
+@pytest.mark.parametrize("prefix", [b"", _BOM], ids=["plain", "bom"])
+def test_load_dataset_of_100k_cohort_bytes_makes_no_whole_copy(prefix):
+    # decoding the bytes to text, or slicing off the mark, copies all 14 MB;
+    # with a mark the bytes are not ASCII, so they are checked slice by slice
+    raw = prefix + save_dataset(simulate_dataset(100_000, 0)).encode()
+    assert _load_peak(raw, 100_000) <= 0.75 * len(raw)
+
+
+@pytest.mark.parametrize("slice_bytes", [1, 7, 1 << 18])
+@pytest.mark.parametrize("raw, offset", [
+    (b"Gender\nF\xe9male\n", 8),
+    (_BOM + b"Gender\nF\xe9male\n", 11),  # the mark counts: offsets are the file's
+    (b"Gender\nBlue\n" + b"x" * 200_000 + b"\nM\xc3", 200_014),  # past earlier CSV errors
+    (b"Gender\nMale\n\xed\xa0\x80\n", 12),  # an encoded surrogate is not UTF-8
+], ids=["cell", "after-bom", "before-csv-errors", "surrogate"])
+def test_bytes_that_are_not_utf8_name_the_first_bad_byte(monkeypatch, slice_bytes, raw, offset):
+    monkeypatch.setattr("riskbn.data._SLICE_BYTES", slice_bytes)
+    with pytest.raises(NotUtf8) as exc:
+        load_dataset(raw, default_schema())
+    assert exc.value.offset == offset
+    assert str(exc.value) == f"dataset is not UTF-8 text (byte {offset})"
 
 
 def _traced_peak(call) -> int:

@@ -461,3 +461,33 @@ def test_log_likelihood_with_absent_columns_matches_elimination_in_bounded_memor
     expected = sum(math.log(evidence_probability(net, ds.record(i))) for i in range(ds.n))
     assert value == pytest.approx(expected, rel=1e-9)
     assert peak < 48e6
+
+
+def test_fit_cpts_of_100k_cohort_counts_from_its_columns_in_bounded_memory():
+    # an (n x 21) int32 code matrix alone is 8.4 MB here, before the
+    # (n x family) copy that each family's count made from it
+    specs, dag = default_schema().network_variables, default_dag()
+    ds = simulate_dataset(100_000, 0)
+    prior = default_prior(specs)
+    tracemalloc.start()
+    try:
+        net = fit_cpts(specs, dag, ds, prior)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
+    assert net.cpts[OUTCOME].rows.shape == (72_900, 2)
+
+
+def test_fit_cpts_without_a_column_gives_its_families_the_prior_mean():
+    specs, dag = default_schema().network_variables, default_dag()
+    prior = default_prior(specs)
+    ds = simulate_dataset(500, 4)
+    net = fit_cpts(specs, dag, ds.without_columns(["Empathy"]), prior)
+    full = fit_cpts(specs, dag, ds, prior)
+    for name in net.variables:
+        rows = net.cpts[name].rows
+        if "Empathy" in (name,) + net.parents(name):
+            assert np.array_equal(rows, prior.mean_rows(name, *rows.shape))
+        else:
+            assert np.array_equal(rows, full.cpts[name].rows)
