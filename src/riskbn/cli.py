@@ -113,9 +113,10 @@ def _peak_rss_kb() -> int:
 
 
 def _write_manifest(args, outputs: list[Path], seeds: dict | None = None,
-                    **resolved) -> Path:
+                    counters: dict | None = None, **resolved) -> Path:
     """Manifest beside ``outputs[0]``: every parsed flag plus ``resolved``
-    values as config, and digests of every input file flag that is set."""
+    values as config, work ``counters``, and digests of every input file
+    flag that is set."""
     config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
     config.update(resolved)
     inputs = [getattr(args, k) for k in _INPUT_FLAGS if getattr(args, k, None)]
@@ -126,6 +127,7 @@ def _write_manifest(args, outputs: list[Path], seeds: dict | None = None,
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         "config": config,
         "seeds": seeds or {},
+        "counters": counters or {},
         "inputs": {p: _sha256(Path(p)) for p in inputs},
         "outputs": {str(p): _sha256(p) for p in outputs},
         "peak_rss_kb": _peak_rss_kb(),
@@ -219,11 +221,27 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _incomplete_records(dataset: Dataset, names: list[str]) -> int:
+    """Records missing a cell of any of ``names``; a column the dataset
+    lacks is missing in every record."""
+    missing = np.zeros(dataset.n, dtype=bool)
+    for name in names:
+        col = dataset.columns.get(name)
+        if col is None:
+            return dataset.n
+        missing |= col < 0
+    return int(np.count_nonzero(missing))
+
+
 def cmd_fit(args) -> int:
     schema, dag = _resolve_structure(args)
-    if args.target != DEFAULT_OUTCOME and all(v.name != args.target for v in schema):
+    names = {v.name for v in schema}
+    if args.target != DEFAULT_OUTCOME and args.target not in names:
         # custom schemas need not carry the built-in outcome
         raise UnknownVariable(f"--target {args.target!r} is not in the schema")
+    for name in args.latent:
+        if name not in names:
+            raise UnknownVariable(f"--latent {name!r} is not in the schema")
     dataset = _load_data(args, schema)
 
     if args.filter_rt is not None or args.filter_honesty:
@@ -240,6 +258,10 @@ def cmd_fit(args) -> int:
     out = Path(args.out)
     outputs = [out]
     seeds: dict = {}
+    # a latent's cells are unobserved by definition, so only the others count
+    counters = {"records": dataset.n,
+                "incomplete_records": _incomplete_records(
+                    dataset, [v.name for v in schema if v.name not in args.latent])}
     if args.latent:
         dataset = dataset.without_columns(args.latent)
         config = EmConfig(max_iterations=args.em_max_iterations, tolerance=args.em_tolerance,
@@ -253,6 +275,8 @@ def cmd_fit(args) -> int:
         }, indent=2) + "\n")
         outputs.append(trace_path)
         seeds["em_seed"] = args.seed
+        counters["em_iterations"] = [len(r) - 1 for r in trace.log_likelihoods]
+        counters["selected_restart"] = trace.selected
         status = "converged" if trace.converged[trace.selected] else "hit iteration cap"
         print(f"EM: restart {trace.selected} selected ({status}), "
               f"final objective {_fmt(trace.log_likelihoods[trace.selected][-1])}")
@@ -260,7 +284,7 @@ def cmd_fit(args) -> int:
         network = fit_cpts(schema, dag, dataset, prior)
     with out.open("w") as fh:
         fh.writelines(render_model(network))
-    _write_manifest(args, outputs, seeds)
+    _write_manifest(args, outputs, seeds, counters)
     print(f"model written to {out}")
     return 0
 

@@ -55,7 +55,9 @@ in one of three ways:
 
 ``_patterns`` lays each pattern out every way these choices allow and
 keeps the layout whose evaluation gathers the fewest CPT entries
-(``_Pattern.size``).
+(``_Pattern.size``). It reads the dataset's int16 columns, and its flat
+indices and keys are int32: each points into a float64 table the fit
+holds, and one of 2**31 cells would take 16 GB, so none can wrap.
 
 On the shipped DAG with ``Previous_CB_Offending`` latent, every summed-out
 cell and every observed cell its families read lie in that variable's
@@ -166,15 +168,6 @@ def _network_columns(schema: Sequence[VariableSpec], dataset: Dataset) -> list:
     return columns
 
 
-def _codes_matrix(columns: Sequence[np.ndarray | None], n: int) -> np.ndarray:
-    """(n, len(columns)) int32 state codes, -1 missing."""
-    codes = np.full((n, len(columns)), -1, dtype=np.int32)
-    for j, col in enumerate(columns):
-        if col is not None:
-            codes[:, j] = col
-    return codes
-
-
 @dataclass(frozen=True)
 class _Family:
     """One CPT family: its child and parent names, and the dataset columns
@@ -261,7 +254,7 @@ class _Keyed:
         records) like the posterior, so that the M-step sums the posterior
         per key through the array the E-step gathers with."""
         n_keys = next(iter(self.terms.values()))[0].size
-        return np.arange(self.n_configs).reshape(-1, 1) * n_keys + self.keys
+        return np.arange(self.n_configs, dtype=np.int32).reshape(-1, 1) * n_keys + self.keys
 
 
 @dataclass(frozen=True)
@@ -301,7 +294,8 @@ class _Pattern:
         records) table, or (1, records). Built once, on first use, so that
         layouts :func:`_patterns` rejects never hold one; the E-step and
         the M-step read the same array."""
-        return {name: rec + cfg for name, (rec, cfg) in (*self.static.items(), *self.terms.items())}
+        return {name: rec.reshape(1, -1) if cfg.size == 1 and cfg.item() == 0 else rec + cfg
+                for name, (rec, cfg) in (*self.static.items(), *self.terms.items())}
 
 
 def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -328,17 +322,18 @@ def _keyed(terms: Mapping[str, tuple[np.ndarray, np.ndarray]], n_summed: int,
            n_configs: int) -> _Keyed:
     """Key the records by the record parts of ``terms``, each shaped (records,)."""
     first, keys = _unique_rows(np.stack([rec for rec, _ in terms.values()], axis=1))
-    return _Keyed(n_summed, n_configs, {name: (rec[first].reshape(1, -1), cfg)
-                                        for name, (rec, cfg) in terms.items()}, keys)
+    terms = {name: (rec[first].reshape(1, -1), cfg) for name, (rec, cfg) in terms.items()}
+    return _Keyed(n_summed, n_configs, terms, keys.astype(np.int32))
 
 
-def _layouts(codes: np.ndarray, records: np.ndarray, seen: frozenset[int], hidden: set[int],
-             kept: set[int], latents: set[int], families: Sequence[_Family]) -> list[_Pattern]:
+def _layouts(codes: Mapping[int, np.ndarray], records: np.ndarray, seen: frozenset[int],
+             hidden: set[int], kept: set[int], latents: set[int],
+             families: Sequence[_Family]) -> list[_Pattern]:
     """The pattern's layouts when the hidden cells outside ``kept`` are summed
     out first: the per-record layout and, where it can gather fewer CPT
     entries, the keyed one, in which all per-record families with a latent
     member but the one with the most distinct record indices are evaluated
-    per key. ``codes`` holds the pattern's records only."""
+    per key. ``codes`` holds each observed column, for the pattern's records."""
     cards = {f.members[-1]: f.n_states for f in families}
     summed = sorted(hidden - kept)
     n_configs, kept_states = _configurations(sorted(kept), cards)
@@ -347,13 +342,13 @@ def _layouts(codes: np.ndarray, records: np.ndarray, seen: frozenset[int], hidde
     for f in families:
         if f.members[-1] not in seen and f.members[-1] not in hidden:
             continue
-        rec = np.broadcast_to(config_index([codes[:, m] if m in seen else 0 for m in f.members],
-                                           f.cards), records.shape)
+        rec = np.broadcast_to(config_index([codes.get(m, 0) for m in f.members],
+                                           f.cards).astype(np.int32), records.shape)
         if set(summed).isdisjoint(f.members):
-            cfg = config_index([kept_states.get(m, 0) for m in f.members], f.cards)
+            cfg = config_index([kept_states.get(m, 0) for m in f.members], f.cards).astype(np.int32)
             (static if latents.isdisjoint(f.members) else terms)[f.name] = (rec, cfg.reshape(-1, 1))
         else:
-            cfg = config_index([all_states.get(m, 0) for m in f.members], f.cards)
+            cfg = config_index([all_states.get(m, 0) for m in f.members], f.cards).astype(np.int32)
             summed_terms[f.name] = (rec, cfg.reshape(-1, 1))
     groups = (_keyed(summed_terms, n_all // n_configs, n_configs),) if summed_terms else ()
     layouts = [_Pattern(records, seen, n_configs, static, terms, groups)]
@@ -372,7 +367,7 @@ def _layouts(codes: np.ndarray, records: np.ndarray, seen: frozenset[int], hidde
     return layouts
 
 
-def _patterns(codes: np.ndarray, families: Sequence[_Family],
+def _patterns(columns: Sequence[np.ndarray | None], n: int, families: Sequence[_Family],
               latents: Collection[int]) -> list[_Pattern]:
     """Group records by missingness pattern and lay out each pattern's table.
 
@@ -384,8 +379,10 @@ def _patterns(codes: np.ndarray, families: Sequence[_Family],
     fewer joint values than there are records.
     """
     latents = set(latents)
-    observed = codes >= 0
+    observed = np.column_stack([np.zeros(n, bool) if col is None else col >= 0 for col in columns])
     first, inverse = _unique_rows(np.packbits(observed, axis=1))
+    observed_sets = [frozenset(np.flatnonzero(observed[row]).tolist()) for row in first]
+    del observed
     groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
     parents = {f.members[-1]: f.members[:-1] for f in families}
     children: dict[int, set[int]] = {j: set() for j in parents}
@@ -393,12 +390,11 @@ def _patterns(codes: np.ndarray, families: Sequence[_Family],
         for p in ps:
             children[p].add(j)
     patterns = []
-    for records, row in zip(groups, first):
-        seen = frozenset(np.nonzero(observed[row])[0].tolist())
+    for records, seen in zip(groups, observed_sets):
         hidden = ancestor_closure(parents.__getitem__, seen | latents) - seen
         childless = {h for h in hidden if h not in latents and not children[h] & hidden}
         candidates = [latents] + ([latents | childless] if childless else [])
-        pattern_codes = codes[records]
+        pattern_codes = {m: columns[m] if records.size == n else columns[m][records] for m in seen}
         patterns.append(min((layout for kept in candidates
                              for layout in _layouts(pattern_codes, records, seen, hidden, kept,
                                                     latents, families)),
@@ -488,10 +484,10 @@ def log_likelihood(network: Network, dataset: Dataset) -> float:
     """
     schema = network.schema
     columns = _network_columns(schema, dataset)
-    if dataset.n == 0:
+    if dataset.n == 0 or not schema:  # every record observes nothing, of probability 1
         return 0.0
     log_cpts = _log_cpts({name: cpt.rows for name, cpt in network.cpts.items()})
-    patterns = _patterns(_codes_matrix(columns, dataset.n), _families(schema, network.dag), ())
+    patterns = _patterns(columns, dataset.n, _families(schema, network.dag), ())
     logp, _ = _e_step(patterns, log_cpts, _static_terms(patterns, log_cpts), dataset.n)
     zero = int(np.isneginf(logp).sum())
     if zero:
@@ -577,14 +573,14 @@ class _EmProblem:
         columns = _network_columns(self.schema, dataset)
         self.n = dataset.n
         self.families = _families(self.schema, dag)
-        self.patterns = _patterns(_codes_matrix(columns, self.n), self.families, latent_cols)
+        self.patterns = _patterns(columns, self.n, self.families, latent_cols)
 
         # Prior means and pseudo-counts (ess * mean) per family, read-only
         # and shared by every restart and iteration. The log-prior term
-        # reads only the positive pseudo-counts.
+        # reads only the positive pseudo-counts, through ``alphas`` if all are.
         self.means: dict[str, np.ndarray] = {}
         self.alphas: dict[str, np.ndarray] = {}
-        self.positive: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self.positive: dict[str, tuple[np.ndarray, np.ndarray | slice]] = {}
         for f in self.families:
             mean = prior.mean_rows(f.name, f.n_rows, f.n_states)
             alpha = prior.ess * mean
@@ -592,7 +588,7 @@ class _EmProblem:
             alpha.setflags(write=False)
             self.means[f.name] = mean
             self.alphas[f.name] = alpha
-            where = np.flatnonzero(alpha > 0)
+            where = slice(None) if alpha.all() else np.flatnonzero(alpha > 0)
             self.positive[f.name] = (alpha.ravel()[where], where)
 
         # Static families never change after the first M-step. Each
@@ -681,7 +677,7 @@ def em_fit(schema: Sequence[VariableSpec], dag: DagStructure, dataset: Dataset,
     seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
     traces: list[tuple[float, ...]] = []
     converged_flags: list[bool] = []
-    finals: list[dict[str, np.ndarray]] = []
+    best_theta: dict[str, np.ndarray] = {}
 
     for r in range(config.restarts):
         rng = np.random.default_rng(seeds[r])
@@ -706,10 +702,11 @@ def em_fit(schema: Sequence[VariableSpec], dag: DagStructure, dataset: Dataset,
             static = problem.fitted  # the M-step sets the static CPTs to their fit
         traces.append(tuple(objectives))
         converged_flags.append(converged)
-        finals.append(theta)
+        if np.argmax([t[-1] for t in traces]) == r:  # the first maximum (or NaN) so far
+            best_theta = theta
 
     best = int(np.argmax([t[-1] for t in traces]))
-    theta = _align_binary_latents(problem, finals[best])
+    theta = _align_binary_latents(problem, best_theta)
     network = problem.network(theta)
     trace = EmTrace(tuple(traces), tuple(converged_flags), best)
     return network, trace

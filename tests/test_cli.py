@@ -139,6 +139,34 @@ def test_fit_latent_writes_monotone_trace(tmp_path):
         assert (np.diff(restart) >= -1e-9).all()
 
 
+def _counters(out):
+    return json.loads(out.with_name(out.name + ".manifest.json").read_text())["counters"]
+
+
+def test_fit_manifest_counts_records_and_em_iterations(tmp_path):
+    structure = small_structure(tmp_path)
+    data = tmp_path / "meta.csv"
+    # the fast answer (100 ms) is dropped; of the three kept records, two
+    # miss a cell
+    data.write_text("Previous_CB_Offending,Answer,rt_Answer\n"
+                    "Yes,a,900\nNo,b,100\n,a,1200\nNo,,1000\n")
+    out = tmp_path / "model.json"
+    assert main(["fit", "--data", str(data), "--schema", str(structure),
+                 "--filter-rt", "800", "--out", str(out)]) == 0
+    assert _counters(out) == {"records": 3, "incomplete_records": 2}
+
+    # the latent's own cells do not make a record incomplete; one M-step
+    # per restart at --em-max-iterations 1
+    data.write_text("Previous_CB_Offending,Answer\n,a\nYes,b\n,\n")
+    out = tmp_path / "em.json"
+    assert main(["fit", "--data", str(data), "--schema", str(structure),
+                 "--latent", "Previous_CB_Offending", "--em-restarts", "2",
+                 "--em-max-iterations", "1", "--out", str(out)]) == 0
+    trace = json.loads((tmp_path / "em.json.trace.json").read_text())
+    assert _counters(out) == {"records": 3, "incomplete_records": 1,
+                              "em_iterations": [1, 1], "selected_restart": trace["selected"]}
+
+
 def test_fit_filters_applied(tmp_path, capsys):
     structure = small_structure(tmp_path)
     data = tmp_path / "meta.csv"
@@ -490,7 +518,8 @@ def _bad_input_argv(case, tmp_path):
                        "fit_em_jitter_nan": ("--em-jitter", "nan"),
                        "fit_em_jitter_five": ("--em-jitter", "5"),
                        "fit_ess_inf": ("--ess", "inf"),
-                       "fit_target_unknown": ("--target", "Nope")}[case]
+                       "fit_target_unknown": ("--target", "Nope"),
+                       "fit_latent_unknown": ("--latent", "Nope")}[case]
         return ["fit", "--data", str(data), "--schema", str(small_structure(tmp_path)),
                 "--latent", "Previous_CB_Offending", "--em-restarts", "1", flag, value,
                 "--out", str(tmp_path / "em.json")]
@@ -544,6 +573,7 @@ _BAD_INPUT_MESSAGES = {
     "fit_em_jitter_nan_supervised": "--em-jitter must be in [0, 1), got nan",
     "fit_ess_inf": "--ess must be a positive finite number, got inf",
     "fit_target_unknown": "--target 'Nope' is not in the schema",
+    "fit_latent_unknown": "--latent 'Nope' is not in the schema",
     "compare_non_numeric": "data row 1",
     "compare_nan": "data row 1",
     "compare_duplicate_variable": "'x' repeats in data row 3",
@@ -565,13 +595,14 @@ _BAD_INPUT_MESSAGES = {
 # file: the flag must still be refused first, with exit 2 rather than 1.
 _FLAG_KIND_CASES = ["fit_seed_negative", "profiles_max_evals_zero", "fit_ess_inf",
                     "profiles_threshold_nan", "query_evidence_malformed",
-                    "multifactor_k_range_empty"]
+                    "multifactor_k_range_empty", "fit_latent_unknown"]
 
 
 @pytest.mark.parametrize("case", ["simulate_n_zero", "simulate_seed_negative",
                                   "fit_seed_negative", "fit_em_jitter_nan",
                                   "fit_em_jitter_five", "fit_em_jitter_nan_supervised",
-                                  "fit_ess_inf", "fit_target_unknown", "compare_non_numeric",
+                                  "fit_ess_inf", "fit_target_unknown", "fit_latent_unknown",
+                                  "compare_non_numeric",
                                   "compare_nan", "compare_duplicate_variable",
                                   "compare_no_rows", "non_utf8_data", "rt_overflow",
                                   "validate_deep_json", "validate_long_integer",
