@@ -58,19 +58,13 @@ def _d_connected_unconditionally(network: Network, a: str, b: str) -> bool:
                 & ancestor_closure(network.parents, [b]))
 
 
-def influence_strength(network: Network, source: str, target: str,
-                       aggregation: str = "weighted") -> float:
-    """Jensen-Shannon strength of ``source`` on ``target``, in [0, 1].
-
-    ``aggregation="weighted"`` (default) is the generalized divergence of
-    the conditionals P(target | source = v) weighted by the source marginal;
-    ``"pairwise-max"`` instead takes the largest pairwise JS distance
-    between any two conditionals.
+def influence_strength(network: Network, source: str, target: str) -> float:
+    """Jensen-Shannon strength of ``source`` on ``target``, in [0, 1], from
+    the generalized divergence of the conditionals P(target | source = v)
+    weighted by the source marginal (see the module docstring).
     """
     if source == target:
         raise DomainError("source and target must differ")
-    if aggregation not in ("weighted", "pairwise-max"):
-        raise DomainError(f"unknown aggregation {aggregation!r}")
     network.spec(source)
     network.spec(target)
     if not _d_connected_unconditionally(network, source, target):
@@ -89,19 +83,8 @@ def influence_strength(network: Network, source: str, target: str,
 
     conditionals = joint[positive] / weights[positive, None]
     w = weights[positive] / weights.sum()
-
-    if aggregation == "pairwise-max":
-        best = 0.0
-        for i in range(len(conditionals)):
-            for j in range(i + 1, len(conditionals)):
-                best = max(best, _js_divergence(
-                    [conditionals[i], conditionals[j]], np.array([0.5, 0.5])))
-        jsd, bound_card = best, 2
-    else:
-        jsd = _js_divergence(conditionals, w)
-        bound_card = min(int(positive.size), network.cardinality(target))
-
-    bound = math.log2(bound_card)
+    jsd = _js_divergence(conditionals, w)
+    bound = math.log2(min(int(positive.size), network.cardinality(target)))
     if bound > 1.0:
         jsd /= bound
     return math.sqrt(max(jsd, 0.0))
@@ -137,8 +120,7 @@ class StrengthReport:
 
 def strength_ranking(network: Network, target: str,
                      candidates: Sequence[str] | None = None,
-                     control: str | None = None,
-                     aggregation: str = "weighted") -> StrengthReport:
+                     control: str | None = None) -> StrengthReport:
     """Rank candidate variables by influence on the target.
 
     Ties break alphabetically. The control's score is recorded so reports
@@ -156,8 +138,7 @@ def strength_ranking(network: Network, target: str,
             raise DomainError("control and target must differ")
         if control not in names:
             names.append(control)
-    scores = [(name, influence_strength(network, name, target, aggregation))
-              for name in names]
+    scores = [(name, influence_strength(network, name, target)) for name in names]
     scores.sort(key=lambda e: (-e[1], e[0]))
     control_score = None
     if control is not None:
@@ -245,12 +226,12 @@ def estimate_evaluations(cards: Sequence[int], k_values: Iterable[int]) -> int:
     return sum(poly[k] for k in k_values if k < len(poly))
 
 
-def _descent(subset: tuple[int, ...], m: int, order: Sequence[int],
-             k_values: Sequence[int]):
-    """Depth-first plan of the lattice below ``subset``: yield (child,
-    dropped) for each table to build. The child is its parent less the pool
-    position ``dropped``, and its parent is the last one yielded (or
-    ``subset``) among those one size larger.
+def _descent(table: np.ndarray, subset: tuple[int, ...], m: int,
+             order: Sequence[int], k_values: Sequence[int]):
+    """Depth first through the lattice below ``subset``: yield each subset
+    with its table, ``subset`` and ``table`` first. Each child is its parent
+    less one pool position, and its table is the parent's summed over that
+    axis, so only the tables of one root-to-leaf path are held.
 
     ``order`` lists the pool positions by cardinality, then canonical order;
     ``subset`` holds its first ``m`` entries but not the next. A subset's
@@ -258,12 +239,13 @@ def _descent(subset: tuple[int, ...], m: int, order: Sequence[int],
     smallest superset, so each subset is built exactly once. A child is
     built only when it or a subset below it has a size in ``k_values``.
     """
+    yield subset, table
     size = len(subset) - 1
     for i in range(m):
         if any(size - i <= k <= size for k in k_values):
             child = tuple(c for c in subset if c != order[i])
-            yield child, order[i]
-            yield from _descent(child, i, order, k_values)
+            yield from _descent(table.sum(axis=subset.index(order[i])), child, i,
+                                order, k_values)
 
 
 def _subset_tables(network: Network, target: str, target_state: str,
@@ -316,14 +298,9 @@ def _subset_tables(network: Network, target: str, target_state: str,
 
     for root in itertools.combinations(whole, top):
         m = next((i for i, c in enumerate(order) if c not in root), len(order))
-        path = [joint_table(network, [pool[c] for c in root] + [target])]
-        for subset, dropped in itertools.chain([(root, None)],
-                                               _descent(root, m, order, k_values)):
-            if dropped is not None:
-                del path[len(root) - len(subset):]
-                path.append(path[-1].sum(axis=sum(c < dropped for c in subset)))
+        for subset, table in _descent(joint_table(network, [pool[c] for c in root] + [target]),
+                                      root, m, order, k_values):
             if len(subset) in k_values:
-                table = path[-1]
                 denom = table.sum(axis=-1)
                 post = np.full(denom.shape, -1.0)
                 np.divide(table[..., t_idx], denom, out=post, where=denom > 0)

@@ -608,8 +608,9 @@ def render_dataset(dataset: Dataset) -> Iterator[str]:
             columns.append(labels[codes].tolist())
         columns += [[str(v) if v >= 0 else missing for v in column[lo:hi].tolist()]
                     for column in times]
-        rows = map(",".join, zip(*columns)) if columns else [""] * (hi - lo)
-        yield "\n".join(rows) + "\n"
+        rows = list(map(",".join, zip(*columns))) if columns else [""] * (hi - lo)
+        rows.append("")  # the block's last line end, without a second copy of its text
+        yield "\n".join(rows)
 
 
 # --- calibration filters --------------------------------------------------------

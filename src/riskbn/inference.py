@@ -2,12 +2,14 @@
 
 Every query that eliminates is a call of :func:`joint_table`: variable
 elimination over the ancestor closure of the involved variables (barren
-descendants contribute factors that sum to one and are skipped outright),
-in greedy min-degree order with declaration-order tie-breaks, so every query
-is deterministic. A factor is a ``(scope, values)`` pair; a CPT factor is a
-view of the CPT rows over (parents..., child), sliced by the evidence, so no
-factor is transposed or copied before it is contracted. Each step contracts
-the factors that mention the eliminated variable (``_contract``); a last
+descendants contribute factors that sum to one and are skipped outright).
+Each step chooses its variable from the scopes of the live factors: the one
+with the fewest neighbours in them, declaration order breaking ties (greedy
+min-degree), so every query is deterministic. A factor is a ``(scope,
+values)`` pair; a CPT factor is a view of the CPT rows over (parents...,
+child), sliced by the evidence, so no factor is transposed or copied before
+it is contracted. Each step contracts the factors that mention the chosen
+variable (``_contract``) into one over its neighbours; a last
 contraction multiplies what is left into the targets' axes, in the order the
 caller gave. :func:`joint_probability` is the chain rule, not an elimination.
 
@@ -103,27 +105,6 @@ def _relevant(network: Network, names: Iterable[str]) -> list[str]:
     return sorted(ancestor_closure(network.parents, names), key=network.index)
 
 
-def _elimination_order(network: Network, factors: Sequence[_Factor],
-                       eliminate: set[str]) -> list[str]:
-    """Greedy min-degree order over the factor interaction graph."""
-    neighbors: dict[str, set[str]] = {v: set() for v in eliminate}
-    for scope in (set(s) for s, _ in factors):
-        for v in scope & eliminate:
-            neighbors[v] |= scope - {v}
-    order: list[str] = []
-    remaining = set(eliminate)
-    while remaining:
-        v = min(remaining,
-                key=lambda x: (len(neighbors[x] & remaining) + len(neighbors[x] - eliminate),
-                               network.index(x)))
-        order.append(v)
-        remaining.remove(v)
-        clique = neighbors[v]
-        for u in clique & remaining:
-            neighbors[u] |= clique - {u}
-    return order
-
-
 def _pairs_read_less(network: Network, factors: Sequence[_Factor],
                      targets: Sequence[str]) -> bool:
     """Whether multiplying ``factors`` two at a time, left to right, reads
@@ -165,10 +146,21 @@ def joint_table(network: Network, variables: Sequence[str],
     relevant = _relevant(network, list(variables) + list(evidence_idx))
     factors = [_cpt_factor(network, name, evidence_idx) for name in relevant]
     eliminate = set(relevant) - set(variables) - set(evidence_idx)
-    for name in _elimination_order(network, factors, eliminate):
+    # each variable's neighbours in the live factors' scopes, itself included,
+    # which adds one to every degree and so leaves the min-degree order as is
+    neighbours: dict[str, set[str]] = {v: set() for v in relevant}
+    for scope, _ in factors:
+        for v in scope:
+            neighbours[v].update(scope)
+    while eliminate:
+        name = min(eliminate, key=lambda v: (len(neighbours[v]), network.index(v)))
+        eliminate.remove(name)
         touched = [f for f in factors if name in f[0]]
         factors = [f for f in factors if name not in f[0]]
-        scope = tuple(sorted({v for s, _ in touched for v in s} - {name}, key=network.index))
+        scope = tuple(sorted(neighbours.pop(name) - {name}, key=network.index))
+        for v in scope:
+            neighbours[v].update(scope)
+            neighbours[v].discard(name)
         factors.append((scope, _contract(touched, scope)))
     # only the variables are left, so nothing is summed; folding two at a
     # time multiplies left to right as one einsum does, with the same bits

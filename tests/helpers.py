@@ -1,6 +1,7 @@
 """Shared test fixtures: hand-built networks, a random-network generator, an
 independent full-joint enumeration oracle, a brute-force topological-order
-oracle and per-row dataset CSV oracles.
+oracle, the fill-in-graph elimination-order oracle and per-row dataset CSV
+oracles.
 
 The joint oracle builds the complete joint tensor directly from CPT lookups
 over index grids; it shares no code with the variable-elimination engine, so
@@ -112,6 +113,27 @@ def topological_order_oracle(nodes: Sequence[str],
         if not ready:
             return tuple(placed)
         placed.append(ready[0])
+
+
+def elimination_order_oracle(network: Network, factors: Sequence[tuple],
+                             eliminate: set[str]) -> list[str]:
+    """Greedy min-degree order over the factor interaction graph."""
+    neighbors: dict[str, set[str]] = {v: set() for v in eliminate}
+    for scope in (set(s) for s, _ in factors):
+        for v in scope & eliminate:
+            neighbors[v] |= scope - {v}
+    order: list[str] = []
+    remaining = set(eliminate)
+    while remaining:
+        v = min(remaining,
+                key=lambda x: (len(neighbors[x] & remaining) + len(neighbors[x] - eliminate),
+                               network.index(x)))
+        order.append(v)
+        remaining.remove(v)
+        clique = neighbors[v]
+        for u in clique & remaining:
+            neighbors[u] |= clique - {u}
+    return order
 
 
 def shuffle_schema(rng: np.random.Generator, network: Network) -> Network:

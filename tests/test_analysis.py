@@ -115,17 +115,6 @@ def test_influence_source_equals_target_rejected():
         influence_strength(chain_network(), "A", "A")
 
 
-def test_influence_pairwise_max_aggregation():
-    net = chain_network()
-    d0 = np.array([0.8, 0.2])
-    d1 = np.array([0.1, 0.9])
-    m = (d0 + d1) / 2
-    expected = math.sqrt(
-        h2(m[1]) - 0.5 * h2(0.2) - 0.5 * h2(0.9))
-    assert influence_strength(net, "A", "B", aggregation="pairwise-max") == \
-        pytest.approx(expected, abs=1e-12)
-
-
 # --- ranking -------------------------------------------------------------------
 
 def build_ranking_net():
@@ -216,20 +205,15 @@ def _entropy_form_jsd(dists, weights):
     return h(weights @ dists) - sum(w * h(d) for w, d in zip(weights, dists))
 
 
-def _oracle_strength_squared(net, oracle, source, target, aggregation):
+def _oracle_strength_squared(net, oracle, source, target):
     table = _oracle_pair_table(oracle, source, target)
     mass = table.sum(axis=1)
     rows = np.flatnonzero(mass > 0)
     if rows.size < 2:
         return 0.0
     dists = table[rows] / mass[rows, None]
-    if aggregation == "weighted":
-        jsd = _entropy_form_jsd(dists, mass[rows] / mass.sum())
-        card = min(rows.size, net.cardinality(target))
-    else:
-        jsd = max(_entropy_form_jsd(dists[[i, j]], np.array([0.5, 0.5]))
-                  for i, j in itertools.combinations(range(rows.size), 2))
-        card = 2
+    jsd = _entropy_form_jsd(dists, mass[rows] / mass.sum())
+    card = min(rows.size, net.cardinality(target))
     if math.log2(card) > 1.0:
         jsd /= math.log2(card)
     return max(jsd, 0.0)
@@ -257,17 +241,16 @@ def test_strength_and_profile_match_oracle_on_random_networks():
             table = _oracle_pair_table(oracle, source, target)
             mass = table.sum(axis=1)
             zero_state_sources += bool((mass == 0).any())
-            for aggregation in ("weighted", "pairwise-max"):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", DegenerateSourceWarning)
-                    score = influence_strength(net, source, target, aggregation)
-                expected = _oracle_strength_squared(net, oracle, source, target, aggregation)
-                if not analysis._d_connected_unconditionally(net, source, target):
-                    # independent pairs score exactly 0, whatever the rounding
-                    assert score == 0.0
-                    assert expected < 1e-12
-                else:
-                    assert score == pytest.approx(math.sqrt(expected), abs=1e-12)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateSourceWarning)
+                score = influence_strength(net, source, target)
+            expected = _oracle_strength_squared(net, oracle, source, target)
+            if not analysis._d_connected_unconditionally(net, source, target):
+                # independent pairs score exactly 0, whatever the rounding
+                assert score == 0.0
+                assert expected < 1e-12
+            else:
+                assert score == pytest.approx(math.sqrt(expected), abs=1e-12)
             t_state = net.spec(target).states[-1]
             t_idx = net.state_index(target, t_state)
             expected_profile = [(net.spec(source).states[v], table[v, t_idx] / mass[v])

@@ -74,6 +74,27 @@ def test_validate_deep_chain_exit_0(tmp_path):
     assert main(["validate", str(path)]) == 0
 
 
+def test_query_deep_chain_matches_the_matrix_power(tmp_path, capsys):
+    # every link shares one slowly mixing CPT, so P(V1099 | V0=1) is row 1
+    # of its 1099th power and still far from the stationary distribution
+    link = np.array([[0.999, 0.001], [0.002, 0.998]])
+    doc = json.loads(serialize_model(uniform_network(
+        _DEEP, DagStructure(_DEEP, tuple(zip(_DEEP, _DEEP[1:]))))))
+    doc["cpts"]["V0"]["rows"] = [[0.3, 0.7]]
+    for name in _DEEP[1:]:
+        doc["cpts"][name]["rows"] = link.tolist()
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    assert main(["query", "--model", str(path), "--target", "V1099", "--evidence", "V0=1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    expected = np.linalg.matrix_power(link, 1099)[1]
+    for state, line in enumerate(lines[:2]):
+        prefix = f"P(V1099={state} | evidence) = "
+        assert line.startswith(prefix)
+        assert float(line[len(prefix):]) == pytest.approx(expected[state], abs=1e-9)
+    assert lines[2] == "P(evidence) = 0.7"
+
+
 def test_validate_deep_cycle_exit_2(tmp_path, capsys):
     doc = {"variables": [{"name": n, "states": ["0", "1"]} for n in _DEEP],
            "edges": [[p, c] for p, c in zip(_DEEP, _DEEP[1:] + _DEEP[:1])]}

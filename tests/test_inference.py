@@ -3,6 +3,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskbn import inference
 from riskbn.core import Cpt, DagStructure, VariableSpec, build_network, serialize_model
@@ -29,9 +31,11 @@ from helpers import (
     chain_network,
     child_env,
     copy_network,
+    elimination_order_oracle,
     random_evidence,
     random_network,
     shuffle_schema,
+    uniform_network,
 )
 
 
@@ -345,6 +349,80 @@ def test_fold_width_keeps_the_bits(monkeypatch, width):
     monkeypatch.setattr(inference._contract, "__defaults__", (width,))
     for case, table in zip(cases, expected):
         assert np.array_equal(joint_table(*case), table)
+
+
+# --- elimination order -------------------------------------------------------------
+
+def assert_fill_in_order(net, targets, evidence) -> None:
+    """``joint_table`` eliminates in the order the fill-in-graph oracle
+    plans, and each step's contraction sums out exactly that variable."""
+    contract, eliminated = inference._contract, []
+
+    def spy(factors, keep, *args):
+        summed = {v for scope, _ in factors for v in scope} - set(keep)
+        if len(summed) == 1:
+            eliminated.extend(summed)
+        return contract(factors, keep, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(inference, "_contract", spy)
+        joint_table(net, targets, evidence)
+    evidence_idx = net.check_evidence(evidence)
+    relevant = inference._relevant(net, list(targets) + list(evidence_idx))
+    factors = [inference._cpt_factor(net, v, evidence_idx) for v in relevant]
+    eliminate = set(relevant) - set(targets) - set(evidence_idx)
+    assert eliminated == elimination_order_oracle(net, factors, eliminate)
+
+
+@pytest.mark.parametrize("n", [3, 7, 60])
+def test_elimination_order_on_chains(n):
+    names = tuple(f"V{i}" for i in range(n))
+    net = uniform_network(names, DagStructure(names, tuple(zip(names, names[1:]))))
+    assert_fill_in_order(net, [names[-1]], {})
+    assert_fill_in_order(net, [names[-1]], {names[0]: "1"})
+    assert_fill_in_order(net, [names[0], names[-1]], {})
+    assert_fill_in_order(net, [names[n // 2]], {names[-1]: "0"})
+    assert_fill_in_order(net, [], {names[-1]: "1", names[n // 3]: "0"})
+
+
+def test_elimination_order_on_stars():
+    # edges out of the hub, then into it: there every parent ties on degree
+    net = star_network(n_children=9)
+    children = net.variables[1:]
+    assert_fill_in_order(net, ["R"], {c: "1" for c in children[::2]})
+    assert_fill_in_order(net, list(children[:2]), {c: "0" for c in children[3:]})
+    names = tuple(f"P{i}" for i in range(8)) + ("H",)
+    net = uniform_network(names, DagStructure(names, tuple((p, "H") for p in names[:-1])))
+    assert_fill_in_order(net, ["H"], {})
+    assert_fill_in_order(net, [names[3]], {"H": "1", names[5]: "0"})
+    assert_fill_in_order(net, [], {"H": "0"})
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_elimination_order_on_random_networks(seed, shuffled):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, max_vars=12, max_states=4)
+    if shuffled:
+        net = shuffle_schema(rng, net)
+    picks = rng.choice(len(net.variables), size=int(rng.integers(0, 4)), replace=False)
+    targets = [net.variables[j] for j in picks]
+    assert_fill_in_order(net, targets, random_evidence(rng, net, exclude=tuple(targets),
+                                                       max_vars=5))
+
+
+def test_elimination_order_on_the_default_dag():
+    # the README query's evidence, every other variable as the target, and
+    # the profiling pool's whole table
+    net = fit_cpts(default_schema().network_variables, default_dag(), simulate_dataset(2000, 0))
+    evidence = {"Previous_CB_Victimization": "Yes", "Empathy": "Low"}
+    for target in net.variables:
+        if target not in evidence:
+            assert_fill_in_order(net, [target], evidence)
+    target = "Previous_CB_Offending"
+    pool = [v.name for v in net.schema
+            if v.kind in ("demographic", "psychological", "outcome") and v.name != target]
+    assert_fill_in_order(net, pool + [target], {})
 
 
 _QUERY = """
