@@ -9,6 +9,9 @@ outputs, and the process's peak resident memory (``peak_rss_kb``). Table
 outputs are byte-deterministic for a fixed configuration and seed;
 manifests additionally carry a timestamp and the peak memory.
 
+Beyond :mod:`riskbn.core`, each command imports the modules it runs inside
+its handler, so ``validate`` loads no data, learning or analysis code.
+
 Each flag's domain is stated once, as its argparse ``type=``, so a bad value
 is refused before any file is read. Exit codes:
 
@@ -36,41 +39,20 @@ import resource
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    bf_threshold_posterior,
-    conditional_profile,
-    default_target_state,
-    multifactor_search,
-    risk_profiles,
-    spearman,
-    strength_ranking,
-)
-from .charts import hbar_chart, line_chart, vbar_chart
 from .core import (
+    DEFAULT_CONTROL,
+    DEFAULT_OUTCOME,
     DagStructure,
     Network,
     VariableSpec,
     parse_model,
     parse_model_parts,
     render_model,
-)
-from .data import (
-    DEFAULT_CONTROL,
-    DEFAULT_OUTCOME,
-    Dataset,
-    FilterConfig,
-    Schema,
-    apply_filters,
-    default_dag,
-    default_schema,
-    load_dataset,
-    render_dataset,
-    simulate_dataset,
-    summarize,
 )
 from .errors import (
     DomainError,
@@ -85,8 +67,9 @@ from .errors import (
     VariableSetMismatch,
     ZeroProbabilityEvidence,
 )
-from .inference import GENERATOR_ID, evidence_probability, posterior
-from .learning import EmConfig, default_prior, em_fit, fit_cpts
+
+if TYPE_CHECKING:
+    from .data import Dataset, Schema
 
 _IO_EXIT, _VALIDATION_EXIT, _COMPUTE_EXIT = 1, 2, 3
 _COMPUTE_ERRORS = (ZeroProbabilityEvidence, PoolTooLarge, DomainError, IncompleteAssignment)
@@ -169,6 +152,8 @@ def _load_model(path: str) -> Network:
 def _resolve_structure(args) -> tuple[tuple[VariableSpec, ...], DagStructure]:
     """Schema/DAG from --schema/--dag model files, defaulting to the bundled
     schema and placeholder DAG."""
+    from .data import default_dag, default_schema
+
     if getattr(args, "schema", None):
         schema, file_dag, _ = parse_model_parts(_read_text(args.schema))
     else:
@@ -186,6 +171,8 @@ def _resolve_structure(args) -> tuple[tuple[VariableSpec, ...], DagStructure]:
 
 
 def _data_schema(network_specs: tuple[VariableSpec, ...]) -> Schema:
+    from .data import Schema
+
     specs = list(network_specs)
     if not any(v.name == "honesty" for v in specs):
         specs.append(VariableSpec("honesty", ("Yes", "No"), "meta"))
@@ -195,6 +182,8 @@ def _data_schema(network_specs: tuple[VariableSpec, ...]) -> Schema:
 def _load_data(args, network_specs: tuple[VariableSpec, ...]) -> Dataset:
     """The ``--data`` cohort, read as bytes: ``load_dataset`` decodes only
     what it must, so the file is never held as bytes and text at once."""
+    from .data import load_dataset
+
     schema = _data_schema(network_specs)
     try:
         return load_dataset(_read_input(args.data), schema)
@@ -204,6 +193,8 @@ def _load_data(args, network_specs: tuple[VariableSpec, ...]) -> Dataset:
 
 def _target_state(args, network: Network) -> str:
     """``--target-state``, or the state a profile reports when none is named."""
+    from .analysis import default_target_state
+
     if args.target_state is not None:
         return args.target_state
     return default_target_state(network.spec(args.target).states)
@@ -234,6 +225,9 @@ def _incomplete_records(dataset: Dataset, names: list[str]) -> int:
 
 
 def cmd_fit(args) -> int:
+    from .data import FilterConfig, apply_filters
+    from .learning import EmConfig, default_prior, em_fit, fit_cpts
+
     schema, dag = _resolve_structure(args)
     names = {v.name for v in schema}
     if args.target != DEFAULT_OUTCOME and args.target not in names:
@@ -290,6 +284,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_strength(args) -> int:
+    from .analysis import strength_ranking
+    from .charts import hbar_chart
+
     network = _load_model(args.model)
     candidates = args.candidates.split(",") if args.candidates else None
     control = args.control if args.control != "none" else None
@@ -319,6 +316,9 @@ def cmd_strength(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    from .analysis import conditional_profile
+    from .charts import vbar_chart
+
     network = _load_model(args.model)
     target_state = _target_state(args, network)
     profile = conditional_profile(network, args.target, args.source, target_state)
@@ -335,6 +335,9 @@ def cmd_profile(args) -> int:
 
 
 def cmd_multifactor(args) -> int:
+    from .analysis import bf_threshold_posterior, multifactor_search
+    from .charts import line_chart
+
     if args.k_min > args.k_max:
         raise InvalidOption(f"--k-min {args.k_min} is above --k-max {args.k_max}")
     network = _load_model(args.model)
@@ -386,6 +389,9 @@ def cmd_multifactor(args) -> int:
 
 
 def cmd_profiles(args) -> int:
+    from .analysis import bf_threshold_posterior, risk_profiles
+    from .charts import hbar_chart
+
     network = _load_model(args.model)
     target_state = _target_state(args, network)
     if args.pool:
@@ -417,6 +423,8 @@ def cmd_profiles(args) -> int:
 
 
 def cmd_query(args) -> int:
+    from .inference import evidence_probability, posterior
+
     network = _load_model(args.model)
     dist = posterior(network, args.target, args.evidence)
     p_evidence = evidence_probability(network, args.evidence)
@@ -461,6 +469,8 @@ def _read_ranking_csv(path: str) -> dict[str, float]:
 
 
 def cmd_compare(args) -> int:
+    from .analysis import spearman
+
     ranking_a = _read_ranking_csv(args.ranking_a)
     ranking_b = _read_ranking_csv(args.ranking_b)
     if set(ranking_a) != set(ranking_b):
@@ -484,6 +494,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .data import render_dataset, simulate_dataset
+    from .inference import GENERATOR_ID
+
     generated = args.seed is None
     seed = int(np.random.SeedSequence().entropy % 2 ** 32) if generated else args.seed
     network = _load_model(args.model) if args.model else None
@@ -499,6 +512,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_summarize(args) -> int:
+    from .data import summarize
+
     schema, _ = _resolve_structure(args)
     table = summarize(_load_data(args, schema))
     rows = [[r.variable, r.state, r.count,

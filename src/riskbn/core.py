@@ -42,6 +42,12 @@ ROW_SUM_TOL = 1e-9
 
 VARIABLE_KINDS = ("demographic", "psychological", "game", "outcome", "meta")
 
+#: The paper's outcome and its irrelevance control: the built-in schema's
+#: variables (:mod:`riskbn.data`) and the CLI's ``--target`` and ``--control``
+#: defaults, defined here so that reading them loads nothing else.
+DEFAULT_OUTCOME = "Previous_CB_Offending"
+DEFAULT_CONTROL = "A1Q1_PhotoSharing"
+
 #: Partial assignment of variables to state labels, used for conditioning.
 Evidence = Mapping[str, str]
 
@@ -237,11 +243,13 @@ class Network:
         try:
             return self._spec[name]
         except KeyError:
-            raise UnknownVariable(f"'{name}' is not a network variable") from None
+            raise _unknown(name) from None
 
     def index(self, name: str) -> int:
-        self.spec(name)
-        return self._index[name]
+        try:
+            return self._index[name]
+        except KeyError:
+            raise _unknown(name) from None
 
     def cardinality(self, name: str) -> int:
         return self.spec(name).cardinality
@@ -283,6 +291,10 @@ class Network:
 
     def __repr__(self) -> str:
         return f"Network({len(self.schema)} variables, {len(self.dag.edges)} edges)"
+
+
+def _unknown(name: str) -> UnknownVariable:
+    return UnknownVariable(f"'{name}' is not a network variable")
 
 
 def build_network(schema: Sequence[VariableSpec], dag: DagStructure,
@@ -366,6 +378,16 @@ def config_index(states: Sequence, cards: Sequence[int]) -> np.ndarray:
     return index
 
 
+def unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First index of each distinct row of a 2-D array, and each row's
+    position among the distinct rows. Rows are compared by their bytes, so
+    ``-0.0`` and ``0.0`` are different rows."""
+    a = np.ascontiguousarray(a)
+    rows = a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    return first, inverse.ravel()
+
+
 def topological_order(network: Network) -> tuple[str, ...]:
     """Parents before children; deterministic (declaration-order tie-break)."""
     return network._topo
@@ -411,11 +433,19 @@ def render_model(network: Network) -> Iterator[str]:
                f'      "parents": {encode(list(cpt.parents))},\n'
                '      "rows": [')
         for lo in range(0, len(cpt.rows), _BLOCK_ROWS):
-            # rows hold numbers only, so "], [" occurs only between two rows
-            block = encode(cpt.rows[lo:lo + _BLOCK_ROWS].tolist())[1:-1]
-            yield f"{',' if lo else ''}\n        " + block.replace("], [", "],\n        [")
+            block = cpt.rows[lo:lo + _BLOCK_ROWS]
+            yield f"{',' if lo else ''}\n        " + _encode_rows(encode, block)
         yield "\n      ]\n    }"
     yield "\n  }\n}\n" if network.variables else "}\n}\n"
+
+
+def _encode_rows(encode, rows: np.ndarray) -> str:
+    """``rows`` as JSON arrays, one per line; each distinct row is encoded
+    once. The texts are locals, so none outlives the call."""
+    first, inverse = unique_rows(rows)
+    # rows hold numbers only, so "], [" occurs only between two rows
+    texts = encode(rows[first].tolist())[2:-2].split("], [")
+    return "[" + "],\n        [".join([texts[i] for i in inverse.tolist()]) + "]"
 
 
 def parse_model(text: str) -> Network:
@@ -533,15 +563,18 @@ def _is_table(rows) -> bool:
 
 def _rows_array(pairs: list[tuple[str, object]]) -> dict:
     """``json.loads``'s hook for each object: the object as a dict, with a
-    ``"rows"`` table of JSON numbers (no ``true`` or ``false``) made a
-    float64 array. Any other ``"rows"`` value, and a ragged table or one
-    with an integer past float64, is left for :func:`parse_model_parts` to
-    refuse."""
+    ``"rows"`` table of equal-width rows of JSON numbers (no ``true`` or
+    ``false``) made a float64 array. Any other ``"rows"`` value, and a
+    ragged table or one with an integer past float64, is left for
+    :func:`parse_model_parts` to refuse."""
     obj = dict(pairs)
     rows = obj.get("rows")
-    if _is_table(rows) and set(map(type, chain.from_iterable(rows))) <= {int, float}:
+    if _is_table(rows) and len(set(map(len, rows))) == 1 \
+            and set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        shape = (len(rows), len(rows[0]))
         try:
-            obj["rows"] = np.array(rows, dtype=np.float64)
-        except (ValueError, TypeError, OverflowError):
+            obj["rows"] = np.fromiter(chain.from_iterable(rows), np.float64,
+                                      shape[0] * shape[1]).reshape(shape)
+        except OverflowError:  # an integer past float64
             pass
     return obj

@@ -24,7 +24,15 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .core import Cpt, DagStructure, Network, VariableSpec, build_network
+from .core import (
+    DEFAULT_CONTROL,
+    DEFAULT_OUTCOME,
+    Cpt,
+    DagStructure,
+    Network,
+    VariableSpec,
+    build_network,
+)
 from .errors import (
     IllegalState,
     MalformedCsv,
@@ -37,8 +45,6 @@ from .errors import (
 )
 from .inference import SampleBatch, ancestral_sample
 
-DEFAULT_OUTCOME = "Previous_CB_Offending"
-DEFAULT_CONTROL = "A1Q1_PhotoSharing"
 MISSING_TOKENS = ("", "?")
 _RT_MAX = int(np.iinfo(np.int32).max)  # response times are stored as int32
 _MAX_RUN_LABELS = 4096  # joint labels of one fused column run in save_dataset

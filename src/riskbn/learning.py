@@ -80,8 +80,17 @@ from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
-from .core import Cpt, DagStructure, Network, VariableSpec, build_network, config_index
-from .data import DEFAULT_OUTCOME, Dataset
+from .core import (
+    DEFAULT_OUTCOME,
+    Cpt,
+    DagStructure,
+    Network,
+    VariableSpec,
+    build_network,
+    config_index,
+    unique_rows,
+)
+from .data import Dataset
 from .errors import SchemaMismatch
 from .inference import ancestor_closure, marginal
 
@@ -298,15 +307,6 @@ class _Pattern:
                 for name, (rec, cfg) in (*self.static.items(), *self.terms.items())}
 
 
-def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First index of each distinct row of a 2-D array, and each row's
-    position among the distinct rows."""
-    a = np.ascontiguousarray(a)
-    rows = a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    return first, inverse.ravel()
-
-
 def _configurations(columns: Sequence[int], cards: Mapping[int, int]
                     ) -> tuple[int, dict[int, np.ndarray]]:
     """Number of joint configurations of ``columns``, and each column's
@@ -321,7 +321,7 @@ def _configurations(columns: Sequence[int], cards: Mapping[int, int]
 def _keyed(terms: Mapping[str, tuple[np.ndarray, np.ndarray]], n_summed: int,
            n_configs: int) -> _Keyed:
     """Key the records by the record parts of ``terms``, each shaped (records,)."""
-    first, keys = _unique_rows(np.stack([rec for rec, _ in terms.values()], axis=1))
+    first, keys = unique_rows(np.stack([rec for rec, _ in terms.values()], axis=1))
     terms = {name: (rec[first].reshape(1, -1), cfg) for name, (rec, cfg) in terms.items()}
     return _Keyed(n_summed, n_configs, terms, keys.astype(np.int32))
 
@@ -380,7 +380,7 @@ def _patterns(columns: Sequence[np.ndarray | None], n: int, families: Sequence[_
     """
     latents = set(latents)
     observed = np.column_stack([np.zeros(n, bool) if col is None else col >= 0 for col in columns])
-    first, inverse = _unique_rows(np.packbits(observed, axis=1))
+    first, inverse = unique_rows(np.packbits(observed, axis=1))
     observed_sets = [frozenset(np.flatnonzero(observed[row]).tolist()) for row in first]
     del observed
     groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])

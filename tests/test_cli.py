@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import importlib
 import json
 import resource
 import subprocess
@@ -10,7 +11,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import riskbn
 import riskbn.cli
+import riskbn.learning
 from riskbn.analysis import bf_threshold_posterior, conditional_profile
 from riskbn.cli import _build_parser, _read_ranking_csv, main
 from riskbn.errors import RiskbnError
@@ -822,7 +825,7 @@ def test_manifest_records_peak_rss_in_kilobytes(tmp_path, monkeypatch, command):
 
 def test_fit_latent_unwritable_out_never_runs_em(tmp_path, monkeypatch):
     calls = []
-    monkeypatch.setattr(riskbn.cli, "em_fit", lambda *args: calls.append(args))
+    monkeypatch.setattr(riskbn.learning, "em_fit", lambda *args: calls.append(args))
     data = tmp_path / "latent.csv"
     data.write_text("Previous_CB_Offending,Answer\n,a\n,b\n")
     assert main(["fit", "--data", str(data), "--schema", str(small_structure(tmp_path)),
@@ -901,3 +904,53 @@ def test_cli_runs_without_scipy(tmp_path):
                           capture_output=True, text=True, env=child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("spearman_rho=0.8 p_value=0.2 n=4")
+
+
+# Beyond core, errors and cli, the riskbn modules each command may import.
+_COMMAND_MODULES = {
+    "validate": set(),
+    "query": {"inference"},
+    "strength": {"inference", "analysis", "charts"},
+    "profile": {"inference", "analysis", "charts"},
+    "multifactor": {"inference", "analysis", "charts"},
+    "profiles": {"inference", "analysis", "charts"},
+    "compare": {"inference", "analysis"},
+    "simulate": {"data", "inference"},
+    "summarize": {"data", "inference"},
+    "fit": {"data", "learning", "inference"},
+}
+
+
+def _child_modules(script, cwd=None) -> list[str]:
+    """The last stdout line of a fresh interpreter that runs ``script`` and
+    then prints the numpy and riskbn modules it holds."""
+    script += ("\nprint(*sorted(m for m in sys.modules"
+               " if m == 'numpy' or m.startswith('riskbn')))\n")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, capture_output=True,
+                          text=True, env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+def test_import_riskbn_loads_no_submodule_and_not_numpy():
+    assert _child_modules("import sys, riskbn") == ["riskbn"]
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_MODULES))
+def test_each_command_imports_only_its_modules(tmp_path, command):
+    _boundary_inputs(tmp_path)
+    script = f"import sys, riskbn.cli\nassert riskbn.cli.main({_argv(command)!r}) == 0"
+    loaded = _child_modules(script, cwd=tmp_path)
+    allowed = _COMMAND_MODULES[command] | {"core", "errors", "cli"}
+    assert set(loaded) - {"numpy", "riskbn"} <= {f"riskbn.{m}" for m in allowed}
+
+
+def test_every_public_name_and_submodule_resolves_to_its_modules_object():
+    for name in riskbn._SUBMODULES:
+        assert getattr(riskbn, name) is importlib.import_module(f"riskbn.{name}")
+    for name in set(riskbn.__all__) - riskbn._SUBMODULES:
+        home = importlib.import_module(f"riskbn.{riskbn._HOME[name]}")
+        assert getattr(riskbn, name) is getattr(home, name)
+    assert set(riskbn.__all__) | riskbn._SUBMODULES <= set(dir(riskbn))
+    with pytest.raises(AttributeError):
+        riskbn.no_such_name

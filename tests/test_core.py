@@ -103,6 +103,14 @@ def test_edge_references_unknown_node():
         DagStructure(("A",), (("A", "Z"),))
 
 
+def test_network_index_is_declaration_order_and_refuses_unknown_names():
+    net = chain_network()
+    assert [net.index(v) for v in ("A", "B")] == [0, 1]
+    with pytest.raises(UnknownVariable) as exc:
+        net.index("Z")
+    assert str(exc.value) == "'Z' is not a network variable"
+
+
 def test_duplicate_states_rejected():
     with pytest.raises(ShapeMismatch):
         VariableSpec("A", ("x", "x"))
@@ -388,6 +396,9 @@ def test_any_layout_of_a_model_parses_to_the_same_bits(seed, layout, indent):
     for bad, message in [
         ([[True] + r[1:] for r in rows], "are not numeric"),
         (rows + [rows[0] + [0.0]], "are not numeric"),  # ragged
+        ([[[r[0]]] + r[1:] for r in rows], "are not numeric"),  # a nested row
+        ([["0.5"] + r[1:] for r in rows], "are not numeric"),
+        ([[None] + r[1:] for r in rows], "are not numeric"),
         ({"0": rows[0]}, "must be a non-empty array of arrays"),
         (rows[0], "must be a non-empty array of arrays"),
         ([], "must be a non-empty array of arrays"),
@@ -453,6 +464,26 @@ def test_model_renderer_holds_one_block_of_rows_at_a_time():
     small, large = _wide_network(1, 64), _wide_network(1, 128)  # 4,096 and 16,384 rows
     peak_small = _traced(lambda: sum(map(len, render_model(small))))[0]
     assert _traced(lambda: sum(map(len, render_model(large))))[0] <= 1.2 * peak_small
+
+
+def test_negative_zero_keeps_its_text_through_a_round_trip():
+    # -0.0 and 0.0 are equal floats but different bytes; rendering groups
+    # rows by bytes, so each keeps its own text
+    net = build_network(
+        [VariableSpec("A", ("0", "1")), VariableSpec("B", ("0", "1"))],
+        DagStructure(("A", "B"), (("A", "B"),)),
+        [Cpt("A", (), [[0.5, 0.5]]), Cpt("B", ("A",), [[0.0, 1.0], [-0.0, 1.0]])])
+    text = serialize_model(net)
+    assert "[0.0, 1.0],\n        [-0.0, 1.0]" in text
+    assert serialize_model(parse_model(text)) == text
+
+
+def test_rows_that_are_all_distinct_render_each_as_its_own_json_text():
+    net = _wide_network(1, 128)
+    rows = net.cpts["C0"].rows
+    assert len({row.tobytes() for row in rows}) == len(rows)
+    body = ",\n        ".join(json.dumps(row) for row in rows.tolist())
+    assert f'"rows": [\n        {body}\n      ]' in serialize_model(net)
 
 
 @pytest.mark.parametrize("block_rows", [1, 2, 3, 4096])
