@@ -15,6 +15,12 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
+#: The paper's outcome and its irrelevance control: the built-in schema's
+#: variables (:mod:`riskbn.data`) and the CLI's ``--target`` and ``--control``
+#: defaults, defined here so that reading them loads no numpy.
+DEFAULT_OUTCOME = "Previous_CB_Offending"
+DEFAULT_CONTROL = "A1Q1_PhotoSharing"
+
 _EXPORTS = {
     "core": (
         "Cpt", "DagStructure", "Distribution", "Evidence", "Network", "VariableSpec",

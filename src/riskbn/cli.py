@@ -5,12 +5,19 @@ query, compare, simulate, summarize. Every command that writes files also writes
 JSON run manifest next to its primary output (same path plus
 ``.manifest.json``). Its ``config`` is every parsed flag plus the values the
 command resolves; it also carries seeds, SHA-256 digests of inputs and
-outputs, and the process's peak resident memory (``peak_rss_kb``). Table
-outputs are byte-deterministic for a fixed configuration and seed;
-manifests additionally carry a timestamp and the peak memory.
+outputs, and the process's peak resident memory (``peak_rss_kb``). Each
+digest is of the bytes the command read or wrote, hashed as they pass, so
+no file is read twice and a piped input (``--data /dev/stdin``) gets the
+digest of what came through the pipe. Table outputs are byte-deterministic
+for a fixed configuration and seed; manifests additionally carry a
+timestamp and the peak memory.
 
-Beyond :mod:`riskbn.core`, each command imports the modules it runs inside
-its handler, so ``validate`` loads no data, learning or analysis code.
+Each command imports the modules it runs, numpy among them, inside its
+handler: ``validate`` loads no data, learning or analysis code, and
+``--version``, ``--help`` and a refused flag load no numpy. The cohort is
+never held whole: ``summarize`` and ``fit`` pass the open ``--data`` file to
+:func:`~riskbn.data.load_dataset`, which reads it a slice at a time, and
+``simulate`` samples, renders and writes one block of records at a time.
 
 Each flag's domain is stated once, as its argparse ``type=``, so a bad value
 is refused before any file is read. Exit codes:
@@ -39,21 +46,9 @@ import resource
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
-
-from . import __version__
-from .core import (
-    DEFAULT_CONTROL,
-    DEFAULT_OUTCOME,
-    DagStructure,
-    Network,
-    VariableSpec,
-    parse_model,
-    parse_model_parts,
-    render_model,
-)
+from . import DEFAULT_CONTROL, DEFAULT_OUTCOME, __version__
 from .errors import (
     DomainError,
     IllegalState,
@@ -69,6 +64,7 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
+    from .core import DagStructure, Network, VariableSpec
     from .data import Dataset, Schema
 
 _IO_EXIT, _VALIDATION_EXIT, _COMPUTE_EXIT = 1, 2, 3
@@ -80,12 +76,44 @@ def _fmt(x: float) -> str:
     return "%.12g" % x
 
 
-def _sha256(path: Path) -> str:
+# The SHA-256 of each file the running command has read or written, by the
+# path it was named by; ``main`` empties it before each command.
+_digests: dict[str, str] = {}
+
+
+class _Input:
+    """An input file open for binary reading that hashes the bytes read from
+    it; closing it records their digest under its path."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self.file = open(path, "rb")
+        self.hash = hashlib.sha256()
+
+    def read(self, size: int = -1) -> bytes:
+        data = self.file.read(size)
+        self.hash.update(data)
+        return data
+
+    def __enter__(self) -> _Input:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.file.close()
+        _digests[self.path] = self.hash.hexdigest()
+
+
+def _write(path: Path, pieces: Iterable[str]) -> None:
+    """Write the text ``pieces`` to ``path`` as UTF-8, one at a time, and
+    record the digest of the bytes written."""
     digest = hashlib.sha256()
-    with path.open("rb") as f:
-        for block in iter(lambda: f.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
+    with path.open("wb") as fh:
+        for piece in pieces:
+            data = piece.encode()
+            digest.update(data)
+            fh.write(data)
+            del piece, data  # neither is held while the next piece is made
+    _digests[str(path)] = digest.hexdigest()
 
 
 def _peak_rss_kb() -> int:
@@ -98,8 +126,9 @@ def _peak_rss_kb() -> int:
 def _write_manifest(args, outputs: list[Path], seeds: dict | None = None,
                     counters: dict | None = None, **resolved) -> Path:
     """Manifest beside ``outputs[0]``: every parsed flag plus ``resolved``
-    values as config, work ``counters``, and digests of every input file
-    flag that is set."""
+    values as config, work ``counters``, and the digests of every input file
+    flag that is set and of every output, as the command read or wrote
+    them."""
     config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
     config.update(resolved)
     inputs = [getattr(args, k) for k in _INPUT_FLAGS if getattr(args, k, None)]
@@ -111,8 +140,8 @@ def _write_manifest(args, outputs: list[Path], seeds: dict | None = None,
         "config": config,
         "seeds": seeds or {},
         "counters": counters or {},
-        "inputs": {p: _sha256(Path(p)) for p in inputs},
-        "outputs": {str(p): _sha256(p) for p in outputs},
+        "inputs": {p: _digests[p] for p in inputs},
+        "outputs": {str(p): _digests[str(p)] for p in outputs},
         "peak_rss_kb": _peak_rss_kb(),
     }
     path = Path(f"{outputs[0]}.manifest.json")
@@ -126,32 +155,38 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     writer.writerow(header)
     for row in rows:
         writer.writerow([_fmt(c) if isinstance(c, float) else c for c in row])
-    path.write_text(buf.getvalue())
+    _write(path, [buf.getvalue()])
 
 
-def _read_input(path: str) -> bytes:
-    """The bytes of an input file; every input file is read through here."""
-    return Path(path).read_bytes()
+def _read_input(path: str) -> _Input:
+    """An input file, open for reading; every input file is read through
+    here."""
+    return _Input(path)
 
 
 def _read_text(path: str) -> str:
     """A text input, less one leading UTF-8 byte-order mark (Excel writes
     one). The mark is decoded with the text, so a bad byte is reported at
     its offset in the file."""
+    with _read_input(path) as f:
+        raw = f.read()
     try:
-        text = _read_input(path).decode("utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise NotUtf8(path, exc.start) from None
     return text.removeprefix("\ufeff")
 
 
 def _load_model(path: str) -> Network:
+    from .core import parse_model
+
     return parse_model(_read_text(path))
 
 
 def _resolve_structure(args) -> tuple[tuple[VariableSpec, ...], DagStructure]:
     """Schema/DAG from --schema/--dag model files, defaulting to the bundled
     schema and placeholder DAG."""
+    from .core import parse_model_parts
     from .data import default_dag, default_schema
 
     if getattr(args, "schema", None):
@@ -171,6 +206,7 @@ def _resolve_structure(args) -> tuple[tuple[VariableSpec, ...], DagStructure]:
 
 
 def _data_schema(network_specs: tuple[VariableSpec, ...]) -> Schema:
+    from .core import VariableSpec
     from .data import Schema
 
     specs = list(network_specs)
@@ -180,13 +216,14 @@ def _data_schema(network_specs: tuple[VariableSpec, ...]) -> Schema:
 
 
 def _load_data(args, network_specs: tuple[VariableSpec, ...]) -> Dataset:
-    """The ``--data`` cohort, read as bytes: ``load_dataset`` decodes only
-    what it must, so the file is never held as bytes and text at once."""
+    """The ``--data`` cohort, read from the open file one slice at a time by
+    ``load_dataset``, so the file is never held whole."""
     from .data import load_dataset
 
     schema = _data_schema(network_specs)
     try:
-        return load_dataset(_read_input(args.data), schema)
+        with _read_input(args.data) as f:
+            return load_dataset(f, schema)
     except NotUtf8 as exc:
         raise NotUtf8(args.data, exc.offset) from None
 
@@ -215,6 +252,8 @@ def cmd_validate(args) -> int:
 def _incomplete_records(dataset: Dataset, names: list[str]) -> int:
     """Records missing a cell of any of ``names``; a column the dataset
     lacks is missing in every record."""
+    import numpy as np
+
     missing = np.zeros(dataset.n, dtype=bool)
     for name in names:
         col = dataset.columns.get(name)
@@ -226,6 +265,7 @@ def _incomplete_records(dataset: Dataset, names: list[str]) -> int:
 
 def cmd_fit(args) -> int:
     from .data import FilterConfig, apply_filters
+    from .core import render_model
     from .learning import EmConfig, default_prior, em_fit, fit_cpts
 
     schema, dag = _resolve_structure(args)
@@ -262,11 +302,11 @@ def cmd_fit(args) -> int:
                           restarts=args.em_restarts, jitter=args.em_jitter, seed=args.seed)
         network, trace = em_fit(schema, dag, dataset, args.latent, prior, config)
         trace_path = Path(str(out) + ".trace.json")
-        trace_path.write_text(json.dumps({
+        _write(trace_path, [json.dumps({
             "log_likelihoods": [list(r) for r in trace.log_likelihoods],
             "converged": list(trace.converged),
             "selected": trace.selected,
-        }, indent=2) + "\n")
+        }, indent=2) + "\n"])
         outputs.append(trace_path)
         seeds["em_seed"] = args.seed
         counters["em_iterations"] = [len(r) - 1 for r in trace.log_likelihoods]
@@ -276,8 +316,7 @@ def cmd_fit(args) -> int:
               f"final objective {_fmt(trace.log_likelihoods[trace.selected][-1])}")
     else:
         network = fit_cpts(schema, dag, dataset, prior)
-    with out.open("w") as fh:
-        fh.writelines(render_model(network))
+    _write(out, render_model(network))
     _write_manifest(args, outputs, seeds, counters)
     print(f"model written to {out}")
     return 0
@@ -304,12 +343,12 @@ def cmd_strength(args) -> int:
     out = Path(args.out)
     _write_csv(out, ["variable", "score", "is_control", "above_control"], rows)
     svg_path = out.with_suffix(".svg")
-    svg_path.write_text(hbar_chart(
+    _write(svg_path, [hbar_chart(
         f"Strength of influence on {args.target}",
         [(name, score) for name, score in report.entries],
         highlight=report.control, reference=report.control_score, axis_max=1.0,
         comment=f"riskbn {__version__}",
-    ))
+    )])
     _write_manifest(args, [out, svg_path], control=control)
     print(f"ranking written to {out} ({len(report.entries)} variables)")
     return 0
@@ -325,10 +364,10 @@ def cmd_profile(args) -> int:
     out = Path(args.out)
     _write_csv(out, ["state", "posterior"], [[s, float(p)] for s, p in profile])
     svg_path = out.with_suffix(".svg")
-    svg_path.write_text(vbar_chart(
+    _write(svg_path, [vbar_chart(
         f"P({args.target} = {target_state} | {args.source})",
         list(profile), axis_max=1.0, comment=f"riskbn {__version__}",
-    ))
+    )])
     _write_manifest(args, [out, svg_path], target_state=target_state)
     print(f"profile written to {out}")
     return 0
@@ -376,12 +415,12 @@ def cmd_multifactor(args) -> int:
     _write_csv(out, ["pool", "k", "max_posterior", "evaluated", "skipped", "best_evidence"],
                rows)
     svg_path = out.with_suffix(".svg")
-    svg_path.write_text(line_chart(
+    _write(svg_path, [line_chart(
         f"Max posterior P({args.target} = {target_state}) by evidence count",
         series, hlines=[(f"{label}: {_fmt(v)}", v) for label, v in thresholds],
         x_label="fixed evidence count", y_label="posterior",
         comment=f"riskbn {__version__}",
-    ))
+    )])
     _write_manifest(args, [out, svg_path], target_state=target_state,
                     thresholds=dict(thresholds))
     print(f"multifactor table written to {out}")
@@ -409,12 +448,12 @@ def cmd_profiles(args) -> int:
     out = Path(args.out)
     _write_csv(out, ["variable", "state", "count", "share_of_profiles"], rows)
     svg_path = out.with_suffix(".svg")
-    svg_path.write_text(hbar_chart(
+    _write(svg_path, [hbar_chart(
         f"Assignment frequency in the {n} risk profiles "
         f"(k={args.k}, threshold={_fmt(threshold)})",
         [(f"{v} = {s}", float(c)) for (v, s), c in result.frequency],
         value_format="%d", comment=f"riskbn {__version__}",
-    ))
+    )])
     _write_manifest(args, [out, svg_path], target_state=target_state, threshold=threshold)
     if n == 0:
         print("no profiles met the threshold")
@@ -433,11 +472,11 @@ def cmd_query(args) -> int:
     print(f"P(evidence) = {_fmt(p_evidence)}")
     if args.out is not None:
         out = Path(args.out)
-        out.write_text(json.dumps({
+        _write(out, [json.dumps({
             "target": args.target, "evidence": args.evidence,
             "posterior": {s: p for s, p in zip(dist.states, dist.probabilities)},
             "evidence_probability": p_evidence,
-        }, indent=2, sort_keys=True) + "\n")
+        }, indent=2, sort_keys=True) + "\n"])
         _write_manifest(args, [out])
     return 0
 
@@ -485,26 +524,26 @@ def cmd_compare(args) -> int:
           + (" (exact extreme)" if result.exact_extreme else ""))
     if args.out is not None:
         out = Path(args.out)
-        out.write_text(json.dumps({
+        _write(out, [json.dumps({
             "rho": result.rho, "p_value": result.p_value, "n": result.n,
             "exact_extreme": result.exact_extreme,
-        }, indent=2) + "\n")
+        }, indent=2) + "\n"])
         _write_manifest(args, [out])
     return 0
 
 
 def cmd_simulate(args) -> int:
-    from .data import render_dataset, simulate_dataset
+    import numpy as np
+
+    from .data import render_simulated
     from .inference import GENERATOR_ID
 
     generated = args.seed is None
     seed = int(np.random.SeedSequence().entropy % 2 ** 32) if generated else args.seed
     network = _load_model(args.model) if args.model else None
     schema = _data_schema(network.schema) if network else None
-    dataset = simulate_dataset(args.n, seed, network, schema)
     out = Path(args.out)
-    with out.open("w") as fh:
-        fh.writelines(render_dataset(dataset))
+    _write(out, render_simulated(args.n, seed, network, schema))
     _write_manifest(args, [out], {"seed": seed, "generated": generated},
                     generator=GENERATOR_ID)
     print(f"{args.n} records written to {out} (seed {seed})")
@@ -745,6 +784,7 @@ _CHART_COMMANDS = (cmd_strength, cmd_profile, cmd_multifactor, cmd_profiles)
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    _digests.clear()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "out", None) is not None:

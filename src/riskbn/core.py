@@ -42,12 +42,6 @@ ROW_SUM_TOL = 1e-9
 
 VARIABLE_KINDS = ("demographic", "psychological", "game", "outcome", "meta")
 
-#: The paper's outcome and its irrelevance control: the built-in schema's
-#: variables (:mod:`riskbn.data`) and the CLI's ``--target`` and ``--control``
-#: defaults, defined here so that reading them loads nothing else.
-DEFAULT_OUTCOME = "Previous_CB_Offending"
-DEFAULT_CONTROL = "A1Q1_PhotoSharing"
-
 #: Partial assignment of variables to state labels, used for conditioning.
 Evidence = Mapping[str, str]
 
@@ -370,11 +364,13 @@ def config_index(states: Sequence, cards: Sequence[int]) -> np.ndarray:
     ``states`` holds one integer array or scalar per variable, and they
     broadcast, so per-record and per-configuration parts may sit on
     different axes. The index is linear in the states: zeroing different
-    variables splits it into parts that sum back to the whole.
+    variables splits it into parts that sum back to the whole. It is built
+    in place, in one int64 array of the states' broadcast shape.
     """
-    index = np.zeros((), dtype=np.int64)
+    index = np.zeros(np.broadcast_shapes(*map(np.shape, states)), dtype=np.int64)
     for state, card in zip(states, cards):
-        index = index * card + np.asarray(state, dtype=np.int64)
+        index *= card
+        index += state
     return index
 
 

@@ -19,14 +19,13 @@ import csv
 import io
 import re
 from dataclasses import dataclass, field, replace
-from itertools import islice
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import chain, islice
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from . import DEFAULT_CONTROL, DEFAULT_OUTCOME
 from .core import (
-    DEFAULT_CONTROL,
-    DEFAULT_OUTCOME,
     Cpt,
     DagStructure,
     Network,
@@ -43,13 +42,14 @@ from .errors import (
     SchemaMismatch,
     UnknownColumn,
 )
-from .inference import SampleBatch, ancestral_sample
+# _CHUNK_ROWS: rows load_dataset holds as cell text, and render_dataset and
+# render_simulated render, at once
+from .inference import _CHUNK_ROWS, SampleBatch, ancestral_sample, sample_blocks
 
 MISSING_TOKENS = ("", "?")
 _RT_MAX = int(np.iinfo(np.int32).max)  # response times are stored as int32
 _MAX_RUN_LABELS = 4096  # joint labels of one fused column run in save_dataset
-_CHUNK_ROWS = 8192  # rows load_dataset holds as cell text, and render_dataset renders, at once
-_SLICE_BYTES = 1 << 18  # least bytes of its input load_dataset reads at once
+_SLICE_BYTES = 1 << 18  # bytes of its input load_dataset reads at once, at least
 _LINE_END = re.compile(rb"\r\n?|\n")  # where io.StringIO(newline="") ends a line
 _BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark, which Excel writes
 
@@ -250,51 +250,61 @@ def _response_time(cell: str) -> int:
     return value
 
 
-def _slices(data: bytes, start: int = 0):
-    """Successive slices of ``data`` from ``start``. Each ends just after
-    the first line end (``\\r\\n``, ``\\n`` or a bare ``\\r``, where
-    ``io.StringIO(newline="")`` ends a line) at least ``_SLICE_BYTES`` bytes
-    on, so no line, and no UTF-8 character, straddles two slices."""
-    while start < len(data):
-        end = _LINE_END.search(data, start + _SLICE_BYTES - 1)
-        cut = end.end() if end else len(data)
-        yield data[start:cut]
-        start = cut
+def _slices(source: bytes | BinaryIO, check: bool = False) -> Iterator[bytes]:
+    """Successive slices of the bytes ``source`` holds or reads; a file is
+    read as it is consumed, ``_SLICE_BYTES`` at a time, so a pipe works.
+    Each slice ends just after the last line end (``\\r\\n``, ``\\n`` or a
+    bare ``\\r``, where ``io.StringIO(newline="")`` ends a line) among the
+    bytes read, or at the end of the input, so no line, and no UTF-8
+    character, straddles two slices. While no line end has been read, each
+    read doubles, so a long line costs time linear in its length.
+
+    With ``check``, each slice is checked as strict UTF-8 as it is read
+    (NotUtf8 names the input offset of the first bad byte), and a leading
+    byte-order mark is dropped."""
+    if isinstance(source, (bytes, bytearray)):
+        source = io.BytesIO(source)  # shares the bytes; reads copy a slice at a time
+    buf, at, eof = b"", 0, False  # ``at``: the input offset of ``buf``
+    while not eof:
+        more = source.read(max(_SLICE_BYTES, len(buf)))
+        eof = not more
+        buf += more
+        # a \r that ends what was read may be the first half of a \r\n
+        last = max(buf.rfind(b"\n"), buf.rfind(b"\r", 0, len(buf) - (not eof)))
+        cut = len(buf) if eof else last + 1
+        if cut == 0:
+            continue
+        piece, buf = buf[:cut], buf[cut:]
+        if check and not piece.isascii():
+            try:
+                piece.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise NotUtf8("dataset", at + exc.start) from None
+            if at == 0 and piece.startswith(_BOM):
+                piece = piece[len(_BOM):]
+        at += cut
+        if piece:
+            yield piece
 
 
-def _lines(data: bytes, start: int = 0):
-    """The lines of ``io.StringIO(data[start:].decode(), newline="")``, decoded
-    from successive slices of ``data`` so that no whole copy of it is made."""
-    for piece in _slices(data, start):
+def _lines(pieces: Iterable[bytes]) -> Iterator[str]:
+    """The lines of ``io.StringIO(b"".join(pieces).decode(), newline="")``,
+    decoded one slice at a time, so that no whole copy is made."""
+    for piece in pieces:
         yield from io.StringIO(piece.decode("utf-8", "surrogatepass"), newline="")
-
-
-def _check_utf8(data: bytes) -> None:
-    """Raise NotUtf8 at the first byte of ``data`` that is not UTF-8. Bytes
-    that are all ASCII are checked without decoding; any others are decoded
-    one slice at a time, and each slice's text is thrown away."""
-    if data.isascii():
-        return
-    at = 0
-    for piece in _slices(data):
-        try:
-            piece.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise NotUtf8("dataset", at + exc.start) from None
-        at += len(piece)
 
 
 def _decode_chunk(cells: list[str], first: int, columns) -> None:
     """Append the codes of a chunk of rows (flat, row-major ``cells``;
-    ``first`` rows come before it) to each column's pieces, or raise
+    ``first`` rows come before it) to each column's codes, or raise
     IllegalState for the chunk's first illegal cell in row-major order."""
     width = len(columns)
     rows = len(cells) // width
     illegal: list[tuple[int, int, str, str]] = []  # (row, column index, name, cell)
-    for j, (name, lookup, dtype, pieces) in enumerate(columns):
+    for j, (name, lookup, dtype, codes) in enumerate(columns):
         column = cells[j::width]
         try:
-            pieces.append(np.fromiter(map(lookup.__getitem__, column), dtype, rows))
+            codes.append(np.fromiter(map(lookup.__getitem__, column), dtype, rows))
         except (LookupError, ValueError):
             # the memo only holds legal cells, so the first cell it lacks fails
             i = next(i for i, cell in enumerate(column) if cell not in lookup)
@@ -304,9 +314,37 @@ def _decode_chunk(cells: list[str], first: int, columns) -> None:
         raise IllegalState(cell, first + i + 1, name)
 
 
+class _Codes:
+    """A column's decoded codes, appended a piece at a time. The pieces are
+    joined into one array whenever they hold a quarter as many codes as it,
+    so they never hold more than a fifth of the codes. Pieces kept apart to
+    the end would sit in small blocks between the reader's temporaries,
+    which the allocator cannot give back, and joining them at the end would
+    hold the codes twice over. Each code is copied about five times."""
+
+    def __init__(self, dtype):
+        self.joined = np.empty(0, dtype)
+        self.pieces: list[np.ndarray] = []
+        self.waiting = 0  # codes in ``pieces``
+
+    def append(self, piece: np.ndarray) -> None:
+        self.pieces.append(piece)
+        self.waiting += len(piece)
+        if 4 * self.waiting >= len(self.joined):
+            self.join()
+
+    def join(self) -> np.ndarray:
+        """Every code appended, in one array, which the column keeps."""
+        if self.pieces:
+            self.joined = np.concatenate([self.joined, *self.pieces])
+            self.pieces.clear()
+            self.waiting = 0
+        return self.joined
+
+
 def _columns(header_row: Sequence[str], schema: Schema) -> list:
     """Check a header row and give each of its columns a
-    (name, memo, dtype, decoded pieces) entry."""
+    (name, memo, dtype, decoded codes) entry."""
     header = [h.strip() for h in header_row]
     if not header:  # an empty file, or a blank first line
         raise RaggedRow(0, 1, 0)
@@ -324,24 +362,25 @@ def _columns(header_row: Sequence[str], schema: Schema) -> list:
             lookup, dtype = _CellCodes(_state_code(spec_by_name[name].states)), np.int16
         else:
             lookup, dtype = _CellCodes(_response_time), np.int32
-        columns.append((name, lookup, dtype, [np.empty(0, dtype)]))
+        columns.append((name, lookup, dtype, _Codes(dtype)))
     return columns
 
 
 def _dataset(schema: Schema, n: int, columns) -> Dataset:
-    decoded = {name: np.concatenate(pieces) for name, _, _, pieces in columns}
+    """The dataset of the decoded columns."""
     spec_by_name = {v.name: v for v in schema.variables}
-    cat_cols = {k: v for k, v in decoded.items() if k in spec_by_name}
-    rt_cols = {k: v for k, v in decoded.items() if k not in spec_by_name}
+    cat_cols: dict[str, np.ndarray] = {}
+    rt_cols: dict[str, np.ndarray] = {}
+    for name, _, _, codes in columns:
+        (cat_cols if name in spec_by_name else rt_cols)[name] = codes.join()
     return Dataset(schema, n, cat_cols, rt_cols, "ingest")
 
 
-def _read_rows(reader, schema: Schema) -> Dataset:
-    """The dataset whose CSV rows ``reader`` yields, checked and decoded
-    chunk by chunk; a CSV reader error is left to the caller."""
-    columns = _columns(next(reader, ()), schema)
+def _read_rows(reader, columns, n: int) -> int:
+    """Decode the CSV rows ``reader`` yields, chunk by chunk, after the
+    ``n`` rows already decoded; the total number of rows. A CSV reader error
+    is left to the caller."""
     width = len(columns)
-    n = 0
     while True:
         cells: list[str] = []
         extend = cells.extend
@@ -351,10 +390,9 @@ def _read_rows(reader, schema: Schema) -> Dataset:
                 raise RaggedRow(n + len(cells) // width + 1, width, len(row))
             extend(row)
         if not cells:
-            break
+            return n
         _decode_chunk(cells, n, columns)
         n += len(cells) // width
-    return _dataset(schema, n, columns)
 
 
 # _WORD_MASKS[r] keeps the first r bytes of a little-endian 8-byte word
@@ -481,33 +519,50 @@ def _decode_slice(piece: bytes, columns, field_limit: int) -> np.ndarray | None:
     return coded.reshape(width, rows)
 
 
-def _load_quote_free(data: bytes, schema: Schema, start: int = 0) -> Dataset | None:
-    """The dataset in ``data[start:]``, UTF-8 bytes that hold no ``"``, split
-    by :func:`_decode_slice`; or None where the CSV path must decide, as at a
-    NUL (which Python 3.10's CSV reader refuses)."""
-    if b"\0" in data:
-        return None
-    end = _LINE_END.search(data, start)
-    cut = end.end() if end else len(data)
+def _decode_quote_free(slices: Iterator[bytes], schema: Schema):
+    """Read the header from the first slice, then decode whole slices with
+    :func:`_decode_slice` until one holds a ``"`` or a NUL (which Python
+    3.10's CSV reader refuses) or the split gives up on it. Returns
+    ``(columns, n, rest)``: the header's columns (None where the CSV reader
+    must read the header), the rows decoded, and the slice the CSV reader
+    takes over from (None when every slice was decoded)."""
+    first = next(slices, b"")
+    end = _LINE_END.search(first)
+    cut = end.end() if end else len(first)
     try:
-        header = data[start:cut].decode("utf-8", "surrogatepass")
+        header = first[:cut].decode("utf-8", "surrogatepass")
+        if '"' in header or "\0" in header:
+            return None, 0, first
         columns = _columns(next(csv.reader([header]), ()), schema)
     except (RiskbnError, csv.Error):
-        return None
+        return None, 0, first
     field_limit = csv.field_size_limit()
     n = 0
-    for piece in _slices(data, cut):
-        coded = _decode_slice(piece, columns, field_limit)
+    for piece in chain([first[cut:]], slices):
+        if not piece:
+            continue
+        coded = None
+        if b'"' not in piece and b"\0" not in piece:
+            coded = _decode_slice(piece, columns, field_limit)
         if coded is None:
-            return None
-        for (_, _, dtype, pieces), column in zip(columns, coded):
-            pieces.append(column.astype(dtype))
+            return columns, n, piece
+        for (_, _, dtype, codes), column in zip(columns, coded):
+            codes.append(column.astype(dtype))
         n += coded.shape[1]
-    return _dataset(schema, n, columns)
+    return columns, n, None
 
 
-def load_dataset(data: str | bytes, schema: Schema) -> Dataset:
-    """Parse the dataset CSV format, given as text or as the bytes of a file.
+def _load_quote_free(data: bytes, schema: Schema) -> Dataset | None:
+    """The dataset in ``data`` when :func:`_decode_quote_free` decodes all of
+    it; otherwise None, where the CSV reader must decide."""
+    columns, n, rest = _decode_quote_free(_slices(data), schema)
+    return None if columns is None or rest is not None else _dataset(schema, n, columns)
+
+
+def load_dataset(data: str | bytes | BinaryIO, schema: Schema) -> Dataset:
+    """Parse the dataset CSV format, given as text, as the bytes of a file,
+    or as a binary file open for reading (read to its end, once, from where
+    it stands; a pipe works).
 
     Bytes must be UTF-8 (NotUtf8, at the offset of the first bad byte, comes
     before any other error) and may begin with a byte-order mark, which is
@@ -520,41 +575,54 @@ def load_dataset(data: str | bytes, schema: Schema) -> Dataset:
     line is a ragged row 0), then the first illegal cell in row-major order,
     then the first row whose width differs from the header's.
 
-    Two tokenizers read the bytes, with the same result and the same error.
-    Bytes holding no ``"`` are split by numpy, one slice at a time: the
-    commas and line ends of each slice are found by vector compares, and
-    only each column's distinct cell texts are decoded. Anything out of the
-    way (a NUL, a ragged or blank line, a field past
-    ``csv.field_size_limit()``, an illegal cell) makes the numpy path give
-    up without raising, and the whole input goes to the CSV reader, which
-    raises the error. The CSV reader reads every other input from the start.
+    The input is read one slice at a time (:func:`_slices`): each slice
+    holds the whole lines of one read of ``_SLICE_BYTES`` bytes (more where
+    a line is longer), and a file's slices are checked as UTF-8 as they are
+    read. Two tokenizers read the
+    slices, with the same result and the same error. numpy splits each
+    slice that holds no ``"``: the commas and line ends are found by vector
+    compares, and only each column's distinct cell texts are decoded.
+    Anything out of the way (a ``"``, a NUL, a ragged or blank line, a field
+    past ``csv.field_size_limit()``, an illegal cell) makes numpy give up on
+    that slice without raising. The CSV reader then takes over from the
+    slice's first line: the rows before it stay decoded, and its row and
+    line numbers are offset by them. A header the CSV reader must read (one
+    with a ``"``, or one numpy's header check refuses) sends every slice to
+    the CSV reader. On the first error the rest of the input is still read,
+    so that an error of higher precedence anywhere in it wins.
 
-    The memory held does not grow with the file beyond the decoded columns
-    (and, for text, its encoding): both paths read slices of at least
-    ``_SLICE_BYTES`` bytes, only the CSV reader's slices are decoded, and
-    its rows are gathered ``_CHUNK_ROWS`` at a time into a flat cell list.
-    Both decode each column through one memo of its distinct cell texts,
-    kept for the whole file. No result depends on either constant.
+    The memory held does not grow with the input beyond the decoded columns
+    (and, for text, its encoding): one slice is held at a time, only the
+    CSV reader's slices are decoded as text, and its rows are gathered
+    ``_CHUNK_ROWS`` at a time into a flat cell list. Both tokenizers decode
+    each column through one memo of its distinct cell texts, kept for the
+    whole input. No result depends on either constant.
     """
     if isinstance(data, str):
-        data, start = data.encode("utf-8", "surrogatepass"), 0
+        slices = _slices(data.encode("utf-8", "surrogatepass"))
     else:
-        _check_utf8(data)
-        start = len(_BOM) if data.startswith(_BOM) else 0
-    if b'"' not in data:
-        dataset = _load_quote_free(data, schema, start)
-        if dataset is not None:
-            return dataset
-    reader = csv.reader(_lines(data, start))
+        slices = _slices(data, check=True)
+    columns, n, rest = _decode_quote_free(slices, schema)
+    if rest is None:
+        return _dataset(schema, n, columns)
+    lines_before = 0 if columns is None else 1 + n  # each row numpy decoded is one line
+    reader = csv.reader(_lines(chain([rest], slices)))
     try:
         try:
-            return _read_rows(reader, schema)
+            if columns is None:
+                columns = _columns(next(reader, ()), schema)
+            n = _read_rows(reader, columns, n)
+        except NotUtf8:  # it outranks every other error
+            raise
         except RiskbnError:
-            for _ in reader:  # an unsplittable line anywhere still wins
+            for _ in reader:  # an unsplittable line, or a byte not UTF-8, anywhere still wins
                 pass
             raise
     except csv.Error as exc:
-        raise MalformedCsv(f"line {reader.line_num}: {exc}") from None
+        for _ in slices:  # a byte not UTF-8 anywhere still wins
+            pass
+        raise MalformedCsv(f"line {lines_before + reader.line_num}: {exc}") from None
+    return _dataset(schema, n, columns)
 
 
 def _csv_field(value: str, alone: bool) -> str:
@@ -583,40 +651,56 @@ def render_dataset(dataset: Dataset) -> Iterator[str]:
     is rendered by indexing its label array with the run's combined codes,
     and the rows are joined from the runs.
     """
-    header = [v.name for v in dataset.schema.variables if v.name in dataset.columns]
-    header += [name for name in dataset.schema.response_time_columns
-               if name in dataset.response_times]
+    names = [v.name for v in dataset.schema.variables if v.name in dataset.columns]
+    times = [name for name in dataset.schema.response_time_columns
+             if name in dataset.response_times]
+    blocks = ((min(_CHUNK_ROWS, dataset.n - lo),
+               [dataset.columns[k][lo:lo + _CHUNK_ROWS] for k in names],
+               [dataset.response_times[k][lo:lo + _CHUNK_ROWS] for k in times])
+              for lo in range(0, dataset.n, _CHUNK_ROWS))
+    return _render_csv(dataset.schema, names, times, blocks)
+
+
+def _render_csv(schema: Schema, names: list[str], times: list[str], blocks) -> Iterator[str]:
+    """The header line of the categorical columns ``names`` and the
+    response-time columns ``times``, then the text of each block: its
+    number of rows, and a list of those rows' codes for each kind of
+    column."""
+    header = names + times
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(header)
     yield buf.getvalue()
     alone = len(header) == 1
     missing = _csv_field("", alone)
-    spec_by_name = {v.name: v for v in dataset.schema.variables}
-    runs: list[tuple[list[str], list[tuple[np.ndarray, int]]]] = []  # (labels, members)
-    for name in header:
-        if name in dataset.columns:
-            labels = [_csv_field(s, alone) for s in spec_by_name[name].states] + [missing]
-            members = [(dataset.columns[name], len(labels))]
-            if runs and len(runs[-1][0]) * len(labels) <= _MAX_RUN_LABELS:
-                run_labels, run_members = runs.pop()
-                labels = [f"{a},{b}" for a in run_labels for b in labels]
-                members = run_members + members
-            runs.append((labels, members))
+    spec_by_name = {v.name: v for v in schema.variables}
+    runs: list[tuple[list[str], list[tuple[int, int]]]] = []  # (labels, (column, labels) members)
+    for j, name in enumerate(names):
+        labels = [_csv_field(s, alone) for s in spec_by_name[name].states] + [missing]
+        members = [(j, len(labels))]
+        if runs and len(runs[-1][0]) * len(labels) <= _MAX_RUN_LABELS:
+            run_labels, run_members = runs.pop()
+            labels = [f"{a},{b}" for a in run_labels for b in labels]
+            members = run_members + members
+        runs.append((labels, members))
     label_arrays = [(np.array(labels, dtype=object), members) for labels, members in runs]
-    times = [dataset.response_times[name] for name in header if name in dataset.response_times]
-    for lo in range(0, dataset.n, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, dataset.n)
-        columns = []
-        for labels, members in label_arrays:
-            codes = 0
-            for column, size in members:  # -1 -> missing, the last label
-                codes = codes * size + column[lo:hi] % np.int64(size)
-            columns.append(labels[codes].tolist())
-        columns += [[str(v) if v >= 0 else missing for v in column[lo:hi].tolist()]
-                    for column in times]
-        rows = list(map(",".join, zip(*columns))) if columns else [""] * (hi - lo)
-        rows.append("")  # the block's last line end, without a second copy of its text
-        yield "\n".join(rows)
+    for size, codes_block, times_block in blocks:
+        yield _render_block(label_arrays, missing, size, codes_block, times_block)
+
+
+def _render_block(label_arrays, missing: str, size: int, codes_block, times_block) -> str:
+    """The text of one block of rows (see :func:`_render_csv`). Its row
+    texts are locals, so none outlives the block's text."""
+    columns = []
+    for labels, members in label_arrays:
+        codes = 0
+        for j, labels_j in members:  # -1 -> missing, the last label
+            codes = codes * labels_j + codes_block[j] % np.int64(labels_j)
+        columns.append(labels[codes].tolist())
+    columns += [[str(v) if v >= 0 else missing for v in column.tolist()]
+                for column in times_block]
+    rows = list(map(",".join, zip(*columns))) if columns else [""] * size
+    rows.append("")  # the block's last line end, without a second copy of its text
+    return "\n".join(rows)
 
 
 # --- calibration filters --------------------------------------------------------
@@ -799,12 +883,12 @@ def _score_rows(parents: Sequence[VariableSpec], base: float,
                 loadings: Mapping[str, tuple[float, ...]]) -> np.ndarray:
     """Yes/No CPT rows for an additive risk score over all parent configs."""
     cards = [p.cardinality for p in parents]
-    n_rows = int(np.prod(cards))
-    config = np.stack(np.unravel_index(np.arange(n_rows), cards), axis=1)
-    score = np.full(n_rows, base, dtype=np.float64)
+    score = np.full(cards, base, dtype=np.float64)  # one axis per parent, the last fastest
     for j, p in enumerate(parents):
-        score += np.asarray(loadings[p.name], dtype=np.float64)[config[:, j]]
-    p_yes = np.clip(score, 0.005, 0.95)
+        axis = [1] * len(cards)
+        axis[j] = cards[j]
+        score += np.asarray(loadings[p.name], dtype=np.float64).reshape(axis)
+    p_yes = np.clip(score.ravel(), 0.005, 0.95)
     return np.stack([p_yes, 1.0 - p_yes], axis=1)
 
 
@@ -879,3 +963,22 @@ def simulate_dataset(n: int, seed: int, network: Network | None = None,
     schema = schema or default_schema()
     batch = ancestral_sample(network, n, seed)
     return dataset_from_batch(batch, schema)
+
+
+def render_simulated(n: int, seed: int, network: Network | None = None,
+                     schema: Schema | None = None) -> Iterator[str]:
+    """The text of ``save_dataset(simulate_dataset(n, seed, network,
+    schema))`` in pieces, sampled (:func:`~riskbn.inference.sample_blocks`)
+    and rendered ``_CHUNK_ROWS`` records at a time, so that the sample is
+    never held whole. Every refusal comes before the first piece exists."""
+    if network is None:
+        network = build_default_generator(seed).network
+    schema = schema or default_schema()
+    for name in network.variables:
+        if schema.get(name) is None:
+            raise SchemaMismatch(f"sampled variable '{name}' is not in the schema")
+    col = {name: j for j, name in enumerate(network.variables)}
+    names = [v.name for v in schema.variables if v.name in col]
+    blocks = sample_blocks(network, n, seed, _CHUNK_ROWS)
+    return _render_csv(schema, names, [],
+                       ((len(block), [block[:, col[k]] for k in names], []) for block in blocks))

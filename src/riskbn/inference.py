@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .errors import (
 )
 
 GENERATOR_ID = "numpy-pcg64-cdf"
+_CHUNK_ROWS = 8192  # records ancestral_sample draws at once
 
 
 # --- factors -----------------------------------------------------------------
@@ -236,28 +237,59 @@ class SampleBatch:
         }
 
 
+def sample_blocks(network: Network, n: int, seed: int, rows: int) -> Iterator[np.ndarray]:
+    """The states of :func:`ancestral_sample`, ``rows`` records at a time:
+    successive (at most ``rows``, #variables) int16 blocks, whatever ``rows``
+    is. Refusals come before any block is drawn.
+
+    ``ancestral_sample`` draws ``rng.random(n)`` per variable in topological
+    order, so the variable at position j draws the (j·n + i)-th double of
+    the PCG64 stream for record i. A block [a, b) moves the bit generator
+    to j·n + a for each variable (``advance``) and draws b - a doubles:
+    the same doubles, so every block holds the same states.
+    """
+    if n < 1:
+        raise DomainError("sample size must be at least 1")
+    if n * len(network.variables) * 2 > np.iinfo(np.intp).max:  # numpy's limit for (n, V) int16
+        raise DomainError(f"sample size {n} is too large for one array")
+    return _sample_blocks(network, n, seed, rows)
+
+
+def _sample_blocks(network: Network, n: int, seed: int, rows: int) -> Iterator[np.ndarray]:
+    bits = np.random.PCG64(seed)  # what np.random.default_rng(seed) draws from
+    start = bits.state
+    rng = np.random.Generator(bits)
+    col = {v: i for i, v in enumerate(network.variables)}
+    order = [(col[name], [col[p] for p in network.parents(name)],
+              [network.cardinality(p) for p in network.parents(name)], network.cpts[name].rows)
+             for name in topological_order(network)]
+    for a in range(0, n, rows):
+        size = min(rows, n - a)
+        states = np.zeros((size, len(col)), dtype=np.int16)
+        bits.state = start
+        bits.advance(a)
+        for j, (c, parents, cards, cpt_rows) in enumerate(order):
+            if j:
+                bits.advance(n - size)  # from (j - 1)·n + a + size to j·n + a
+            row_idx = config_index([states[:, p] for p in parents], cards)
+            probs = cpt_rows[np.broadcast_to(row_idx, (size,))]
+            cdf = np.cumsum(probs, axis=1)
+            cdf[:, -1] = 1.0
+            u = rng.random(size)
+            states[:, c] = (u[:, None] >= cdf).sum(axis=1).astype(np.int16)
+        yield states
+
+
 def ancestral_sample(network: Network, n: int, seed: int) -> SampleBatch:
     """Draw ``n`` complete assignments by forward sampling in topological order.
 
     Deterministic for a fixed (seed, n, network); the generator id is
-    recorded so fixtures stay tied to this implementation's stream.
+    recorded so fixtures stay tied to this implementation's stream. The
+    records are drawn ``_CHUNK_ROWS`` at a time (:func:`sample_blocks`), so
+    the per-record probability tables are one block's.
     """
-    if n < 1:
-        raise DomainError("sample size must be at least 1")
-    rng = np.random.default_rng(seed)
-    variables = network.variables
-    col = {v: i for i, v in enumerate(variables)}
-    try:
-        states = np.zeros((n, len(variables)), dtype=np.int16)
-    except ValueError:  # numpy refuses the shape before allocating
-        raise DomainError(f"sample size {n} is too large for one array") from None
-    for name in topological_order(network):
-        parents = network.parents(name)
-        row_idx = config_index([states[:, col[p]] for p in parents],
-                               [network.cardinality(p) for p in parents])
-        probs = network.cpts[name].rows[np.broadcast_to(row_idx, (n,))]
-        cdf = np.cumsum(probs, axis=1)
-        cdf[:, -1] = 1.0
-        u = rng.random(n)
-        states[:, col[name]] = (u[:, None] >= cdf).sum(axis=1).astype(np.int16)
-    return SampleBatch(variables, states, int(seed))
+    blocks = sample_blocks(network, n, seed, _CHUNK_ROWS)
+    states = np.empty((n, len(network.variables)), dtype=np.int16)
+    for a, block in zip(range(0, n, _CHUNK_ROWS), blocks):
+        states[a:a + len(block)] = block
+    return SampleBatch(network.variables, states, int(seed))

@@ -80,8 +80,8 @@ from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
+from . import DEFAULT_OUTCOME
 from .core import (
-    DEFAULT_OUTCOME,
     Cpt,
     DagStructure,
     Network,
@@ -216,10 +216,18 @@ def _family_counts(columns: Sequence[np.ndarray | None], family: _Family) -> np.
     if any(col is None for col in members):  # no record is complete
         counts = np.zeros(size)
     else:
-        complete = np.logical_and.reduce([col >= 0 for col in members])
-        flat = config_index(members, family.cards)[complete]
-        counts = np.bincount(flat, minlength=size).astype(np.float64)
+        counts = np.bincount(_cells(members, family.cards, size), minlength=size + 1)
+        counts = counts[:size].astype(np.float64)
     return counts.reshape(family.n_rows, family.n_states)
+
+
+def _cells(members: Sequence[np.ndarray], cards: Sequence[int], size: int) -> np.ndarray:
+    """Each record's flat (row, state) cell of its family's table, or
+    ``size``, one past the table, where the record misses a member."""
+    cells = config_index(members, cards)
+    for col in members:
+        cells[col < 0] = size
+    return cells
 
 
 def _posterior_mean(counts: np.ndarray, alpha: np.ndarray, ess: float) -> np.ndarray:
@@ -469,7 +477,8 @@ def fit_cpts(schema: Sequence[VariableSpec], dag: DagStructure, dataset: Dataset
     columns = _network_columns(schema, dataset)
     cpts = []
     for f in _families(schema, dag):
-        alpha = prior.ess * prior.mean_rows(f.name, f.n_rows, f.n_states)
+        alpha = prior.mean_rows(f.name, f.n_rows, f.n_states)
+        alpha *= prior.ess
         cpts.append(Cpt(f.name, f.parents,
                         _posterior_mean(_family_counts(columns, f), alpha, prior.ess)))
     return build_network(schema, dag, cpts)

@@ -18,7 +18,7 @@ from riskbn.analysis import bf_threshold_posterior, conditional_profile
 from riskbn.cli import _build_parser, _read_ranking_csv, main
 from riskbn.errors import RiskbnError
 from riskbn.core import DagStructure, parse_model, serialize_model
-from riskbn.data import build_default_generator
+from riskbn.data import build_default_generator, save_dataset, simulate_dataset
 from riskbn.learning import default_prior
 
 from helpers import chain_network, child_env, uniform_network
@@ -453,6 +453,22 @@ def test_simulate_records_generated_seed(tmp_path):
     assert isinstance(manifest["seeds"]["seed"], int)
 
 
+@pytest.mark.parametrize("n, rows", [(1, 1), (1, 3), (1, 8192), (8193, 1), (8193, 3),
+                                     (8193, 8192), (100_000, 8192)])
+@pytest.mark.parametrize("seed", [0, 42])
+def test_simulate_file_is_the_same_in_any_block_size(tmp_path, monkeypatch, n, rows, seed):
+    # one block of all n records draws each variable's n doubles in one call,
+    # as a sampler without blocks does
+    monkeypatch.setattr("riskbn.inference._CHUNK_ROWS", n)
+    expected = save_dataset(simulate_dataset(n, seed)).encode()
+    monkeypatch.setattr("riskbn.data._CHUNK_ROWS", rows)
+    out = tmp_path / "d.csv"
+    assert main(["simulate", "--n", str(n), "--seed", str(seed), "--out", str(out)]) == 0
+    assert out.read_bytes() == expected
+    manifest = json.loads((tmp_path / "d.csv.manifest.json").read_text())
+    assert manifest["outputs"] == {str(out): hashlib.sha256(expected).hexdigest()}
+
+
 def test_simulate_beyond_array_limit_exit_3(tmp_path, capsys):
     # numpy refuses this shape before allocating anything
     assert main(["simulate", "--n", "99999999999999999999", "--seed", "1",
@@ -519,6 +535,24 @@ def test_fit_manifest_digests_are_sha256_of_each_file(tmp_path):
     manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
     assert manifest["inputs"] == {str(data): hashlib.sha256(data.read_bytes()).hexdigest()}
     assert manifest["outputs"] == {str(out): hashlib.sha256(out.read_bytes()).hexdigest()}
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted-header"])
+def test_piped_cohort_gives_the_files_marginals_and_digest(tmp_path, quoted):
+    data = tmp_path / "d.csv"
+    main(["simulate", "--n", "5000", "--seed", "4", "--out", str(data)])
+    if quoted:  # the CSV reader then reads every slice, from the pipe
+        data.write_text(data.read_text().replace("Gender,", '"Gender",', 1))
+    assert main(["summarize", "--data", str(data), "--out", str(tmp_path / "f.csv")]) == 0
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "riskbn.cli", "summarize", "--data", "/dev/stdin",
+         "--out", str(tmp_path / "p.csv")],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+    stdout, stderr = proc.communicate(data.read_bytes(), timeout=120)
+    assert proc.returncode == 0, stderr
+    assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "f.csv").read_bytes()
+    manifest = json.loads((tmp_path / "p.csv.manifest.json").read_text())
+    assert manifest["inputs"] == {"/dev/stdin": hashlib.sha256(data.read_bytes()).hexdigest()}
 
 
 # --- input boundary -------------------------------------------------------------------
@@ -934,6 +968,18 @@ def _child_modules(script, cwd=None) -> list[str]:
 
 def test_import_riskbn_loads_no_submodule_and_not_numpy():
     assert _child_modules("import sys, riskbn") == ["riskbn"]
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["fit", "--help"], ["fit"],
+                                  ["simulate", "--n", "0", "--out", "d.csv"]],
+                         ids=["version", "help", "fit-help", "missing-flag", "bad-value"])
+def test_version_help_and_refusals_load_no_numpy(tmp_path, argv):
+    script = ("import sys, riskbn.cli\n"
+              "try:\n"
+              f"    riskbn.cli.main({argv!r})\n"
+              "except SystemExit:\n"
+              "    pass")
+    assert "numpy" not in _child_modules(script, cwd=tmp_path)
 
 
 @pytest.mark.parametrize("command", sorted(_COMMAND_MODULES))

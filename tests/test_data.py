@@ -19,6 +19,7 @@ from riskbn.data import (
     Schema,
     _lines,
     _load_quote_free,
+    _slices,
     apply_filters,
     build_default_generator,
     calibration_targets,
@@ -382,7 +383,7 @@ _CR_LINES = "".join(f"Male,{i}\r" for i in range(30_000))
 ], ids=["cr", "crlf", "mixed", "cr-then-lf"])
 def test_lines_match_one_string_reader(monkeypatch, text, slice_chars):
     monkeypatch.setattr("riskbn.data._SLICE_BYTES", slice_chars)
-    assert list(_lines(text.encode())) == list(io.StringIO(text, newline=""))
+    assert list(_lines(_slices(text.encode()))) == list(io.StringIO(text, newline=""))
 
 
 def _load_peak(data: str | bytes, n: int) -> int:
@@ -431,6 +432,124 @@ def test_bytes_that_are_not_utf8_name_the_first_bad_byte(monkeypatch, slice_byte
         load_dataset(raw, default_schema())
     assert exc.value.offset == offset
     assert str(exc.value) == f"dataset is not UTF-8 text (byte {offset})"
+
+
+class _Pipe:
+    """A reader with no seek or tell that hands out at most ``most`` bytes a
+    read, as a pipe may."""
+
+    def __init__(self, data: bytes, most: int):
+        self.data, self.at, self.most = data, 0, most
+
+    def read(self, size: int = -1) -> bytes:
+        size = self.most if size < 0 else min(size, self.most)
+        piece = self.data[self.at:self.at + size]
+        self.at += len(piece)
+        return piece
+
+
+def _stream_outcome(data, schema):
+    """Columns of a load, or the error it raised: class, message, row,
+    column and byte offset."""
+    try:
+        ds = load_dataset(data, schema)
+    except RiskbnError as exc:
+        return (type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None),
+                getattr(exc, "offset", None))
+    return (ds.n, {k: v.tolist() for k, v in ds.columns.items()},
+            {k: v.tolist() for k, v in ds.response_times.items()})
+
+
+_STREAM_CELLS = ["", "?", " ? ", "Male", " Male ", '"Male"', '"Ma""le"', '"a,b"', '""', "Blue",
+                 "12", "13", "900", "-5", "x" * 20, '"x\ny"', '"p\r\nq"', "M\xe4le"]
+
+
+@given(st.lists(st.sampled_from(["Gender", "Age", "rt_A1Q1_PhotoSharing", '"Age"']),
+                min_size=1, max_size=3, unique=True),
+       st.lists(st.lists(st.sampled_from(_STREAM_CELLS), min_size=1, max_size=4), max_size=12),
+       st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1, max_size=3),
+       st.booleans(), st.sampled_from([None, b"\xff", b"\xe4"]), st.integers(0, 400),
+       st.integers(1, 9))
+@example(["Gender"], [["Male"]] * 6 + [['"Ma""le"'], ["Blue"]], ["\n"], False, None, 0, 3)
+@example(["Gender", "Age"], [["Male", "12"]] * 5 + [["Male"], ["Blue", "12"]], ["\r"], True,
+         b"\xff", 400, 1)
+@example(["Gender"], [["Male"], ["x" * 200_000], ["Blue"]], ["\n"], False, b"\xff", -1, 5)
+@settings(max_examples=150, deadline=None)
+def test_streamed_load_matches_the_bytes_path_in_any_slice_size(
+        header, rows, line_ends, bom, bad_byte, bad_at, most):
+    # rows of the header's width, except where a row is drawn shorter or
+    # longer: a ragged row; the cells hold quotes, line ends inside quotes,
+    # missing tokens and a non-ASCII letter
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    text = "".join(line + line_ends[i % len(line_ends)] for i, line in enumerate(lines))
+    raw = (_BOM if bom else b"") + text.encode()
+    if bad_byte is not None:  # one byte that is not UTF-8, anywhere (-1: at the end)
+        at = bad_at % (len(raw) + 1)
+        raw = raw[:at] + bad_byte + raw[at:]
+    schema = default_schema()
+    expected = _stream_outcome(raw, schema)
+    if bad_byte is not None:  # it outranks every other error; it may split the bytes of
+        # an ä or of the byte-order mark, which are then the first bad ones
+        assert expected[0] is NotUtf8 and at - 2 <= expected[4] <= at
+    else:
+        assert _load_outcome(lambda t, s: load_dataset(raw, s), text, schema) \
+            == _load_outcome(load_dataset_per_row, text, schema)
+    for slice_bytes in (1, 7, 64):
+        with mock.patch("riskbn.data._SLICE_BYTES", slice_bytes):
+            assert _stream_outcome(raw, schema) == expected
+            assert _stream_outcome(io.BytesIO(raw), schema) == expected
+            assert _stream_outcome(_Pipe(raw, most), schema) == expected
+
+
+def test_csv_reader_takes_over_from_the_slice_that_holds_a_quote(monkeypatch):
+    # numpy decodes the slices before the quote, the CSV reader the rest,
+    # and no byte is read twice
+    lines = save_dataset(simulate_dataset(20_000, 0)).splitlines(keepends=True)
+    lines[15_000] = lines[15_000].replace("Answer", '"Answer"', 1)
+    text = "".join(lines)
+    raw = text.encode()
+    rows_read = []
+    reader = csv.reader
+
+    def spy(source):
+        for row in reader(source):
+            rows_read.append(row)
+            yield row
+
+    monkeypatch.setattr(csv, "reader", spy)
+    pipe = _Pipe(raw, 1 << 30)
+    ds = load_dataset(pipe, default_schema())
+    assert pipe.at == len(raw) and ds.n == 20_000
+    assert 1 < len(rows_read) < 6_000  # the header line, then the rows from the quote's slice
+    assert _load_outcome(lambda t, s: ds, text, ds.schema) \
+        == _load_outcome(load_dataset_per_row, text, ds.schema)
+    monkeypatch.undo()
+    # row and line numbers count the rows numpy decoded
+    for bad, expected in ((lines[19_000].replace("Answer1", "Blue", 1), "data row 19000"),
+                          ("x" * 200_000 + "\n", "line 19001: field larger than field limit")):
+        broken = "".join(lines[:19_000] + [bad] + lines[19_001:])
+        with pytest.raises(RiskbnError) as exc:
+            load_dataset(_Pipe(broken.encode(), 1 << 30), default_schema())
+        assert expected in str(exc.value)
+        assert str(exc.value) == str(_load_outcome(load_dataset_per_row, broken, ds.schema)[1])
+
+
+def test_load_from_a_file_grows_only_by_the_columns(tmp_path):
+    # the columns are the only memory a load holds that grows with the file
+    peaks, columns = [], []
+    for n in (100_000, 200_000):
+        path = tmp_path / f"c{n}.csv"
+        path.write_text(save_dataset(simulate_dataset(n, 0)))
+        tracemalloc.start()
+        try:
+            with path.open("rb") as f:
+                ds = load_dataset(f, default_schema())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert ds.n == n
+        columns.append(sum(c.nbytes for c in ds.columns.values()))
+    assert peaks[1] - peaks[0] <= columns[1] - columns[0] + 1e6
 
 
 def _traced_peak(call) -> int:

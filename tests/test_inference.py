@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskbn import inference
-from riskbn.core import Cpt, DagStructure, VariableSpec, build_network, serialize_model
+from riskbn.core import (
+    Cpt,
+    DagStructure,
+    VariableSpec,
+    build_network,
+    serialize_model,
+    topological_order,
+)
 from riskbn.data import default_dag, default_schema, simulate_dataset
 from riskbn.errors import (
     DomainError,
@@ -23,6 +30,7 @@ from riskbn.inference import (
     joint_table,
     marginal,
     posterior,
+    sample_blocks,
 )
 from riskbn.learning import fit_cpts
 
@@ -488,6 +496,40 @@ def test_sampling_law_of_large_numbers_small_net():
 def test_sampling_rejects_nonpositive_n():
     with pytest.raises(DomainError):
         ancestral_sample(chain_network(), 0, seed=1)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 9))
+@settings(max_examples=60, deadline=None)
+def test_sampled_states_do_not_depend_on_the_block_size(seed, n, rows):
+    net = random_network(np.random.default_rng(seed), max_vars=6)
+    # record by record: each variable, in topological order, draws its n
+    # doubles in one call, and a record takes the first state whose
+    # cumulative probability exceeds its double
+    rng = np.random.default_rng(seed)
+    whole = np.zeros((n, len(net.variables)), dtype=np.int16)
+    col = {v: j for j, v in enumerate(net.variables)}
+    for name in topological_order(net):
+        u = rng.random(n)
+        parents = net.parents(name)
+        for i in range(n):
+            row = 0
+            for p in parents:
+                row = row * net.cardinality(p) + int(whole[i, col[p]])
+            cdf = np.cumsum(net.cpts[name].rows[row])
+            cdf[-1] = 1.0
+            whole[i, col[name]] = int((u[i] >= cdf).sum())
+    blocks = list(sample_blocks(net, n, seed, rows))
+    assert [len(b) for b in blocks] == [min(rows, n - a) for a in range(0, n, rows)]
+    assert np.array_equal(np.concatenate(blocks), whole)
+    assert np.array_equal(ancestral_sample(net, n, seed).states, whole)
+
+
+def test_sample_size_past_one_array_is_refused_before_any_draw():
+    # numpy's own limit for an (n, #variables) int16 array; no block is drawn
+    n = np.iinfo(np.intp).max // 4 + 1
+    with pytest.raises(DomainError, match=f"sample size {n} is too large for one array"):
+        sample_blocks(chain_network(), n, 0, 8192)
+    assert next(sample_blocks(chain_network(), n - 1, 0, 2)).shape == (2, 2)
 
 
 def test_sampling_stream_fixture_locked_to_generator_id():
