@@ -391,7 +391,7 @@ def topological_order(network: Network) -> tuple[str, ...]:
 
 # --- model file format -------------------------------------------------------
 
-_BLOCK_ROWS = 4096  # CPT rows render_model encodes at once
+_BLOCK_ROWS = 4096  # CPT rows render_model encodes, and the parser reads, at once
 
 
 def _json_lines(items: Sequence[str], indent: int) -> str:
@@ -450,6 +450,15 @@ def parse_model(text: str) -> Network:
 
 
 _JSON_TOKENS = re.compile(r'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?|[\[\]{}]')
+_WS = re.compile(r"[ \t\n\r]*")
+# a string, its closing quote (absent if it runs to the end) and, after a
+# key, the colon
+_STRING = re.compile(r'"([^"\\]*(?:\\.[^"\\]*)*)(")?([ \t\n\r]*:)?', re.DOTALL)
+
+
+def _syntax_error(text: str, message: str, at: int) -> ModelSyntaxError:
+    """``message`` at offset ``at`` of ``text``, with ``json``'s line and column."""
+    return ModelSyntaxError(message, text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
 
 
 def _json_limit_error(text: str, too_deep: bool) -> ModelSyntaxError:
@@ -472,7 +481,7 @@ def _json_limit_error(text: str, too_deep: bool) -> ModelSyntaxError:
             break
     message = (f"JSON nests {deepest} levels deep, too deep to parse" if too_deep
                else f"integer has more than {max_digits} digits")
-    return ModelSyntaxError(message, text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
+    return _syntax_error(text, message, at)
 
 
 def parse_model_parts(
@@ -483,13 +492,18 @@ def parse_model_parts(
     CPTs may be absent or partial: callers that only need structure (e.g.
     ``fit`` with a schema/DAG override) use the parts directly.
 
-    Each CPT's rows become an array as soon as its JSON object closes (see
-    :func:`_rows_array`), so the number lists of one CPT at a time are alive.
+    Each CPT's rows are read from the text a block at a time, each distinct
+    row text of a block decoded once (see :func:`_cut_tables`); one
+    ``json.loads`` reads the rest, with those tables cut out. Whatever the
+    reader leaves in the text, ``json`` reads, so what is accepted, and each
+    error with its line and column, is as if ``json`` read it all.
     """
+    rest, tables, cuts = _cut_tables(text)
     try:
-        doc = json.loads(text, object_pairs_hook=_rows_array)
+        doc = json.loads(rest)
     except json.JSONDecodeError as exc:
-        raise ModelSyntaxError(exc.msg, exc.lineno, exc.colno) from None
+        at = exc.pos + sum(cut for end, cut in cuts if end <= exc.pos)
+        raise _syntax_error(text, exc.msg, at) from None
     except RecursionError:
         raise _json_limit_error(text, too_deep=True) from None
     except ValueError:  # an integer past the interpreter's digit limit
@@ -544,33 +558,147 @@ def parse_model_parts(
         for p in parents:
             if p not in known:
                 raise ModelSyntaxError(f"CPT of '{name}' references unknown parent '{p}'")
-        rows = entry.pop("rows")  # so that the Cpt's copy is the array's only lasting one
-        if not isinstance(rows, np.ndarray):  # _rows_array left it as it was
-            if not _is_table(rows):
-                raise ModelSyntaxError(f"rows of '{name}' must be a non-empty array of arrays")
-            raise ModelSyntaxError(f"rows of '{name}' are not numeric")
+        rows = tables.pop(name, None)  # so that the Cpt's copy is the array's only lasting one
+        if rows is None:  # the reader left it in the text: not a table of numbers
+            rows = entry["rows"]
+            if isinstance(rows, list) and rows and all(isinstance(r, list) for r in rows):
+                raise ModelSyntaxError(f"rows of '{name}' are not numeric")
+            raise ModelSyntaxError(f"rows of '{name}' must be a non-empty array of arrays")
         cpt_map[name] = Cpt(name, tuple(parents), rows)
     return schema, dag, cpt_map
 
 
-def _is_table(rows) -> bool:
-    return isinstance(rows, list) and bool(rows) and all(isinstance(r, list) for r in rows)
+def _cut_tables(text: str) -> tuple[str, dict[str, np.ndarray], list[tuple[int, int]]]:
+    """Read each ``cpts -> <name> -> rows`` table of a model document that
+    :func:`_read_table` can, and cut it from the text.
+
+    Returns the text with each table read cut to ``[]``; the arrays read, by
+    variable name; and for each cut, the end of its ``[]`` in the returned
+    text and the characters it removed. The scan visits the strings only,
+    and counts the brackets between them for the depth. Keys compare by
+    their decoded value. Each name keeps the table, if any, after its last
+    ``"rows"`` key: where ``json`` keeps the last of duplicate keys, that is
+    the table it keeps, and the entries it drops are never looked up. The
+    scan stops at a string ``json`` would refuse, before which ``json``
+    stops too.
+    """
+    tables: dict[str, np.ndarray] = {}
+    pieces: list[str] = []
+    cuts: list[tuple[int, int]] = []
+    section = name = None  # the last key at depths 1 and 2
+    depth = pos = kept = shift = 0
+    for match in _STRING.finditer(text):
+        at = match.start()
+        depth += (text.count("{", pos, at) + text.count("[", pos, at)
+                  - text.count("}", pos, at) - text.count("]", pos, at))
+        pos = match.end()
+        if match.group(2) is None:  # unterminated
+            break
+        if match.group(3) is None or not 1 <= depth <= 3:  # not a key, or too deep to matter
+            continue
+        key = match.group(1)
+        if "\\" in key:
+            try:
+                key = json.loads(f'"{key}"')
+            except ValueError:
+                break
+        if depth == 1:
+            section = key
+        elif depth == 2:
+            name = key
+        elif section == "cpts" and key == "rows":
+            tables.pop(name, None)  # json keeps the last rows of the last entry
+            read = _read_table(text, pos)
+            if read is not None:
+                tables[name], start, pos = read
+                pieces += (text[kept:start], "[]")
+                kept = pos
+                shift += pos - start - 2
+                cuts.append((pos - shift, pos - start - 2))
+    if not pieces:
+        return text, tables, cuts
+    pieces.append(text[kept:])
+    return "".join(pieces), tables, cuts
 
 
-def _rows_array(pairs: list[tuple[str, object]]) -> dict:
-    """``json.loads``'s hook for each object: the object as a dict, with a
-    ``"rows"`` table of equal-width rows of JSON numbers (no ``true`` or
-    ``false``) made a float64 array. Any other ``"rows"`` value, and a
-    ragged table or one with an integer past float64, is left for
-    :func:`parse_model_parts` to refuse."""
-    obj = dict(pairs)
-    rows = obj.get("rows")
-    if _is_table(rows) and len(set(map(len, rows))) == 1 \
-            and set(map(type, chain.from_iterable(rows))) <= {int, float}:
-        shape = (len(rows), len(rows[0]))
-        try:
-            obj["rows"] = np.fromiter(chain.from_iterable(rows), np.float64,
-                                      shape[0] * shape[1]).reshape(shape)
-        except OverflowError:  # an integer past float64
-            pass
-    return obj
+def _read_table(text: str, at: int) -> tuple[np.ndarray, int, int] | None:
+    """The value at ``text[at:]`` as a float64 array, with its start and end
+    in ``text``, if it is a non-empty table of equal-width rows of JSON
+    numbers that ``json`` reads as floats; otherwise None.
+
+    Such a table holds no ``"``, so it ends before the next one, and Python
+    never walks its text. It is read a block of about ``_BLOCK_ROWS`` rows
+    at a time (see :func:`_read_rows`), so one block's rows at a time are
+    held as text.
+    """
+    start = _WS.match(text, at).end()
+    quote = text.find('"', start)
+    # in a document json reads, only "}", "," and white space come between
+    # the table and the next string
+    end = text.rfind("]", start, len(text) if quote < 0 else quote)  # the table's "]"
+    lo = _WS.match(text, start + 1).end()  # the first row's "["
+    if not text.startswith("[", start) or not lo < end or text[lo] != "[":
+        return None
+    n_rows = text.count("[", lo, end)
+    block = -(-(end - lo) * _BLOCK_ROWS // n_rows)  # characters of about _BLOCK_ROWS rows
+    out = None
+    done = 0
+    repeats = True  # until a block of the table holds no repeated row
+    while lo < end:
+        hi = text.find("[", lo + block, end)
+        if hi < 0:
+            hi = end
+        read = _read_rows(text[lo + 1:hi] + ("," if hi == end else ""), repeats)
+        if read is None or (out is not None and read[0].shape[1] != out.shape[1]):
+            return None
+        rows, repeats = read
+        if len(rows) == n_rows:  # the whole table in one block
+            return rows, start, end + 1
+        if out is None:
+            out = np.empty((n_rows, rows.shape[1]))
+        out[done:done + len(rows)] = rows
+        done += len(rows)
+        lo = hi
+    return out, start, end + 1
+
+
+def _read_rows(block: str, repeats: bool) -> tuple[np.ndarray, bool] | None:
+    """The rows of a block of a table, each ``<numbers>]`` then a ``,``
+    between white space, as a float64 array, and whether any row text
+    repeats; None if ``json`` would not read them as rows of numbers of one
+    width. With ``repeats``, each distinct row text is decoded once, by one
+    ``json.loads``; without, the block is decoded whole.
+    """
+    texts, inverse = [block], slice(None)
+    if repeats:
+        rows = block.split("[")
+        texts = list(dict.fromkeys(rows))
+        repeats = len(texts) < len(rows)
+        if repeats:
+            ids = dict(zip(texts, range(len(texts))))
+            inverse = np.fromiter(map(ids.__getitem__, rows), np.intp, len(rows))
+    comma = texts[-1].rfind(",")
+    if comma < 0 or not _WS.fullmatch(texts[-1], comma + 1):
+        return None
+    texts[-1] = texts[-1][:comma]
+    rows_text = "[[" + "[".join(texts) + "]"
+    # true and null hold a "u", false an "l", and no number either
+    if "u" in rows_text or "l" in rows_text or "{" in rows_text:
+        return None
+    try:
+        values = json.loads(rows_text)
+    except (ValueError, RecursionError):  # json refuses it, or cannot say where
+        return None
+    # with every "[" opening a row, the rows hold numbers only
+    if len(values) != rows_text.count("[") - 1 or set(map(type, values)) != {list}:
+        return None
+    widths = set(map(len, values))
+    if len(widths) != 1:
+        return None
+    width = widths.pop()
+    try:
+        decoded = np.fromiter(chain.from_iterable(values), np.float64,
+                              len(values) * width).reshape(len(values), width)
+    except OverflowError:  # an integer past float64
+        return None
+    return decoded[inverse], repeats

@@ -620,7 +620,7 @@ class _EmProblem:
         """The static families' part of an evaluation under ``theta``."""
         log_cpts = _log_cpts({name: theta[name] for name in self.static_cpts})
         return _Static(log_cpts, _static_terms(self.patterns, log_cpts),
-                       self.prior_term(theta, self.static_cpts))
+                       self.prior_term(log_cpts, self.static_cpts))
 
     def init_theta(self, rng: np.random.Generator, jitter: float) -> dict[str, np.ndarray]:
         theta = {}
@@ -636,12 +636,13 @@ class _EmProblem:
         cpts = [Cpt(f.name, f.parents, theta[f.name]) for f in self.families]
         return build_network(self.schema, self.dag, cpts)
 
-    def prior_term(self, theta: Mapping[str, np.ndarray], names: Collection[str]) -> float:
-        """Sum of alpha * log theta over the named families' positive alphas."""
+    def prior_term(self, log_cpts: Mapping[str, np.ndarray], names: Collection[str]) -> float:
+        """Sum of alpha * log theta over the named families' positive
+        alphas, from the raveled log CPTs of :func:`_log_cpts`."""
         total = 0.0
         for name in names:
             alpha, where = self.positive[name]
-            total += float((alpha * np.log(theta[name].ravel()[where])).sum())
+            total += float((alpha * log_cpts[name][where]).sum())
         return total
 
     def m_step(self, posteriors: Sequence[np.ndarray]) -> dict[str, np.ndarray]:
@@ -699,7 +700,8 @@ def em_fit(schema: Sequence[VariableSpec], dag: DagStructure, dataset: Dataset,
             log_cpts = {**static.log_cpts,
                         **_log_cpts({name: theta[name] for name in latent_names})}
             logp, posteriors = _e_step(problem.patterns, log_cpts, static.terms, problem.n)
-            objective = float(logp.sum()) + static.prior + problem.prior_term(theta, latent_names)
+            objective = (float(logp.sum()) + static.prior
+                         + problem.prior_term(log_cpts, latent_names))
             objectives.append(objective)
             if prev is not None and abs(objective - prev) <= config.tolerance * max(1.0, abs(prev)):
                 converged = True

@@ -1,7 +1,7 @@
 """Shared test fixtures: hand-built networks, a random-network generator, an
 independent full-joint enumeration oracle, a brute-force topological-order
-oracle, the fill-in-graph elimination-order oracle and per-row dataset CSV
-oracles.
+oracle, the fill-in-graph elimination-order oracle, per-row dataset CSV
+oracles and a model parse through ``json`` alone.
 
 The joint oracle builds the complete joint tensor directly from CPT lookups
 over index grids; it shares no code with the variable-elimination engine, so
@@ -13,16 +13,18 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import os
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 import riskbn
-from riskbn.core import Cpt, DagStructure, Network, VariableSpec, build_network
+from riskbn.core import Cpt, DagStructure, Network, VariableSpec, _json_limit_error, build_network
 from riskbn.data import MISSING_TOKENS, Dataset, Schema
-from riskbn.errors import IllegalState, MalformedCsv, RaggedRow, UnknownColumn
+from riskbn.errors import IllegalState, MalformedCsv, ModelSyntaxError, RaggedRow, UnknownColumn
 
 _RT_MAX = 2**31 - 1
 
@@ -286,3 +288,100 @@ def save_dataset_per_row(dataset: Dataset) -> str:
                 row.append("" if value < 0 else str(int(value)))
         writer.writerow(row)
     return buf.getvalue()
+
+
+def parse_model_parts_oracle(
+    text: str,
+) -> tuple[tuple[VariableSpec, ...], DagStructure, dict[str, Cpt]]:
+    """The whole document through one ``json.loads``, whose object hook makes
+    each ``"rows"`` table of numbers an array (see :func:`_rows_array`): the
+    plainest reading of the model format, what ``parse_model_parts`` must
+    match in every array bit and every error."""
+    try:
+        doc = json.loads(text, object_pairs_hook=_rows_array)
+    except json.JSONDecodeError as exc:
+        raise ModelSyntaxError(exc.msg, exc.lineno, exc.colno) from None
+    except RecursionError:
+        raise _json_limit_error(text, too_deep=True) from None
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise _json_limit_error(text, too_deep=False) from None
+    if not isinstance(doc, dict):
+        raise ModelSyntaxError("model document must be a JSON object")
+    for key in ("variables", "edges"):
+        if key not in doc:
+            raise ModelSyntaxError(f"model document missing '{key}'")
+
+    variables = doc["variables"]
+    if not isinstance(variables, list):
+        raise ModelSyntaxError("'variables' must be an array")
+    schema = []
+    for i, entry in enumerate(variables):
+        if not isinstance(entry, dict) or "name" not in entry or "states" not in entry:
+            raise ModelSyntaxError(f"variable entry {i} must carry 'name' and 'states'")
+        if not isinstance(entry["name"], str):
+            raise ModelSyntaxError(f"name of variable entry {i} must be a string")
+        states = entry["states"]
+        if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
+            raise ModelSyntaxError(f"states of variable entry {i} must be an array of strings")
+        kind = entry.get("kind", "demographic")
+        if not isinstance(kind, str):
+            raise ModelSyntaxError(f"kind of variable entry {i} must be a string")
+        schema.append(VariableSpec(entry["name"], tuple(states), kind))
+    schema = tuple(schema)
+
+    edges = doc["edges"]
+    if not isinstance(edges, list):
+        raise ModelSyntaxError("'edges' must be an array")
+    pairs = []
+    for i, e in enumerate(edges):
+        if not isinstance(e, list) or len(e) != 2 or not all(isinstance(x, str) for x in e):
+            raise ModelSyntaxError(f"edge entry {i} must be a [parent, child] pair of names")
+        pairs.append((e[0], e[1]))
+    dag = DagStructure(tuple(v.name for v in schema), tuple(pairs))
+
+    cpt_map: dict[str, Cpt] = {}
+    raw_cpts = doc.get("cpts", {})
+    if not isinstance(raw_cpts, dict):
+        raise ModelSyntaxError("'cpts' must be an object keyed by variable name")
+    known = {v.name for v in schema}
+    for name, entry in raw_cpts.items():
+        if name not in known:
+            raise ModelSyntaxError(f"CPT given for unknown variable '{name}'")
+        if not isinstance(entry, dict) or "rows" not in entry:
+            raise ModelSyntaxError(f"CPT of '{name}' must carry 'rows'")
+        parents = entry.get("parents", [])
+        if not isinstance(parents, list) or not all(isinstance(p, str) for p in parents):
+            raise ModelSyntaxError(f"parents of '{name}' must be an array of names")
+        for p in parents:
+            if p not in known:
+                raise ModelSyntaxError(f"CPT of '{name}' references unknown parent '{p}'")
+        rows = entry.pop("rows")  # so that the Cpt's copy is the array's only lasting one
+        if not isinstance(rows, np.ndarray):  # _rows_array left it as it was
+            if not _is_table(rows):
+                raise ModelSyntaxError(f"rows of '{name}' must be a non-empty array of arrays")
+            raise ModelSyntaxError(f"rows of '{name}' are not numeric")
+        cpt_map[name] = Cpt(name, tuple(parents), rows)
+    return schema, dag, cpt_map
+
+
+def _is_table(rows) -> bool:
+    return isinstance(rows, list) and bool(rows) and all(isinstance(r, list) for r in rows)
+
+
+def _rows_array(pairs: list[tuple[str, object]]) -> dict:
+    """``json.loads``'s hook for each object: the object as a dict, with a
+    ``"rows"`` table of equal-width rows of JSON numbers (no ``true`` or
+    ``false``) made a float64 array. Any other ``"rows"`` value, and a
+    ragged table or one with an integer past float64, is left for
+    :func:`parse_model_parts` to refuse."""
+    obj = dict(pairs)
+    rows = obj.get("rows")
+    if _is_table(rows) and len(set(map(len, rows))) == 1 \
+            and set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        shape = (len(rows), len(rows[0]))
+        try:
+            obj["rows"] = np.fromiter(chain.from_iterable(rows), np.float64,
+                                      shape[0] * shape[1]).reshape(shape)
+        except OverflowError:  # an integer past float64
+            pass
+    return obj

@@ -1,6 +1,7 @@
 import copy
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +32,13 @@ from riskbn.errors import (
     UnknownVariable,
 )
 
-from helpers import chain_network, random_network, topological_order_oracle, uniform_network
+from helpers import (
+    chain_network,
+    parse_model_parts_oracle,
+    random_network,
+    topological_order_oracle,
+    uniform_network,
+)
 from riskbn.data import build_default_generator
 
 
@@ -366,6 +373,8 @@ _LAYOUTS = {
     "indent": lambda doc, k: json.dumps(doc, indent=k),
     "compact": lambda doc, k: json.dumps(doc, separators=(",", ":")),
     "integers": lambda doc, k: json.dumps(_ints_for_whole_numbers(doc), indent=k),
+    "crlf": lambda doc, k: json.dumps(doc, indent=k).replace("\n", "\r\n"),
+    "tabs": lambda doc, k: json.dumps(doc, indent="\t" * k),
 }
 
 
@@ -415,7 +424,7 @@ def test_an_integer_past_float64_in_rows_is_not_numeric():
 
 
 def test_rows_outside_a_cpt_entry_are_ignored():
-    # the hook that turns rows into arrays sees every object; only CPT entries count
+    # a "rows" key counts only at cpts -> <name> -> rows, however its value looks
     doc = json.loads(serialize_model(chain_network()))
     doc["rows"] = [[0.5, 0.5]]
     doc["variables"][0]["rows"] = [[True]]
@@ -466,6 +475,17 @@ def test_model_renderer_holds_one_block_of_rows_at_a_time():
     assert _traced(lambda: sum(map(len, render_model(large))))[0] <= 1.2 * peak_small
 
 
+def test_model_parse_holds_one_block_of_rows_at_a_time():
+    # above the arrays it returns, a parse of a 16,384-row CPT with no
+    # repeated row peaks like one of 4,096 rows; holding the JSON lists, or
+    # the row texts, of the whole CPT peaks near four times as high
+    def excess(card):
+        text = serialize_model(_wide_network(1, card))
+        peak, held = _traced(lambda: parse_model_parts(text))
+        return peak - held
+    assert excess(128) <= 1.2 * excess(64)
+
+
 def test_negative_zero_keeps_its_text_through_a_round_trip():
     # -0.0 and 0.0 are equal floats but different bytes; rendering groups
     # rows by bytes, so each keeps its own text
@@ -493,6 +513,195 @@ def test_serialized_model_is_its_rendered_pieces_in_any_block_size(monkeypatch, 
     monkeypatch.setattr("riskbn.core._BLOCK_ROWS", block_rows)
     for net, text in zip(nets, expected):
         assert "".join(render_model(net)) == serialize_model(net) == text
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 4096])
+def test_a_model_parses_to_the_same_bits_in_any_block_size(monkeypatch, block_rows):
+    nets = [build_default_generator(0).network, chain_network(), _wide_network(2, 7)]
+    texts = [serialize_model(net) for net in nets]
+    monkeypatch.setattr("riskbn.core._BLOCK_ROWS", block_rows)
+    for net, text in zip(nets, texts):
+        assert _same_bits(parse_model(text), net)
+        assert _same_bits(parse_model(text.replace("\n", "\r\n")), net)
+
+
+def _json_error(text):
+    with pytest.raises(json.JSONDecodeError) as exc:
+        json.loads(text)
+    return exc.value
+
+
+@pytest.mark.parametrize("where, old, new", [
+    ("before", '"kind": "demographic"}', '"kind": "demographic"'),
+    ("inside", "],\n        [", "],\n        [,"),
+    ("inside", "],\n        [", "]\n        ["),
+    ("inside", "],\n        [", "],\n\x0c        ["),
+    ("after", '"C1": {\n      "parents": ["A", "B"]', '"C1": {\n      "parents": ["A" "B"]'),
+    ("after", "\n  }\n}\n", "\n  }\n}\n}"),
+])
+def test_a_syntax_error_near_a_large_table_has_json_s_message_and_position(where, old, new):
+    text = serialize_model(_wide_network(2, 65))  # each child's CPT has 4,225 rows
+    start = text.index('"rows": [', text.index('"C0": {'))
+    stop = text.index("\n      ]", start)
+    at = text.index(old, {"before": 0, "inside": start + 150_000, "after": stop}[where])
+    assert {"before": at < start, "inside": start < at < stop, "after": stop < at}[where]
+    bad = text[:at] + new + text[at + len(old):]
+    expected = _json_error(bad)
+    with pytest.raises(ModelSyntaxError) as exc:
+        parse_model_parts(bad)
+    assert (str(exc.value), exc.value.line, exc.value.column) \
+        == (f"{expected.msg} (line {expected.lineno}, column {expected.colno})",
+            expected.lineno, expected.colno)
+
+
+def test_the_last_of_duplicate_keys_wins_at_every_level():
+    variables = '"variables": [{"name": "A", "states": ["0", "1"]}], "edges": []'
+    text = ('{' + variables + ', "cpts": {"A": {"parents": [], "rows": [[0.1, 0.9]]}},\n'
+            '"cpts": {"A": {"rows": [[9]]},\n'
+            '         "A": {"parents": [], "rows": [[0.2, 0.8]], "r\\u006fws": [[0.3, 0.7]]}}}')
+    schema, dag, cpts = parse_model_parts(text)
+    assert cpts["A"].rows.tolist() == [[0.3, 0.7]]
+    # a later entry without rows, or later rows that are not a table, replaces the table
+    for tail, message in [('"A": {"parents": []}', "CPT of 'A' must carry 'rows'"),
+                          ('"A": {"rows": [[0.5, 0.5]], "rows": 7}',
+                           "rows of 'A' must be a non-empty array of arrays")]:
+        text = '{' + variables + ', "cpts": {"A": {"rows": [[0.5, 0.5]]}, ' + tail + '}}'
+        assert _parse_error(text) == message
+
+
+class _Obj(list):
+    """A JSON object as (key text, value) pairs, so that a key may repeat."""
+
+
+class _Text(str):
+    """JSON text that goes into a document as it is."""
+
+
+_WHITE = ("", "", " ", "  ", "\n", "\t", "\r\n", "\n        ", " \r\t")
+_ODD_NUMBERS = ("-0.0", "-0", "0", "1", "1E0", "25e-2", "0.5E+0", "NaN", "Infinity",
+                "-Infinity", "1e400", "-1e-400", "1" + "0" * 400)
+_TYPOS = ("", "[", "]", "{", "}", ",", ":", '"', "\\", "0", "x", "\x0b", "\x0c", "\xa0")
+
+
+def _key(rng, key: str) -> str:
+    """``key`` as a JSON string, at times with one character escaped."""
+    if rng.random() < 0.7:
+        return json.dumps(key)
+    i = int(rng.integers(len(key)))
+    return f'"{key[:i]}\\u{ord(key[i]):04x}{key[i + 1:]}"'
+
+
+def _number(rng, x: float) -> str:
+    r = rng.random()
+    if r < 0.02:
+        return str(rng.choice(_ODD_NUMBERS))
+    if r < 0.5 and x in (0.0, 1.0):
+        return str(int(x))
+    return (repr(x), f"{x:.17e}", f"{x:.17E}")[int(rng.integers(3))]
+
+
+def _emit(rng, value) -> str:
+    """``value`` as JSON text, with random white space between tokens."""
+    def w():
+        return str(rng.choice(_WHITE))
+    if isinstance(value, _Text):
+        return value
+    if isinstance(value, _Obj):
+        return "{" + w() + ",".join(f"{w()}{k}{w()}:{w()}{_emit(rng, v)}{w()}"
+                                    for k, v in value) + "}"
+    if isinstance(value, list):
+        return "[" + w() + ",".join(w() + _emit(rng, v) + w() for v in value) + "]"
+    if isinstance(value, float):
+        return _number(rng, value)
+    return json.dumps(value)
+
+
+def _table(rng, rows) -> _Text:
+    """``rows`` as a JSON table whose equal rows mostly have equal text."""
+    white, spelled = str(rng.choice(_WHITE)), {}
+
+    def row(values):
+        if tuple(values) not in spelled or rng.random() < 0.05:
+            cells = (white + "," + white).join(_number(rng, x) for x in values)
+            spelled[tuple(values)] = "[" + cells + white + "]"
+        return spelled[tuple(values)]
+    separator = str(rng.choice(_WHITE)) + "," + str(rng.choice(_WHITE))
+    return _Text("[" + white + separator.join(map(row, rows)) + white + "]")
+
+
+def _rows_value(rng, rows):
+    """A table of ``rows``, with rows repeated, or one that a model may not hold."""
+    rows = [rows[i] for i in rng.integers(int(rng.integers(1, len(rows) + 1)), size=len(rows))]
+    bad = [
+        [[True] + r[1:] for r in rows],
+        rows + [rows[0] + [0.0]],  # ragged
+        [[[r[0]]] + r[1:] for r in rows],  # a nested row
+        [["0.5"] + r[1:] for r in rows],
+        [[None] + r[1:] for r in rows],
+        [[] for r in rows],
+        _Obj([('"0"', rows[0])]),
+        rows[0],
+        [],
+    ]
+    return _table(rng, rows) if rng.random() < 0.95 else bad[int(rng.integers(len(bad)))]
+
+
+def _obj(rng, pairs, decoy) -> _Obj:
+    """``pairs`` in a random order with keys spelled at random; at times
+    one key is given twice, with ``decoy(key)`` the other value."""
+    obj = _Obj((_key(rng, k), v) for k, v in (pairs[i] for i in rng.permutation(len(pairs))))
+    if obj and rng.random() < 0.3:
+        i = int(rng.integers(len(obj)))
+        key = json.loads(obj[i][0])
+        obj.insert(int(rng.integers(len(obj) + 1)), (_key(rng, key), decoy(key)))
+    return obj
+
+
+def _model_document(rng) -> str:
+    """A random model in a random JSON layout, at times with a typo."""
+    doc = json.loads(serialize_model(random_network(rng, max_vars=5, allow_zeros=True)))
+    variables = [_obj(rng, list(v.items()), v.get) for v in doc["variables"]]
+    cpts = {}
+    for name, entry in doc["cpts"].items():
+        def decoy(key, entry=entry):
+            return _rows_value(rng, entry["rows"]) if key == "rows" else entry[key]
+        cpts[name] = _obj(rng, [("parents", entry["parents"]), ("rows", decoy("rows"))], decoy)
+    top = {"variables": variables, "edges": doc["edges"],
+           "cpts": _obj(rng, list(cpts.items()), cpts.get)}
+    top = _obj(rng, list(top.items()), lambda key: _obj(rng, list(cpts.items()), cpts.get)
+               if key == "cpts" else top[key])
+    text = str(rng.choice(_WHITE)) + _emit(rng, top) + str(rng.choice(_WHITE))
+    if rng.random() < 0.25:  # a typo anywhere
+        at = int(rng.integers(len(text)))
+        text = text[:at] + str(rng.choice(_TYPOS)) + text[at + int(rng.integers(2)):]
+    return text
+
+
+def _parse_outcome(parse, text):
+    try:
+        schema, dag, cpts = parse(text)
+    except RiskbnError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+    return schema, dag, {name: (cpt.parents, cpt.rows.shape, cpt.rows.tobytes())
+                         for name, cpt in cpts.items()}
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 4096]))
+@settings(max_examples=400, deadline=None)
+def test_parse_model_parts_matches_the_json_oracle(seed, block_rows):
+    text = _model_document(np.random.default_rng(seed))
+    with mock.patch("riskbn.core._BLOCK_ROWS", block_rows):
+        outcome = _parse_outcome(parse_model_parts, text)
+    assert outcome == _parse_outcome(parse_model_parts_oracle, text)
+
+
+def test_rows_nested_past_the_recursion_limit_keep_json_s_error():
+    rows = ",".join(f"[{i}, 0]" for i in range(5000))  # a first block with no repeated row
+    text = ('{"variables": [], "edges": [], "cpts": {"A": {"rows": [' + rows + ","
+            + "[" * 3000 + "]" * 3000 + ", [0, 1]]}}}")
+    outcome = _parse_outcome(parse_model_parts, text)
+    assert outcome == _parse_outcome(parse_model_parts_oracle, text)
+    assert outcome[1].startswith("JSON nests 3004 levels deep")
 
 
 def test_parse_unknown_cpt_variable():
