@@ -1,16 +1,19 @@
 """Command-line front end.
 
 Subcommands: validate, fit, strength, profile, multifactor, profiles,
-query, compare, simulate, summarize. Every command that writes files also writes a
-JSON run manifest next to its primary output (same path plus
-``.manifest.json``). Its ``config`` is every parsed flag plus the values the
-command resolves; it also carries seeds, SHA-256 digests of inputs and
-outputs, and the process's peak resident memory (``peak_rss_kb``). Each
-digest is of the bytes the command read or wrote, hashed as they pass, so
-no file is read twice and a piped input (``--data /dev/stdin``) gets the
-digest of what came through the pipe. Table outputs are byte-deterministic
-for a fixed configuration and seed; manifests additionally carry a
-timestamp and the peak memory.
+query, compare, simulate, summarize. ``main`` gives each command one run
+record (``_Run``), which derives once every path the command may write for
+``--out``; the command writes its outputs through it. Last, after every
+output, ``main`` writes the JSON run manifest next to the table (same path
+plus ``.manifest.json``). Its ``config`` is every parsed flag plus the
+values the command resolves; it also carries seeds, SHA-256 digests of the
+inputs and of exactly the files the command wrote (``outputs``), and the
+process's peak resident memory (``peak_rss_kb``). Each digest is of the
+bytes the command read or wrote, hashed as they pass, so no file is read
+twice and a piped input (``--data /dev/stdin``) gets the digest of what
+came through the pipe. Table outputs are byte-deterministic for a fixed
+configuration and seed; manifests additionally carry a timestamp and the
+peak memory.
 
 Each command imports the modules it runs, numpy among them, inside its
 handler: ``validate`` loads no data, learning or analysis code, and
@@ -76,8 +79,8 @@ def _fmt(x: float) -> str:
     return "%.12g" % x
 
 
-# The SHA-256 of each file the running command has read or written, by the
-# path it was named by; ``main`` empties it before each command.
+# The SHA-256 of each input file the running command has read, by the path
+# it was named by; ``main`` empties it before each command.
 _digests: dict[str, str] = {}
 
 
@@ -103,19 +106,6 @@ class _Input:
         _digests[self.path] = self.hash.hexdigest()
 
 
-def _write(path: Path, pieces: Iterable[str]) -> None:
-    """Write the text ``pieces`` to ``path`` as UTF-8, one at a time, and
-    record the digest of the bytes written."""
-    digest = hashlib.sha256()
-    with path.open("wb") as fh:
-        for piece in pieces:
-            data = piece.encode()
-            digest.update(data)
-            fh.write(data)
-            del piece, data  # neither is held while the next piece is made
-    _digests[str(path)] = digest.hexdigest()
-
-
 def _peak_rss_kb() -> int:
     """This process's peak resident set size so far, in kilobytes (macOS
     reports ``ru_maxrss`` in bytes, Linux in kilobytes)."""
@@ -123,39 +113,70 @@ def _peak_rss_kb() -> int:
     return peak // 1024 if sys.platform == "darwin" else peak
 
 
-def _write_manifest(args, outputs: list[Path], seeds: dict | None = None,
-                    counters: dict | None = None, **resolved) -> Path:
-    """Manifest beside ``outputs[0]``: every parsed flag plus ``resolved``
-    values as config, work ``counters``, and the digests of every input file
-    flag that is set and of every output, as the command read or wrote
-    them."""
-    config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
-    config.update(resolved)
-    inputs = [getattr(args, k) for k in _INPUT_FLAGS if getattr(args, k, None)]
+class _Run:
+    """One command's run record, made by ``main`` once ``--out`` is known to
+    be writable: every path the command may write for ``--out``, derived
+    once; the digest of each file written through it; and the seeds, work
+    counters and resolved values the manifest records."""
+
+    def __init__(self, args):
+        self.inputs = [getattr(args, k) for k in _INPUT_FLAGS if getattr(args, k, None)]
+        out = getattr(args, "out", None)
+        self.table = Path(out) if out is not None else None
+        # a command with a chart or an EM trace requires --out
+        self.chart = self.table.with_suffix(".svg") if getattr(args, "chart", False) else None
+        self.trace = Path(f"{out}.trace.json") if getattr(args, "latent", None) else None
+        self.manifest = Path(f"{out}.manifest.json") if out is not None else None
+        self.outputs: dict[str, str] = {}
+        self.seeds: dict = {}
+        self.counters: dict = {}
+        self.resolved: dict = {}
+
+    def paths(self) -> list[Path]:
+        """Every file the command may write for ``--out``."""
+        return [p for p in (self.table, self.chart, self.trace, self.manifest) if p is not None]
+
+    def write(self, path: Path, pieces: Iterable[str]) -> None:
+        """Write the text ``pieces`` to ``path`` as UTF-8, one at a time, and
+        record the digest of the bytes written."""
+        digest = hashlib.sha256()
+        with path.open("wb") as fh:
+            for piece in pieces:
+                data = piece.encode()
+                digest.update(data)
+                fh.write(data)
+                del piece, data  # neither is held while the next piece is made
+        self.outputs[str(path)] = digest.hexdigest()
+
+    def write_csv(self, header: list[str], rows: list[list]) -> None:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(c) if isinstance(c, float) else c for c in row])
+        self.write(self.table, [buf.getvalue()])
+
+
+def _write_manifest(args, run: _Run) -> None:
+    """The manifest beside the table: every parsed flag plus the resolved
+    values as config, the seeds and work counters, and the digests of every
+    input file flag that is set and of every file the command wrote, as it
+    read or wrote them."""
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "command", "chart")}
+    config.update(run.resolved)
     manifest = {
         "tool": "riskbn",
         "version": __version__,
         "command": args.command,
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         "config": config,
-        "seeds": seeds or {},
-        "counters": counters or {},
-        "inputs": {p: _digests[p] for p in inputs},
-        "outputs": {str(p): _digests[str(p)] for p in outputs},
+        "seeds": run.seeds,
+        "counters": run.counters,
+        "inputs": {p: _digests[p] for p in run.inputs},
+        "outputs": run.outputs,
         "peak_rss_kb": _peak_rss_kb(),
     }
-    path = Path(f"{outputs[0]}.manifest.json")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(c) if isinstance(c, float) else c for c in row])
-    _write(path, [buf.getvalue()])
+    run.manifest.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _read_input(path: str) -> _Input:
@@ -243,10 +264,9 @@ def _pool_by_kind(network: Network, kinds: tuple[str, ...], target: str) -> list
 
 # --- subcommands ---------------------------------------------------------------
 
-def cmd_validate(args) -> int:
+def cmd_validate(args, run: _Run) -> None:
     network = _load_model(args.model)
     print(f"OK: {len(network.schema)} variables, {len(network.dag.edges)} edges")
-    return 0
 
 
 def _incomplete_records(dataset: Dataset, names: list[str]) -> int:
@@ -263,7 +283,7 @@ def _incomplete_records(dataset: Dataset, names: list[str]) -> int:
     return int(np.count_nonzero(missing))
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args, run: _Run) -> None:
     from .data import FilterConfig, apply_filters
     from .core import render_model
     from .learning import EmConfig, default_prior, em_fit, fit_cpts
@@ -289,101 +309,85 @@ def cmd_fit(args) -> int:
               f"{report.flagged_honesty} by honesty; {report.n_output} records kept")
 
     prior = default_prior(schema, outcome=args.target, outcome_p=args.prior_p, ess=args.ess)
-    out = Path(args.out)
-    outputs = [out]
-    seeds: dict = {}
     # a latent's cells are unobserved by definition, so only the others count
-    counters = {"records": dataset.n,
-                "incomplete_records": _incomplete_records(
-                    dataset, [v.name for v in schema if v.name not in args.latent])}
+    run.counters.update(records=dataset.n, incomplete_records=_incomplete_records(
+        dataset, [v.name for v in schema if v.name not in args.latent]))
     if args.latent:
         dataset = dataset.without_columns(args.latent)
         config = EmConfig(max_iterations=args.em_max_iterations, tolerance=args.em_tolerance,
                           restarts=args.em_restarts, jitter=args.em_jitter, seed=args.seed)
         network, trace = em_fit(schema, dag, dataset, args.latent, prior, config)
-        trace_path = Path(str(out) + ".trace.json")
-        _write(trace_path, [json.dumps({
+        run.write(run.trace, [json.dumps({
             "log_likelihoods": [list(r) for r in trace.log_likelihoods],
             "converged": list(trace.converged),
             "selected": trace.selected,
         }, indent=2) + "\n"])
-        outputs.append(trace_path)
-        seeds["em_seed"] = args.seed
-        counters["em_iterations"] = [len(r) - 1 for r in trace.log_likelihoods]
-        counters["selected_restart"] = trace.selected
+        run.seeds["em_seed"] = args.seed
+        run.counters.update(em_iterations=[len(r) - 1 for r in trace.log_likelihoods],
+                            selected_restart=trace.selected)
         status = "converged" if trace.converged[trace.selected] else "hit iteration cap"
         print(f"EM: restart {trace.selected} selected ({status}), "
               f"final objective {_fmt(trace.log_likelihoods[trace.selected][-1])}")
     else:
         network = fit_cpts(schema, dag, dataset, prior)
-    _write(out, render_model(network))
-    _write_manifest(args, outputs, seeds, counters)
-    print(f"model written to {out}")
-    return 0
+    run.write(run.table, render_model(network))
+    print(f"model written to {run.table}")
 
 
-def cmd_strength(args) -> int:
+def cmd_strength(args, run: _Run) -> None:
     from .analysis import strength_ranking
     from .charts import hbar_chart
 
     network = _load_model(args.model)
-    candidates = args.candidates.split(",") if args.candidates else None
     control = args.control if args.control != "none" else None
     if args.control is None and DEFAULT_CONTROL in network.variables \
             and DEFAULT_CONTROL != args.target:
         # the built-in control, where the model has it and it is not the target
         control = DEFAULT_CONTROL
-    report = strength_ranking(network, args.target, candidates, control)
+    run.resolved["control"] = control
+    report = strength_ranking(network, args.target, args.candidates, control)
     rows = []
     for name, score in report.entries:
         above = (report.control_score is not None and score > report.control_score
                  and name != report.control)
         rows.append([name, float(score), "yes" if name == report.control else "no",
                      "yes" if above else "no"])
-    out = Path(args.out)
-    _write_csv(out, ["variable", "score", "is_control", "above_control"], rows)
-    svg_path = out.with_suffix(".svg")
-    _write(svg_path, [hbar_chart(
+    run.write_csv(["variable", "score", "is_control", "above_control"], rows)
+    run.write(run.chart, [hbar_chart(
         f"Strength of influence on {args.target}",
         [(name, score) for name, score in report.entries],
         highlight=report.control, reference=report.control_score, axis_max=1.0,
         comment=f"riskbn {__version__}",
     )])
-    _write_manifest(args, [out, svg_path], control=control)
-    print(f"ranking written to {out} ({len(report.entries)} variables)")
-    return 0
+    print(f"ranking written to {run.table} ({len(report.entries)} variables)")
 
 
-def cmd_profile(args) -> int:
+def cmd_profile(args, run: _Run) -> None:
     from .analysis import conditional_profile
     from .charts import vbar_chart
 
     network = _load_model(args.model)
-    target_state = _target_state(args, network)
+    target_state = run.resolved["target_state"] = _target_state(args, network)
     profile = conditional_profile(network, args.target, args.source, target_state)
-    out = Path(args.out)
-    _write_csv(out, ["state", "posterior"], [[s, float(p)] for s, p in profile])
-    svg_path = out.with_suffix(".svg")
-    _write(svg_path, [vbar_chart(
+    run.write_csv(["state", "posterior"], [[s, float(p)] for s, p in profile])
+    run.write(run.chart, [vbar_chart(
         f"P({args.target} = {target_state} | {args.source})",
         list(profile), axis_max=1.0, comment=f"riskbn {__version__}",
     )])
-    _write_manifest(args, [out, svg_path], target_state=target_state)
-    print(f"profile written to {out}")
-    return 0
+    print(f"profile written to {run.table}")
 
 
-def cmd_multifactor(args) -> int:
+def cmd_multifactor(args, run: _Run) -> None:
     from .analysis import bf_threshold_posterior, multifactor_search
     from .charts import line_chart
 
     if args.k_min > args.k_max:
         raise InvalidOption(f"--k-min {args.k_min} is above --k-max {args.k_max}")
     network = _load_model(args.model)
-    target_state = _target_state(args, network)
+    target_state = run.resolved["target_state"] = _target_state(args, network)
     k_range = range(args.k_min, args.k_max + 1)
     if args.pool:
-        pools = [("custom", list(dict.fromkeys(args.pool.split(","))))]
+        pools = [("custom", args.pool)]
     else:
         pools = [
             ("game", _pool_by_kind(network, ("game",), args.target)),
@@ -395,6 +399,7 @@ def cmd_multifactor(args) -> int:
         ("substantial (BF 10^1/2)", bf_threshold_posterior(args.prior_p, math.sqrt(10.0))),
         ("strong (BF 10)", bf_threshold_posterior(args.prior_p, 10.0)),
     ]
+    run.resolved["thresholds"] = dict(thresholds)
     rows = []
     series = []
     for pool_name, pool in pools:
@@ -411,57 +416,46 @@ def cmd_multifactor(args) -> int:
             if entry.max_posterior is not None:
                 points.append((float(entry.k), entry.max_posterior))
         series.append((pool_name, points))
-    out = Path(args.out)
-    _write_csv(out, ["pool", "k", "max_posterior", "evaluated", "skipped", "best_evidence"],
-               rows)
-    svg_path = out.with_suffix(".svg")
-    _write(svg_path, [line_chart(
+    run.write_csv(["pool", "k", "max_posterior", "evaluated", "skipped", "best_evidence"], rows)
+    run.write(run.chart, [line_chart(
         f"Max posterior P({args.target} = {target_state}) by evidence count",
         series, hlines=[(f"{label}: {_fmt(v)}", v) for label, v in thresholds],
         x_label="fixed evidence count", y_label="posterior",
         comment=f"riskbn {__version__}",
     )])
-    _write_manifest(args, [out, svg_path], target_state=target_state,
-                    thresholds=dict(thresholds))
-    print(f"multifactor table written to {out}")
-    return 0
+    print(f"multifactor table written to {run.table}")
 
 
-def cmd_profiles(args) -> int:
+def cmd_profiles(args, run: _Run) -> None:
     from .analysis import bf_threshold_posterior, risk_profiles
     from .charts import hbar_chart
 
     network = _load_model(args.model)
-    target_state = _target_state(args, network)
-    if args.pool:
-        pool = args.pool.split(",")
-    else:
-        pool = _pool_by_kind(network, ("demographic", "psychological", "outcome"), args.target)
+    target_state = run.resolved["target_state"] = _target_state(args, network)
+    pool = args.pool or _pool_by_kind(network, ("demographic", "psychological", "outcome"),
+                                      args.target)
     threshold = args.threshold
     if threshold is None:
         threshold = bf_threshold_posterior(args.prior_p, math.sqrt(10.0))
+    run.resolved["threshold"] = threshold
     result = risk_profiles(network, args.target, target_state, pool, args.k,
                            threshold, max_evals=args.max_evals)
     n = len(result.profiles)
     rows = [[v, s, count, float(count / n) if n else ""]
             for (v, s), count in result.frequency]
-    out = Path(args.out)
-    _write_csv(out, ["variable", "state", "count", "share_of_profiles"], rows)
-    svg_path = out.with_suffix(".svg")
-    _write(svg_path, [hbar_chart(
+    run.write_csv(["variable", "state", "count", "share_of_profiles"], rows)
+    run.write(run.chart, [hbar_chart(
         f"Assignment frequency in the {n} risk profiles "
         f"(k={args.k}, threshold={_fmt(threshold)})",
         [(f"{v} = {s}", float(c)) for (v, s), c in result.frequency],
         value_format="%d", comment=f"riskbn {__version__}",
     )])
-    _write_manifest(args, [out, svg_path], target_state=target_state, threshold=threshold)
     if n == 0:
         print("no profiles met the threshold")
-    print(f"profile table written to {out} ({n} profiles)")
-    return 0
+    print(f"profile table written to {run.table} ({n} profiles)")
 
 
-def cmd_query(args) -> int:
+def cmd_query(args, run: _Run) -> None:
     from .inference import evidence_probability, posterior
 
     network = _load_model(args.model)
@@ -471,14 +465,11 @@ def cmd_query(args) -> int:
         print(f"P({args.target}={state} | evidence) = {_fmt(p)}")
     print(f"P(evidence) = {_fmt(p_evidence)}")
     if args.out is not None:
-        out = Path(args.out)
-        _write(out, [json.dumps({
+        run.write(run.table, [json.dumps({
             "target": args.target, "evidence": args.evidence,
             "posterior": {s: p for s, p in zip(dist.states, dist.probabilities)},
             "evidence_probability": p_evidence,
         }, indent=2, sort_keys=True) + "\n"])
-        _write_manifest(args, [out])
-    return 0
 
 
 def _read_ranking_csv(path: str) -> dict[str, float]:
@@ -507,7 +498,7 @@ def _read_ranking_csv(path: str) -> dict[str, float]:
     return scores
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args, run: _Run) -> None:
     from .analysis import spearman
 
     ranking_a = _read_ranking_csv(args.ranking_a)
@@ -523,16 +514,13 @@ def cmd_compare(args) -> int:
     print(f"spearman_rho={_fmt(result.rho)} p_value={_fmt(result.p_value)} n={result.n}"
           + (" (exact extreme)" if result.exact_extreme else ""))
     if args.out is not None:
-        out = Path(args.out)
-        _write(out, [json.dumps({
+        run.write(run.table, [json.dumps({
             "rho": result.rho, "p_value": result.p_value, "n": result.n,
             "exact_extreme": result.exact_extreme,
         }, indent=2) + "\n"])
-        _write_manifest(args, [out])
-    return 0
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, run: _Run) -> None:
     import numpy as np
 
     from .data import render_simulated
@@ -542,15 +530,13 @@ def cmd_simulate(args) -> int:
     seed = int(np.random.SeedSequence().entropy % 2 ** 32) if generated else args.seed
     network = _load_model(args.model) if args.model else None
     schema = _data_schema(network.schema) if network else None
-    out = Path(args.out)
-    _write(out, render_simulated(args.n, seed, network, schema))
-    _write_manifest(args, [out], {"seed": seed, "generated": generated},
-                    generator=GENERATOR_ID)
-    print(f"{args.n} records written to {out} (seed {seed})")
-    return 0
+    run.seeds.update(seed=seed, generated=generated)
+    run.resolved["generator"] = GENERATOR_ID
+    run.write(run.table, render_simulated(args.n, seed, network, schema))
+    print(f"{args.n} records written to {run.table} (seed {seed})")
 
 
-def cmd_summarize(args) -> int:
+def cmd_summarize(args, run: _Run) -> None:
     from .data import summarize
 
     schema, _ = _resolve_structure(args)
@@ -558,15 +544,12 @@ def cmd_summarize(args) -> int:
     rows = [[r.variable, r.state, r.count,
              float(r.percent) if r.percent is not None else ""] for r in table]
     if args.out is not None:
-        out = Path(args.out)
-        _write_csv(out, ["variable", "state", "count", "percent"], rows)
-        _write_manifest(args, [out])
-        print(f"summary written to {out}")
+        run.write_csv(["variable", "state", "count", "percent"], rows)
+        print(f"summary written to {run.table}")
     else:
         for row in rows:
             pct = _fmt(row[3]) if isinstance(row[3], float) else "-"
             print(f"{row[0]},{row[1]},{row[2]},{pct}")
-    return 0
 
 
 # --- flag types ------------------------------------------------------------------
@@ -610,6 +593,14 @@ def _probability(flag: str, interval: str):
                       and (v < 1 if open_high else v <= 1))
 
 
+def _names(flag: str):
+    """Comma-separated variable names, none empty; a repeated name counts
+    once, where it is first named."""
+    return _flag_type(flag, "comma-separated variable names, none empty",
+                      lambda text: list(dict.fromkeys(text.split(","))),
+                      lambda names: "" not in names)
+
+
 _out_path = _flag_type("--out", "a non-empty path", str, bool)
 # The commands that also draw a chart write it to ``--out`` with the suffix
 # ``.svg``, which must not be the table itself.
@@ -630,23 +621,11 @@ def _check_writable(out: str) -> None:
                               f"{directory} is not a writable directory")
 
 
-def _written(args) -> list[Path]:
-    """Every file the command writes for its ``--out``."""
-    out = Path(args.out)
-    written = [out, Path(f"{out}.manifest.json")]
-    if args.func in _CHART_COMMANDS:
-        written.append(out.with_suffix(".svg"))
-    if args.func is cmd_fit and args.latent:
-        written.append(Path(f"{out}.trace.json"))
-    return written
-
-
-def _check_not_an_input(args) -> None:
+def _check_not_an_input(args, run: _Run) -> None:
     """Refuse an ``--out`` that would overwrite an input file before any
     input is read."""
-    inputs = [getattr(args, k) for k in _INPUT_FLAGS if getattr(args, k, None)]
-    for path in _written(args):
-        for source in inputs:
+    for path in run.paths():
+        for source in run.inputs:
             try:
                 same = os.path.samefile(path, source)
             except OSError:  # one of them does not exist
@@ -710,9 +689,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="control variable marking the irrelevance line ('none' to disable; "
                         f"default: {DEFAULT_CONTROL} when the model has it and it is not "
                         "the target)")
-    p.add_argument("--candidates", help="comma-separated candidate variables")
+    p.add_argument("--candidates", type=_names("--candidates"),
+                   help="comma-separated candidate variables")
     p.add_argument("--out", type=_table_path, required=True)
-    p.set_defaults(func=cmd_strength)
+    p.set_defaults(func=cmd_strength, chart=True)
 
     p = sub.add_parser("profile", help="per-state conditional profile of the target")
     p.add_argument("--model", required=True)
@@ -721,34 +701,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-state", default=None,
                    help="default: Yes when the target has it, otherwise its last state")
     p.add_argument("--out", type=_table_path, required=True)
-    p.set_defaults(func=cmd_profile)
+    p.set_defaults(func=cmd_profile, chart=True)
 
     p = sub.add_parser("multifactor", help="brute-force multi-evidence risk search")
     p.add_argument("--model", required=True)
     p.add_argument("--target", default=DEFAULT_OUTCOME)
     p.add_argument("--target-state", default=None,
                    help="default: Yes when the target has it, otherwise its last state")
-    p.add_argument("--pool", help="comma-separated pool (default: game and profiling pools)")
+    p.add_argument("--pool", type=_names("--pool"),
+                   help="comma-separated pool (default: game and profiling pools)")
     p.add_argument("--k-min", type=_whole("--k-min", 1), default=1)
     p.add_argument("--k-max", type=_whole("--k-max", 1), default=5)
     p.add_argument("--prior-p", type=_probability("--prior-p", "(0, 1)"), default=0.1)
     p.add_argument("--max-evals", type=_whole("--max-evals", 1, _whole_literal), default=10**8)
     p.add_argument("--out", type=_table_path, required=True)
-    p.set_defaults(func=cmd_multifactor)
+    p.set_defaults(func=cmd_multifactor, chart=True)
 
     p = sub.add_parser("profiles", help="risk-profile frequency table")
     p.add_argument("--model", required=True)
     p.add_argument("--target", default=DEFAULT_OUTCOME)
     p.add_argument("--target-state", default=None,
                    help="default: Yes when the target has it, otherwise its last state")
-    p.add_argument("--pool", help="comma-separated pool (default: profiling variables)")
+    p.add_argument("--pool", type=_names("--pool"),
+                   help="comma-separated pool (default: profiling variables)")
     p.add_argument("--k", type=_whole("--k", 1), default=5)
     p.add_argument("--threshold", type=_probability("--threshold", "[0, 1]"), default=None,
                    help="posterior cutoff (default: substantial-evidence threshold)")
     p.add_argument("--prior-p", type=_probability("--prior-p", "(0, 1)"), default=0.1)
     p.add_argument("--max-evals", type=_whole("--max-evals", 1, _whole_literal), default=10**8)
     p.add_argument("--out", type=_table_path, required=True)
-    p.set_defaults(func=cmd_profiles)
+    p.set_defaults(func=cmd_profiles, chart=True)
 
     p = sub.add_parser("query", help="posterior of one variable given evidence")
     p.add_argument("--model", required=True)
@@ -779,18 +761,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CHART_COMMANDS = (cmd_strength, cmd_profile, cmd_multifactor, cmd_profiles)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     _digests.clear()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "out", None) is not None:
-            _check_writable(args.out)
-            _check_not_an_input(args)
-        return args.func(args)
+            _check_writable(args.out)  # a directory has no .svg sibling to derive
+        run = _Run(args)
+        _check_not_an_input(args, run)
+        args.func(args, run)
+        if run.manifest is not None:
+            _write_manifest(args, run)
+        return 0
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _IO_EXIT

@@ -552,13 +552,6 @@ def _decode_quote_free(slices: Iterator[bytes], schema: Schema):
     return columns, n, None
 
 
-def _load_quote_free(data: bytes, schema: Schema) -> Dataset | None:
-    """The dataset in ``data`` when :func:`_decode_quote_free` decodes all of
-    it; otherwise None, where the CSV reader must decide."""
-    columns, n, rest = _decode_quote_free(_slices(data), schema)
-    return None if columns is None or rest is not None else _dataset(schema, n, columns)
-
-
 def load_dataset(data: str | bytes | BinaryIO, schema: Schema) -> Dataset:
     """Parse the dataset CSV format, given as text, as the bytes of a file,
     or as a binary file open for reading (read to its end, once, from where

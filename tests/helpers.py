@@ -1,7 +1,8 @@
 """Shared test fixtures: hand-built networks, a random-network generator, an
 independent full-joint enumeration oracle, a brute-force topological-order
 oracle, the fill-in-graph elimination-order oracle, per-row dataset CSV
-oracles and a model parse through ``json`` alone.
+oracles, the dataset loader's quote-free path alone and a model parse
+through ``json`` alone.
 
 The joint oracle builds the complete joint tensor directly from CPT lookups
 over index grids; it shares no code with the variable-elimination engine, so
@@ -23,7 +24,7 @@ import numpy as np
 
 import riskbn
 from riskbn.core import Cpt, DagStructure, Network, VariableSpec, _json_limit_error, build_network
-from riskbn.data import MISSING_TOKENS, Dataset, Schema
+from riskbn.data import MISSING_TOKENS, Dataset, Schema, _dataset, _decode_quote_free, _slices
 from riskbn.errors import IllegalState, MalformedCsv, ModelSyntaxError, RaggedRow, UnknownColumn
 
 _RT_MAX = 2**31 - 1
@@ -261,6 +262,13 @@ def load_dataset_per_row(text: str, schema: Schema) -> Dataset:
                     raise IllegalState(cell, i + 1, name)
                 rt_cols[name][i] = value
     return Dataset(schema, n, cat_cols, rt_cols, "ingest")
+
+
+def load_quote_free(data: bytes, schema: Schema) -> Dataset | None:
+    """The dataset in ``data`` when ``riskbn.data._decode_quote_free``
+    decodes all of it; otherwise None, where the CSV reader must decide."""
+    columns, n, rest = _decode_quote_free(_slices(data), schema)
+    return None if columns is None or rest is not None else _dataset(schema, n, columns)
 
 
 def save_dataset_per_row(dataset: Dataset) -> str:

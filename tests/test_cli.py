@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import importlib
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -855,6 +856,68 @@ def test_manifest_records_peak_rss_in_kilobytes(tmp_path, monkeypatch, command):
     out = dict(_VALID_ARGV[command])["--out"]
     peak = json.loads((tmp_path / f"{out}.manifest.json").read_text())["peak_rss_kb"]
     assert type(peak) is int and 0 < before <= peak <= after
+
+
+# Every writing command as _VALID_ARGV runs it (fit with --latent), and fit
+# without --latent.
+_WRITING_ARGV = {**{c: _argv(c) for c in _WRITING_COMMANDS},
+                 "fit_observed": ["fit", "--data", "d.csv", "--schema", "chain.json",
+                                  "--out", "m.json"]}
+
+
+@pytest.mark.parametrize("case", sorted(_WRITING_ARGV))
+def test_guarded_files_are_the_written_files_and_the_manifest_digests_them(
+        tmp_path, monkeypatch, case):
+    _boundary_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    guarded = set()
+    samefile = os.path.samefile
+
+    def recording(path, source):
+        guarded.add(str(path))
+        return samefile(path, source)
+    monkeypatch.setattr(os.path, "samefile", recording)
+    before = {p.name for p in tmp_path.iterdir()}
+    argv = _WRITING_ARGV[case]
+    assert main(argv) == 0
+    new = {p.name for p in tmp_path.iterdir()} - before
+    assert new == guarded
+
+    def sha256(name):
+        return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    out = argv[argv.index("--out") + 1]
+    manifest = json.loads((tmp_path / f"{out}.manifest.json").read_text())
+    assert manifest["outputs"] == {name: sha256(name) for name in new
+                                   if name != f"{out}.manifest.json"}
+    assert manifest["inputs"] == {name: sha256(name) for name in argv if name in before}
+
+
+_NAME_LISTS = [("strength", "--candidates"), ("multifactor", "--pool"), ("profiles", "--pool")]
+
+
+@pytest.mark.parametrize("value", ["", ",", "A,", "A,,B"])
+@pytest.mark.parametrize("command,flag", _NAME_LISTS)
+def test_empty_name_in_pool_or_candidates_exits_2_before_any_input_is_read(
+        tmp_path, monkeypatch, capsys, input_reads, command, flag, value):
+    _boundary_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    index = [f for f, _ in _VALID_ARGV[command]].index(flag)
+    assert main(_argv(command, index, value)) == 2
+    assert f"error: {flag} must be comma-separated variable names, none empty, got {value}" \
+        in capsys.readouterr().err
+    assert input_reads == []
+
+
+@pytest.mark.parametrize("command,flag", _NAME_LISTS)
+def test_manifest_records_pool_and_candidates_as_parsed_lists(tmp_path, monkeypatch,
+                                                              command, flag):
+    _boundary_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    index = [f for f, _ in _VALID_ARGV[command]].index(flag)
+    assert main(_argv(command, index, "A,A")) == 0
+    out = dict(_VALID_ARGV[command])["--out"]
+    config = json.loads((tmp_path / f"{out}.manifest.json").read_text())["config"]
+    assert config[flag.lstrip("-")] == ["A"]
 
 
 def test_fit_latent_unwritable_out_never_runs_em(tmp_path, monkeypatch):

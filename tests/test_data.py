@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import load_dataset_per_row, save_dataset_per_row
+from helpers import load_dataset_per_row, load_quote_free, save_dataset_per_row
 from riskbn.analysis import influence_strength, risk_profiles
 from riskbn.core import VariableSpec
 from riskbn.data import (
@@ -18,7 +18,6 @@ from riskbn.data import (
     FilterConfig,
     Schema,
     _lines,
-    _load_quote_free,
     _slices,
     apply_filters,
     build_default_generator,
@@ -196,7 +195,7 @@ def _load_text_and_bytes(text, schema):
 
 
 def _quote_free(text, schema):
-    return _load_quote_free(text.encode(), schema)
+    return load_quote_free(text.encode(), schema)
 
 
 _DIFF_COLUMNS = ["Gender", "Age", "honesty", "rt_A1Q1_PhotoSharing", "rt_A1Q2_Sociable"]
