@@ -60,6 +60,7 @@ from .errors import (
     MalformedCsv,
     NotUtf8,
     PoolTooLarge,
+    RaggedRow,
     RiskbnError,
     UnknownVariable,
     VariableSetMismatch,
@@ -483,6 +484,8 @@ def _read_ranking_csv(path: str) -> dict[str, float]:
         raise VariableSetMismatch(f"{path} is not a strength CSV (variable/score columns)")
     scores: dict[str, float] = {}
     for i, row in enumerate(rows, start=1):
+        if None in row.values():  # DictReader pads a short row with None
+            raise RaggedRow(i, len(row), len(row) - list(row.values()).count(None))
         try:
             score = float(row["score"])
         except (TypeError, ValueError):

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
-import re
 from dataclasses import dataclass, field, replace
-from itertools import chain, islice
 from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -42,15 +40,14 @@ from .errors import (
     SchemaMismatch,
     UnknownColumn,
 )
-# _CHUNK_ROWS: rows load_dataset holds as cell text, and render_dataset and
-# render_simulated render, at once
+# _CHUNK_ROWS: rows render_dataset and render_simulated render at once
 from .inference import _CHUNK_ROWS, SampleBatch, ancestral_sample, sample_blocks
 
 MISSING_TOKENS = ("", "?")
 _RT_MAX = int(np.iinfo(np.int32).max)  # response times are stored as int32
 _MAX_RUN_LABELS = 4096  # joint labels of one fused column run in save_dataset
 _SLICE_BYTES = 1 << 18  # bytes of its input load_dataset reads at once, at least
-_LINE_END = re.compile(rb"\r\n?|\n")  # where io.StringIO(newline="") ends a line
+_FIELD_LIMIT = 131_072  # bytes in one field at most (the csv module's default limit)
 _BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark, which Excel writes
 
 #: Published survey marginals (percent). Two columns do not sum to 100:
@@ -221,17 +218,20 @@ def dataset_from_batch(batch: SampleBatch, schema: Schema,
 
 
 class _CellCodes(dict):
-    """Memo from a column's raw cell text to its code. A cell not seen
-    before is stripped and passed to ``decode``, which returns the code (-1
-    for a missing token) or raises LookupError or ValueError for an illegal
-    cell; illegal cells are never memoized."""
+    """Memo from a column's cell text to its code. A cell not seen before
+    is stripped and passed to ``decode``, which returns the code (-1 for a
+    missing token) or raises LookupError or ValueError for an illegal cell,
+    whose code is None."""
 
     def __init__(self, decode):
         super().__init__()
         self.decode = decode
 
-    def __missing__(self, cell: str) -> int:
-        code = self[cell] = self.decode(cell.strip())
+    def __missing__(self, cell: str) -> int | None:
+        try:
+            code = self[cell] = self.decode(cell.strip())
+        except (LookupError, ValueError):
+            code = self[cell] = None
         return code
 
 
@@ -254,10 +254,11 @@ def _slices(source: bytes | BinaryIO, check: bool = False) -> Iterator[bytes]:
     """Successive slices of the bytes ``source`` holds or reads; a file is
     read as it is consumed, ``_SLICE_BYTES`` at a time, so a pipe works.
     Each slice ends just after the last line end (``\\r\\n``, ``\\n`` or a
-    bare ``\\r``, where ``io.StringIO(newline="")`` ends a line) among the
-    bytes read, or at the end of the input, so no line, and no UTF-8
-    character, straddles two slices. While no line end has been read, each
-    read doubles, so a long line costs time linear in its length.
+    bare ``\\r``) outside quotes among the bytes read, or at the end of the
+    input, so no record, and no UTF-8 character, straddles two slices. A
+    byte is outside quotes where the quotes before it are even in number.
+    While the last line end read is not such a one, each read doubles, so a
+    long record costs time linear in its length.
 
     With ``check``, each slice is checked as strict UTF-8 as it is read
     (NotUtf8 names the input offset of the first bad byte), and a leading
@@ -271,6 +272,9 @@ def _slices(source: bytes | BinaryIO, check: bool = False) -> Iterator[bytes]:
         buf += more
         # a \r that ends what was read may be the first half of a \r\n
         last = max(buf.rfind(b"\n"), buf.rfind(b"\r", 0, len(buf) - (not eof)))
+        if (buf.find(b'"', 0, last) >= 0
+                and np.count_nonzero(np.frombuffer(buf, np.uint8, max(last, 0)) == 34) % 2):
+            last = -1  # that line end is inside quotes: read on
         cut = len(buf) if eof else last + 1
         if cut == 0:
             continue
@@ -287,31 +291,11 @@ def _slices(source: bytes | BinaryIO, check: bool = False) -> Iterator[bytes]:
             yield piece
 
 
-def _lines(pieces: Iterable[bytes]) -> Iterator[str]:
-    """The lines of ``io.StringIO(b"".join(pieces).decode(), newline="")``,
-    decoded one slice at a time, so that no whole copy is made."""
-    for piece in pieces:
-        yield from io.StringIO(piece.decode("utf-8", "surrogatepass"), newline="")
-
-
-def _decode_chunk(cells: list[str], first: int, columns) -> None:
-    """Append the codes of a chunk of rows (flat, row-major ``cells``;
-    ``first`` rows come before it) to each column's codes, or raise
-    IllegalState for the chunk's first illegal cell in row-major order."""
-    width = len(columns)
-    rows = len(cells) // width
-    illegal: list[tuple[int, int, str, str]] = []  # (row, column index, name, cell)
-    for j, (name, lookup, dtype, codes) in enumerate(columns):
-        column = cells[j::width]
-        try:
-            codes.append(np.fromiter(map(lookup.__getitem__, column), dtype, rows))
-        except (LookupError, ValueError):
-            # the memo only holds legal cells, so the first cell it lacks fails
-            i = next(i for i, cell in enumerate(column) if cell not in lookup)
-            illegal.append((i, j, name, column[i].strip()))
-    if illegal:
-        i, _, name, cell = min(illegal)
-        raise IllegalState(cell, first + i + 1, name)
+def _field_text(raw: bytes, start: int, end: int) -> str:
+    """The cell text of the field ``raw[start:end]``: without its quotes, if
+    it is quoted, and with each ``""`` inside them read as one ``"``."""
+    text = raw[start:end].decode("utf-8", "surrogatepass")
+    return text[1:-1].replace('""', '"') if text.startswith('"') else text
 
 
 class _Codes:
@@ -376,106 +360,134 @@ def _dataset(schema: Schema, n: int, columns) -> Dataset:
     return Dataset(schema, n, cat_cols, rt_cols, "ingest")
 
 
-def _read_rows(reader, columns, n: int) -> int:
-    """Decode the CSV rows ``reader`` yields, chunk by chunk, after the
-    ``n`` rows already decoded; the total number of rows. A CSV reader error
-    is left to the caller."""
-    width = len(columns)
-    while True:
-        cells: list[str] = []
-        extend = cells.extend
-        for row in islice(reader, _CHUNK_ROWS):
-            if len(row) != width:
-                _decode_chunk(cells, n, columns)  # an earlier illegal cell wins
-                raise RaggedRow(n + len(cells) // width + 1, width, len(row))
-            extend(row)
-        if not cells:
-            return n
-        _decode_chunk(cells, n, columns)
-        n += len(cells) // width
-
-
 # _WORD_MASKS[r] keeps the first r bytes of a little-endian 8-byte word
 _WORD_MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
 _HASH_FACTORS = np.array([0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9], dtype=np.uint64)
+# the bytes that may stand next to a quote outside it: a comma, a line end or a quote
+_BESIDE_QUOTE = np.array([c in b',\n\r"' for c in range(256)])
 
 
-def _words(windows: np.ndarray, start: np.ndarray, length: np.ndarray):
-    """The 8-byte words that cover each cell of at least 8 bytes (the words
-    at 0, 8, 16, ... bytes into it, its last 8 bytes for the last one), all
-    cells' words in one array; each word's number in its cell; and where
-    each cell's words begin."""
-    count = (length + 7) >> 3
-    first = np.cumsum(count) - count
-    k = np.arange(count.sum()) - np.repeat(first, count)
-    at = np.repeat(start, count) + np.minimum(8 * k, np.repeat(length - 8, count))
-    return windows[at], k, first
+def _split(b: np.ndarray, size: int, lines: int, quoted: bool):
+    """The records of a slice, the first ``size`` bytes of ``b`` (``quoted``
+    if they hold a ``"``), after ``lines`` lines of the input: where each
+    starts and ends, the commas outside quotes, and the slice's line count.
 
-
-def _split_slice(b: np.ndarray, width: int, field_limit: int):
-    """Where the cells of ``b``, the UTF-8 bytes of whole lines of text
-    holding no ``"``, start and how long they are: two (width, rows) arrays,
-    a row per line. None at a line of another width (a blank line among
-    them) or a field past ``field_limit`` bytes."""
+    A ``"`` opens a quoted field only at a field's start; inside quotes,
+    commas and line ends are data and ``""`` is one ``"``. MalformedCsv,
+    naming its line, at the first field past ``_FIELD_LIMIT`` bytes or
+    malformed quote: one in an unquoted field (``Ma"le``), text after a
+    closing quote (``"Ma"le``), or a quote open at the end of the input."""
+    data = b[:size]
     # line ends: \n, \r, and \r\n counted once, at its \r
-    breaks = np.flatnonzero((b == 10) | (b == 13))
+    breaks = np.flatnonzero((data == 10) | (data == 13))
     pair = np.zeros(len(breaks), bool)
     pair[:-1] = (breaks[1:] == breaks[:-1] + 1) & (b[breaks[:-1]] == 13) & (b[breaks[1:]] == 10)
     keep = np.ones(len(breaks), bool)
     keep[1:] = ~pair[:-1]
-    line_end = breaks[keep]
+    lines_end = line_end = breaks[keep]
     next_line = line_end + 1 + pair[keep]
-    if not len(line_end) or next_line[-1] < len(b):  # the text's last line has no line end
-        line_end = np.append(line_end, len(b))
-        next_line = np.append(next_line, len(b) + 1)
-    rows = len(line_end)
-    line_start = np.empty(rows, np.int64)
-    line_start[0] = 0
-    line_start[1:] = next_line[:-1]
-    commas = np.flatnonzero(b == 44)
-    if len(commas) != rows * (width - 1) or not (line_end > line_start).all():
-        return None
-    commas = commas.reshape(rows, width - 1).T
-    if width > 1 and ((commas[0] < line_start).any() or (commas[-1] >= line_end).any()):
-        return None
+    commas = np.flatnonzero(data == 44)
+    errors = []  # (offset, rank, message); the least wins
+    if quoted:
+        is_quote = data == 34
+        quotes, inside = np.flatnonzero(is_quote), np.logical_xor.accumulate(is_quote)
+        outside = ~inside[line_end]
+        line_end, next_line = line_end[outside], next_line[outside]
+        commas = commas[~inside[commas]]
+        opening, closing = quotes[::2], quotes[1::2]  # the padding after ``data`` is no quote
+        stray = opening[(opening > 0) & ~_BESIDE_QUOTE[b[opening - 1]]]
+        after = closing[(closing + 1 < size) & ~_BESIDE_QUOTE[b[closing + 1]]]
+        errors += [(at[0], 1, message) for at, message in (
+            (stray, "a quote inside an unquoted field"), (after, "text after a closing quote"))
+            if len(at)]
+        if len(quotes) % 2:  # only the input's last slice can end inside quotes
+            opener = opening[(opening == 0) | (b[opening - 1] != 34)][-1]
+            errors.append((opener, 2, "a quoted field still open at the end of the input"))
+    if not len(line_end) or next_line[-1] < size:  # the last record has no line end
+        line_end = np.append(line_end, size)
+        next_line = np.append(next_line, size + 1)
+    line_start = np.append(0, next_line[:-1])
+    for r in np.flatnonzero(line_end - line_start > _FIELD_LIMIT):  # only these hold a long field
+        inner = commas[(commas >= line_start[r]) & (commas < line_end[r])]
+        ends = np.concatenate([[line_start[r] - 1], inner, [line_end[r]]])  # around each field
+        over = np.flatnonzero(np.diff(ends) > _FIELD_LIMIT + 1)
+        if len(over):
+            errors.append((ends[over[0]] + 1, 0, f"field larger than field limit ({_FIELD_LIMIT})"))
+            break
+    if errors:
+        at, _, message = min(errors)
+        raise MalformedCsv(f"line {lines + 1 + np.searchsorted(lines_end, at)}: {message}")
+    return line_start, line_end, commas, len(lines_end)
+
+
+def _cells(line_start, line_end, commas, width: int):
+    """Where the cells of records of ``width`` fields start and how long they
+    are: two (width, rows) arrays, a row per record, for the records before
+    the first of another width (a blank record has none); that record's
+    width, or None."""
+    rows, ragged = len(line_end), None
+    fields = commas.reshape(rows, width - 1).T if len(commas) == rows * (width - 1) else None
+    if (fields is None or not (line_end > line_start).all()
+            or width > 1 and ((fields[0] < line_start).any() or (fields[-1] >= line_end).any())):
+        widths = np.diff(np.searchsorted(commas, line_end), prepend=0) + 1
+        widths[line_end == line_start] = 0
+        rows = int(np.flatnonzero(widths != width)[0])
+        ragged = int(widths[rows])
+        line_start, line_end = line_start[:rows], line_end[:rows]
+        fields = commas[:rows * (width - 1)].reshape(rows, width - 1).T
     start = np.empty((width, rows), np.int64)
     start[0] = line_start
-    start[1:] = commas + 1
+    start[1:] = fields + 1
     length = np.empty((width, rows), np.int64)
-    length[:-1] = commas
+    length[:-1] = fields
     length[-1] = line_end
     length -= start
-    if length.max() > field_limit:
-        return None
-    return start, length
+    return start, length, ragged
 
 
-def _decode_slice(piece: bytes, columns, field_limit: int) -> np.ndarray | None:
-    """The codes of the rows of ``piece``, the UTF-8 bytes of whole lines of
-    text holding no ``"`` and no NUL, as a (width, rows) array; or None at
-    anything the CSV reader might read otherwise or refuse (see
-    :func:`_split_slice`), at an illegal cell, or at a hash that groups two
-    different cell texts.
+def _words(windows: np.ndarray, start: np.ndarray, length: np.ndarray):
+    """The 8-byte words that cover each cell (the words at 0, 8, 16, ...
+    bytes into it, its last 8 bytes for the last one; a cell of fewer than
+    8 bytes, which must not be empty, is its one word, masked), all cells'
+    words in one array (a row of them for each row of ``start``, the cells'
+    starts, one ``length`` for all rows); each word's number in its cell;
+    and where each cell's words begin."""
+    count = (length + 7) >> 3
+    first = np.cumsum(count) - count
+    k = np.arange(count.sum()) - np.repeat(first, count)
+    offset = np.minimum(8 * k, np.repeat(np.maximum(length - 8, 0), count))
+    words = windows[np.repeat(start, count, axis=-1) + offset]
+    short = np.flatnonzero(length < 8)
+    if len(short):
+        words[..., first[short]] &= _WORD_MASKS[length[short]]
+    return words, k, first
 
-    Each column's cells are grouped by a key and only one cell of each group
-    is decoded, through its column's memo. A cell of at most 8 bytes is its
-    own key: its bytes in one word, whose zero bytes past the cell's end
-    tell its length, as no cell holds a NUL. A longer cell's key is a hash
-    of its words and its length, so each such cell is checked word for word
-    against its neighbour in its group."""
-    width = len(columns)
-    size = len(piece)
-    raw = piece + bytes(8)  # so that a word can be read at any cell's start
+
+def _decode(raw: bytes, start: np.ndarray, length: np.ndarray, columns, n: int,
+            quoted: bool, nul: bool) -> np.ndarray:
+    """The codes of the cells of ``raw`` (which ends in 8 bytes of padding)
+    at ``start`` and ``length`` (see :func:`_cells`), as a (width, rows)
+    array; ``quoted`` and ``nul``: the cells hold a ``"`` or a NUL.
+    IllegalState, the data rows numbered after ``n``, at the first illegal
+    cell in row-major order.
+
+    Each column's cells are grouped by a key, a quoted cell's by its text
+    inside the quotes, and only one cell of each group is decoded, through
+    its column's memo. A cell of at most 8 bytes is its own key: its bytes
+    in one word, whose zero bytes past its end tell its length where no
+    cell holds a NUL. Other cells but empty ones are keyed by a hash of
+    their words and length, and checked word for word against their
+    neighbour in their group, which is split where two texts meet."""
+    width, rows = start.shape
     b = np.frombuffer(raw, np.uint8)
-    cells = _split_slice(b[:size], width, field_limit)
-    if cells is None:
-        return None
-    start, length = cells[0].ravel(), cells[1].ravel()  # column by column
-    rows = cells[0].shape[1]
+    start, length = start.ravel(), length.ravel()  # column by column
+    if quoted:
+        inner = b[start] == 34
+        start, length = start + inner, length - 2 * inner
 
-    windows = np.ndarray(size + 1, "<u8", raw, strides=(1,))  # the 8 bytes from each offset
+    windows = np.ndarray(len(raw) - 7, "<u8", raw, strides=(1,))  # the 8 bytes from each offset
     key = windows[start] & _WORD_MASKS[np.minimum(length, 8)]
-    is_long = length > 8
+    is_long = length > (0 if nul else 8)
     long = np.flatnonzero(is_long)
     if len(long):
         words, k, first = _words(windows, start[long], length[long])
@@ -493,63 +505,47 @@ def _decode_slice(piece: bytes, columns, field_limit: int) -> np.ndarray | None:
     pairs = np.flatnonzero(~new[1:] & (is_long[1:] | is_long[:-1])) + 1
     if len(pairs):
         cell, neighbour = order[pairs], order[pairs - 1]
-        if (not np.array_equal(length[cell], length[neighbour])
-                or not np.array_equal(_words(windows, start[cell], length[cell])[0],
-                                      _words(windows, start[neighbour], length[cell])[0])):
-            return None
+        least = np.maximum(np.minimum(length[cell], length[neighbour]), 1)  # bytes both hold
+        words, _, first = _words(windows, np.stack([start[cell], start[neighbour]]), least)
+        differ = words[0] != words[1]
+        new[pairs] = length[cell] != length[neighbour]
+        if differ.any():
+            new[pairs] |= np.logical_or.reduceat(differ, first)
 
     # decode one cell of each group; groups come in column order
     reps = order[new]
     span = length[reps] + 1  # the cell and the comma or line end after it
     at = np.cumsum(span)
     chars = b[np.repeat(start[reps] - (at - span), span) + np.arange(at[-1])]
+    special = ()
+    if quoted:  # a cell that holds a comma or a "" is decoded on its own
+        inside = (chars == 34) | (chars == 44)
+        inside[at - 1] = False
+        special = np.unique(np.searchsorted(at, np.flatnonzero(inside), "right")).tolist()
+        chars[inside] = 34
     chars[at - 1] = 44
     texts = chars.tobytes().decode("utf-8", "surrogatepass").split(",")
+    for g in special:
+        texts[g] = _field_text(raw, start[reps[g]] - 1, start[reps[g]] + length[reps[g]] + 1)
     bounds = np.cumsum(new.reshape(width, rows).sum(axis=1)).tolist()
+    group = np.cumsum(new) - 1
     codes = np.empty(len(reps), np.int32)
+    illegal = []  # (row, column index, name, cell)
     lo = 0
-    for (_, lookup, dtype, _), hi in zip(columns, bounds):
+    for j, ((name, lookup, dtype, _), hi) in enumerate(zip(columns, bounds)):
         try:
             codes[lo:hi] = np.fromiter(map(lookup.__getitem__, texts[lo:hi]), dtype, hi - lo)
-        except (LookupError, ValueError):
-            return None
+        except TypeError:  # a code of None: an illegal cell
+            bad = np.isin(group, [g for g in range(lo, hi) if lookup[texts[g]] is None])
+            first = np.flatnonzero(bad)[np.argmin(order[bad])]
+            illegal.append((order[first] - j * rows, j, name, texts[group[first]].strip()))
         lo = hi
+    if illegal:
+        i, _, name, cell = min(illegal)
+        raise IllegalState(cell, n + i + 1, name)
     coded = np.empty(len(order), np.int32)
-    coded[order] = codes[np.cumsum(new) - 1]
+    coded[order] = codes[group]
     return coded.reshape(width, rows)
-
-
-def _decode_quote_free(slices: Iterator[bytes], schema: Schema):
-    """Read the header from the first slice, then decode whole slices with
-    :func:`_decode_slice` until one holds a ``"`` or a NUL (which Python
-    3.10's CSV reader refuses) or the split gives up on it. Returns
-    ``(columns, n, rest)``: the header's columns (None where the CSV reader
-    must read the header), the rows decoded, and the slice the CSV reader
-    takes over from (None when every slice was decoded)."""
-    first = next(slices, b"")
-    end = _LINE_END.search(first)
-    cut = end.end() if end else len(first)
-    try:
-        header = first[:cut].decode("utf-8", "surrogatepass")
-        if '"' in header or "\0" in header:
-            return None, 0, first
-        columns = _columns(next(csv.reader([header]), ()), schema)
-    except (RiskbnError, csv.Error):
-        return None, 0, first
-    field_limit = csv.field_size_limit()
-    n = 0
-    for piece in chain([first[cut:]], slices):
-        if not piece:
-            continue
-        coded = None
-        if b'"' not in piece and b"\0" not in piece:
-            coded = _decode_slice(piece, columns, field_limit)
-        if coded is None:
-            return columns, n, piece
-        for (_, _, dtype, codes), column in zip(columns, coded):
-            codes.append(column.astype(dtype))
-        n += coded.shape[1]
-    return columns, n, None
 
 
 def load_dataset(data: str | bytes | BinaryIO, schema: Schema) -> Dataset:
@@ -562,59 +558,57 @@ def load_dataset(data: str | bytes | BinaryIO, schema: Schema) -> Dataset:
     skipped. Text is read as its UTF-8 encoding.
 
     First row holds column headers; cells that are empty or ``?`` are
-    missing, and cells are stripped of surrounding whitespace. Errors carry
-    1-based data-row numbers and column names. Precedence: a line the CSV
-    reader cannot split, then the header (an empty file or a blank first
-    line is a ragged row 0), then the first illegal cell in row-major order,
-    then the first row whose width differs from the header's.
+    missing, and cells are stripped of surrounding whitespace. Fields are
+    those of RFC 4180: a quoted field holds commas, line ends and ``""`` for
+    a ``"``. Records end at ``\\n``, ``\\r\\n`` or a bare ``\\r``. Errors
+    carry 1-based data-row numbers and column names. Precedence: a line
+    that cannot be split (a malformed quote or a field past ``_FIELD_LIMIT``
+    bytes; see :func:`_split`), then the header (an empty file or a blank
+    first line is a ragged row 0), then the first illegal cell in row-major
+    order, then the first row whose width differs from the header's.
 
-    The input is read one slice at a time (:func:`_slices`): each slice
-    holds the whole lines of one read of ``_SLICE_BYTES`` bytes (more where
-    a line is longer), and a file's slices are checked as UTF-8 as they are
-    read. Two tokenizers read the
-    slices, with the same result and the same error. numpy splits each
-    slice that holds no ``"``: the commas and line ends are found by vector
-    compares, and only each column's distinct cell texts are decoded.
-    Anything out of the way (a ``"``, a NUL, a ragged or blank line, a field
-    past ``csv.field_size_limit()``, an illegal cell) makes numpy give up on
-    that slice without raising. The CSV reader then takes over from the
-    slice's first line: the rows before it stay decoded, and its row and
-    line numbers are offset by them. A header the CSV reader must read (one
-    with a ``"``, or one numpy's header check refuses) sends every slice to
-    the CSV reader. On the first error the rest of the input is still read,
-    so that an error of higher precedence anywhere in it wins.
-
-    The memory held does not grow with the input beyond the decoded columns
-    (and, for text, its encoding): one slice is held at a time, only the
-    CSV reader's slices are decoded as text, and its rows are gathered
-    ``_CHUNK_ROWS`` at a time into a flat cell list. Both tokenizers decode
-    each column through one memo of its distinct cell texts, kept for the
-    whole input. No result depends on either constant.
+    The input is read one slice of whole records at a time
+    (:func:`_slices`), and each slice is split by numpy: the commas and line
+    ends outside quotes are found by vector compares, and only each
+    column's distinct cell texts are decoded (:func:`_decode`), through one
+    memo per column kept for the whole input. On the first error the rest
+    of the input is still split, so that an error of higher precedence
+    anywhere in it wins. The memory held does not grow with the input
+    beyond the decoded columns (and, for text, its encoding). No result
+    depends on the slice size.
     """
-    if isinstance(data, str):
-        slices = _slices(data.encode("utf-8", "surrogatepass"))
-    else:
-        slices = _slices(data, check=True)
-    columns, n, rest = _decode_quote_free(slices, schema)
-    if rest is None:
-        return _dataset(schema, n, columns)
-    lines_before = 0 if columns is None else 1 + n  # each row numpy decoded is one line
-    reader = csv.reader(_lines(chain([rest], slices)))
-    try:
+    text = isinstance(data, str)
+    slices = _slices(data.encode("utf-8", "surrogatepass") if text else data, check=not text)
+    columns, error, n, lines = None, None, 0, 0
+    for piece in slices:
+        if isinstance(error, MalformedCsv):
+            continue  # read on: a byte not UTF-8 anywhere still wins
+        quoted = b'"' in piece
+        raw = piece + bytes(8)  # so that a word can be read at any cell's start
         try:
-            if columns is None:
-                columns = _columns(next(reader, ()), schema)
-            n = _read_rows(reader, columns, n)
-        except NotUtf8:  # it outranks every other error
-            raise
-        except RiskbnError:
-            for _ in reader:  # an unsplittable line, or a byte not UTF-8, anywhere still wins
-                pass
-            raise
-    except csv.Error as exc:
-        for _ in slices:  # a byte not UTF-8 anywhere still wins
-            pass
-        raise MalformedCsv(f"line {lines_before + reader.line_num}: {exc}") from None
+            line_start, line_end, commas, count = _split(
+                np.frombuffer(raw, np.uint8), len(piece), lines, quoted)
+            lines += count
+            if error is not None:
+                continue  # only an unsplittable line can still win
+            if columns is None:  # the first record is the header
+                header = np.searchsorted(commas, line_end[0])
+                bounds = [-1, *commas[:header].tolist(), int(line_end[0])]
+                columns = _columns([_field_text(raw, lo + 1, hi) for lo, hi
+                                    in zip(bounds, bounds[1:])] if line_end[0] else [], schema)
+                line_start, line_end, commas = line_start[1:], line_end[1:], commas[header:]
+            start, length, ragged = _cells(line_start, line_end, commas, len(columns))
+            if start.shape[1]:
+                coded = _decode(raw, start, length, columns, n, quoted, b"\0" in piece)
+                for (_, _, dtype, codes), column in zip(columns, coded):
+                    codes.append(column.astype(dtype))
+                n += coded.shape[1]
+            if ragged is not None:
+                raise RaggedRow(n + 1, len(columns), ragged)
+        except RiskbnError as exc:
+            error = exc
+    if error is not None or columns is None:  # None, None: an empty input
+        raise error or RaggedRow(0, 1, 0)
     return _dataset(schema, n, columns)
 
 
@@ -749,9 +743,10 @@ def apply_filters(dataset: Dataset, config: FilterConfig) -> tuple[Dataset, Filt
             raise MissingMetaColumn(
                 "honesty filter is on but the dataset has no honesty column"
             )
-        spec = dataset.schema.get("honesty")
-        no_idx = spec.states.index("No")
-        honesty_bad = honesty_col == no_idx
+        states = dataset.schema.get("honesty").states
+        if "No" not in states:
+            raise SchemaMismatch(f"honesty filter needs a 'No' state; honesty has {list(states)}")
+        honesty_bad = honesty_col == states.index("No")
 
     flagged = rt_bad | honesty_bad
     if config.action == "drop":

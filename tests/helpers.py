@@ -1,13 +1,13 @@
 """Shared test fixtures: hand-built networks, a random-network generator, an
 independent full-joint enumeration oracle, a brute-force topological-order
 oracle, the fill-in-graph elimination-order oracle, per-row dataset CSV
-oracles, the dataset loader's quote-free path alone and a model parse
-through ``json`` alone.
+oracles and a model parse through ``json`` alone.
 
 The joint oracle builds the complete joint tensor directly from CPT lookups
 over index grids; it shares no code with the variable-elimination engine, so
 agreement between the two is a real cross-check. The CSV oracles read and
-write one row at a time, cell by cell, the plainest reading of the format.
+write one row at a time, cell by cell, the plainest reading of the format;
+the reader splits its records one character at a time.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import os
+import re
 from itertools import chain
 from pathlib import Path
 from typing import Sequence
@@ -24,7 +25,7 @@ import numpy as np
 
 import riskbn
 from riskbn.core import Cpt, DagStructure, Network, VariableSpec, _json_limit_error, build_network
-from riskbn.data import MISSING_TOKENS, Dataset, Schema, _dataset, _decode_quote_free, _slices
+from riskbn.data import MISSING_TOKENS, Dataset, Schema
 from riskbn.errors import IllegalState, MalformedCsv, ModelSyntaxError, RaggedRow, UnknownColumn
 
 _RT_MAX = 2**31 - 1
@@ -214,14 +215,65 @@ def random_evidence(rng: np.random.Generator, network: Network,
     return out
 
 
+_FIELD_LIMIT = 131_072  # bytes
+
+
+def split_csv(text: str) -> list[list[str]]:
+    """The records of CSV ``text``, each the list of its cells' text, read
+    one character at a time. A ``"`` toggles quoting; commas and line ends
+    (``\\r\\n``, ``\\n`` or a bare ``\\r``) outside quotes end fields and
+    records; a quoted field loses its quotes, and ``""`` inside it is one
+    ``"``; a blank line is a record of no cells. MalformedCsv names the line
+    of the first (by offset) of: a field of more than ``_FIELD_LIMIT`` bytes
+    (at its start); an opening quote not at a field's start, or a closing
+    one followed by anything but a comma, a line end or a quote; a quote
+    still open at the end (at the last opening quote not after a quote)."""
+    errors = []  # (offset, rank, message)
+    records: list[list[str]] = []
+    row: list[str] = []
+    start, quotes, opener, i = 0, 0, 0, 0
+
+    def field(end: int) -> str:
+        raw = text[start:end]
+        if len(raw.encode("utf-8", "surrogatepass")) > _FIELD_LIMIT:
+            errors.append((start, 0, f"field larger than field limit ({_FIELD_LIMIT})"))
+        return raw[1:-1].replace('""', '"') if raw.startswith('"') else raw
+
+    while i < len(text):
+        c = text[i]
+        if c == '"':
+            if quotes % 2 == 0:
+                if i and text[i - 1] not in ',\r\n"':
+                    errors.append((i, 1, "a quote inside an unquoted field"))
+                if not i or text[i - 1] != '"':
+                    opener = i
+            elif i + 1 < len(text) and text[i + 1] not in ',\r\n"':
+                errors.append((i, 1, "text after a closing quote"))
+            quotes += 1
+        elif quotes % 2 == 0 and c in ",\r\n":
+            row.append(field(i))
+            if c != ",":
+                records.append(row if len(row) > 1 or start < i else [])
+                row = []
+                i += text.startswith("\r\n", i)
+            start = i + 1
+        i += 1
+    if quotes % 2:
+        errors.append((opener, 2, "a quoted field still open at the end of the input"))
+    if row or start < len(text):  # the last record has no line end
+        row.append(field(len(text)))
+        records.append(row)
+    if errors:
+        at, _, message = min(errors)
+        line = 1 + len(re.findall(r"\r\n?|\n", text[:at]))
+        raise MalformedCsv(f"line {line}: {message}")
+    return records
+
+
 def load_dataset_per_row(text: str, schema: Schema) -> Dataset:
     """Per-row, per-cell reading of the dataset CSV format; an oracle for
     ``riskbn.data.load_dataset``, which must agree on every value and error."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        rows = list(reader)
-    except csv.Error as exc:
-        raise MalformedCsv(f"line {reader.line_num}: {exc}") from None
+    rows = split_csv(text)
     if not rows or not rows[0]:  # an empty file, or a blank first line
         raise RaggedRow(0, 1, 0)
     header = [h.strip() for h in rows.pop(0)]
@@ -262,13 +314,6 @@ def load_dataset_per_row(text: str, schema: Schema) -> Dataset:
                     raise IllegalState(cell, i + 1, name)
                 rt_cols[name][i] = value
     return Dataset(schema, n, cat_cols, rt_cols, "ingest")
-
-
-def load_quote_free(data: bytes, schema: Schema) -> Dataset | None:
-    """The dataset in ``data`` when ``riskbn.data._decode_quote_free``
-    decodes all of it; otherwise None, where the CSV reader must decide."""
-    columns, n, rest = _decode_quote_free(_slices(data), schema)
-    return None if columns is None or rest is not None else _dataset(schema, n, columns)
 
 
 def save_dataset_per_row(dataset: Dataset) -> str:

@@ -570,6 +570,14 @@ def _bad_input_argv(case, tmp_path):
         data.write_text("Previous_CB_Offending,Answer\nYes,a\n")
         return ["fit", "--data", str(data), "--schema", str(small_structure(tmp_path)),
                 "--em-jitter", "nan", "--out", str(tmp_path / "m.json")]
+    if case == "honesty_filter_without_no":
+        structure = json.loads(small_structure(tmp_path).read_text())
+        structure["variables"].append({"name": "honesty", "states": ["Y", "N"], "kind": "meta"})
+        (tmp_path / "structure.json").write_text(json.dumps(structure))
+        data = tmp_path / "d.csv"
+        data.write_text("Previous_CB_Offending,Answer,honesty\nYes,a,Y\nNo,b,N\n")
+        return ["fit", "--data", str(data), "--schema", str(tmp_path / "structure.json"),
+                "--filter-honesty", "--out", str(tmp_path / "m.json")]
     if case.startswith("fit_"):
         data = tmp_path / "latent.csv"
         data.write_text("Previous_CB_Offending,Answer\n,a\n,b\n,a\n")
@@ -593,6 +601,9 @@ def _bad_input_argv(case, tmp_path):
         return ["compare", str(a), str(b)]
     if case == "compare_no_rows":
         b.write_text("variable,score\n")
+        return ["compare", str(b), str(b)]
+    if case == "compare_short_row":
+        b.write_text("variable,score\nA,0.5\nB\n")
         return ["compare", str(b), str(b)]
     if case == "rt_overflow":
         data = tmp_path / "rt.csv"
@@ -637,6 +648,8 @@ _BAD_INPUT_MESSAGES = {
     "compare_nan": "data row 1",
     "compare_duplicate_variable": "'x' repeats in data row 3",
     "compare_no_rows": "no data rows",
+    "compare_short_row": "data row 2 has 1 cells, expected 2",
+    "honesty_filter_without_no": "honesty filter needs a 'No' state; honesty has ['Y', 'N']",
     "non_utf8_data": "not UTF-8",
     "rt_overflow": "'3000000000' for column 'rt_A1Q1_PhotoSharing' in data row 2",
     "validate_deep_json": "JSON nests 100000 levels deep, too deep to parse (line 1, column 100000)",
@@ -663,7 +676,8 @@ _FLAG_KIND_CASES = ["fit_seed_negative", "profiles_max_evals_zero", "fit_ess_inf
                                   "fit_ess_inf", "fit_target_unknown", "fit_latent_unknown",
                                   "compare_non_numeric",
                                   "compare_nan", "compare_duplicate_variable",
-                                  "compare_no_rows", "non_utf8_data", "rt_overflow",
+                                  "compare_no_rows", "compare_short_row",
+                                  "honesty_filter_without_no", "non_utf8_data", "rt_overflow",
                                   "validate_deep_json", "validate_long_integer",
                                   "query_evidence_malformed", "multifactor_max_evals_nan",
                                   "multifactor_max_evals_inf", "multifactor_prior_p_nan",

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import load_dataset_per_row, load_quote_free, save_dataset_per_row
+from helpers import load_dataset_per_row, save_dataset_per_row, split_csv
 from riskbn.analysis import influence_strength, risk_profiles
 from riskbn.core import VariableSpec
 from riskbn.data import (
@@ -17,7 +17,6 @@ from riskbn.data import (
     Dataset,
     FilterConfig,
     Schema,
-    _lines,
     _slices,
     apply_filters,
     build_default_generator,
@@ -38,6 +37,7 @@ from riskbn.errors import (
     MissingMetaColumn,
     NotUtf8,
     RaggedRow,
+    SchemaMismatch,
     UnknownColumn,
 )
 from riskbn.inference import marginal
@@ -194,10 +194,6 @@ def _load_text_and_bytes(text, schema):
     return outcome
 
 
-def _quote_free(text, schema):
-    return load_quote_free(text.encode(), schema)
-
-
 _DIFF_COLUMNS = ["Gender", "Age", "honesty", "rt_A1Q1_PhotoSharing", "rt_A1Q2_Sociable"]
 _DIFF_CELLS = ["", "?", " ? ", "Male", " Male ", '"Male"', '" Female "', '"a,b"', "Blue",
                "12", "Yes", "No", "\r", "900", "+5", "5_000", "-5", "2147483647",
@@ -230,14 +226,24 @@ def test_load_dataset_matches_per_row_oracle_on_text(body):
         == _load_outcome(load_dataset_per_row, text, schema)
 
 
-@pytest.mark.parametrize("chunk_rows", [1, 3])
-def test_load_dataset_matches_per_row_oracle_in_tiny_chunks(monkeypatch, chunk_rows):
-    # chunk edges then fall across illegal cells, ragged rows and unsplittable
-    # lines, and every line is read from a slice of its own
-    monkeypatch.setattr("riskbn.data._CHUNK_ROWS", chunk_rows)
-    monkeypatch.setattr("riskbn.data._SLICE_BYTES", 1)
-    test_load_dataset_matches_per_row_oracle()
-    test_load_dataset_matches_per_row_oracle_on_text()
+def _csv_field_text(cell: str, quote: bool) -> str:
+    return '"' + cell.replace('"', '""') + '"' if quote or any(c in cell for c in ',"\r\n') \
+        else cell
+
+
+@given(st.lists(st.lists(st.tuples(st.text(alphabet='ab ,"\r\n\u00e4\u2028', max_size=5),
+                                   st.booleans()), max_size=4), max_size=6),
+       st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1, max_size=3), st.booleans())
+@example([[("", False)], [("a", False)]], ["\r"], True)  # a blank record
+@example([[('x"\r\ny', False), ("", True)]], ["\r\n"], False)
+@settings(max_examples=400, deadline=None)
+def test_split_csv_matches_csv_reader_on_rfc4180_text(rows, line_ends, last_end):
+    # the oracle's splitter reads well-formed text as the csv module does
+    lines = [",".join(_csv_field_text(cell, quote) for cell, quote in row) for row in rows]
+    text = "".join(line + line_ends[i % len(line_ends)] for i, line in enumerate(lines))
+    if lines and not last_end:
+        text = text[:-len(line_ends[(len(lines) - 1) % len(line_ends)])]
+    assert split_csv(text) == list(csv.reader(io.StringIO(text, newline="")))
 
 
 _QUOTE_FREE_COLUMNS = _DIFF_COLUMNS + ["Migratory_Background"]
@@ -269,8 +275,6 @@ def test_quote_free_load_matches_per_row_oracle(header, rows, separators, last_e
     expected = _load_outcome(load_dataset_per_row, text, schema)
     with mock.patch("riskbn.data._SLICE_BYTES", slice_chars):
         assert _load_text_and_bytes(text, schema) == expected
-        if "\0" not in text and isinstance(expected[0], int):  # loaded: numpy read it all
-            assert _load_outcome(_quote_free, text, schema) == expected
 
 
 _LOOKALIKES = Schema((VariableSpec("Q", (
@@ -285,12 +289,12 @@ _LOOKALIKES = Schema((VariableSpec("Q", (
     ("aaaaaaaaaa", "aaaaaaaaa"),  # lengths differ; the first word of each is all of the shorter
 ])
 def test_cells_that_share_a_hash_are_told_apart(monkeypatch, pair):
-    text = "Q\n" + "".join(f"{cell}\n" * 3 for cell in pair)
+    text = "Q\n" + "".join(f"{cell}\n" * 3 for cell in pair) + f"{pair[0]}\n"
     expected = _load_outcome(load_dataset_per_row, text, _LOOKALIKES)
-    assert _load_outcome(_quote_free, text, _LOOKALIKES) == expected
-    # a hash of the first word alone puts both texts in one group
+    assert _load_outcome(load_dataset, text, _LOOKALIKES) == expected
+    # a hash of the first word alone puts both texts in one group, which is
+    # then split wherever its texts differ
     monkeypatch.setattr("riskbn.data._HASH_FACTORS", np.zeros(2, np.uint64))
-    assert _quote_free(text, _LOOKALIKES) is None
     assert _load_outcome(load_dataset, text, _LOOKALIKES) == expected
 
 
@@ -299,38 +303,18 @@ def test_cells_either_side_of_the_exact_key_length_are_told_apart():
     states = ("aaaaaaaA", "aaaaaaaI", "aaaaaaaaA", "aaaaaaaaI", "aaaaaaaaaA", "aaaaaaaaaI")
     schema = Schema((VariableSpec("Q", states),))
     text = "Q\n" + "\n".join(states * 2) + "\n"
-    assert _load_outcome(_quote_free, text, schema) \
+    assert _load_outcome(load_dataset, text, schema) \
         == _load_outcome(load_dataset_per_row, text, schema)
 
 
-@pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
-def test_quote_free_cohort_reaches_csv_reader_only_for_its_header(monkeypatch, line_end):
-    text = save_dataset(simulate_dataset(20_000, 0)).replace("\n", line_end)
-    rows_read = []
-    reader = csv.reader
-
-    def spy(lines):
-        for row in reader(lines):
-            rows_read.append(row)
-            yield row
-
-    monkeypatch.setattr(csv, "reader", spy)
-    ds = load_dataset(text, default_schema())
-    assert ds.n == 20_000 and len(rows_read) == 1
-    assert _load_outcome(lambda t, s: ds, text, ds.schema) \
-        == _load_outcome(load_dataset_per_row, text, ds.schema)
-
-
 def _load_in_every_chunking(monkeypatch, text, schema, slice_chars=None):
-    """Load ``text`` in chunks of 1-4 rows and at each slice size given
-    (default: every size up to the text's length); every outcome must equal
-    the per-row oracle's, which is returned."""
+    """Load ``text`` at each slice size given (default: every size up to the
+    text's length); every outcome must equal the per-row oracle's, which is
+    returned."""
     expected = _load_outcome(load_dataset_per_row, text, schema)
-    for chunk_rows in (1, 2, 3, 4):
-        for chars in slice_chars or range(1, len(text) + 2):
-            monkeypatch.setattr("riskbn.data._CHUNK_ROWS", chunk_rows)
-            monkeypatch.setattr("riskbn.data._SLICE_BYTES", chars)
-            assert _load_text_and_bytes(text, schema) == expected, (chunk_rows, chars)
+    for chars in slice_chars or range(1, len(text) + 2):
+        monkeypatch.setattr("riskbn.data._SLICE_BYTES", chars)
+        assert _load_text_and_bytes(text, schema) == expected, chars
     return expected
 
 
@@ -381,8 +365,11 @@ _CR_LINES = "".join(f"Male,{i}\r" for i in range(30_000))
     _CR_LINES + "Male,-1\n",
 ], ids=["cr", "crlf", "mixed", "cr-then-lf"])
 def test_lines_match_one_string_reader(monkeypatch, text, slice_chars):
+    # each slice ends at a line end, and never between the halves of a \r\n
     monkeypatch.setattr("riskbn.data._SLICE_BYTES", slice_chars)
-    assert list(_lines(_slices(text.encode()))) == list(io.StringIO(text, newline=""))
+    assert [line for piece in _slices(text.encode())
+            for line in io.StringIO(piece.decode(), newline="")] \
+        == list(io.StringIO(text, newline=""))
 
 
 def _load_peak(data: str | bytes, n: int) -> int:
@@ -500,37 +487,92 @@ def test_streamed_load_matches_the_bytes_path_in_any_slice_size(
             assert _stream_outcome(_Pipe(raw, most), schema) == expected
 
 
-def test_csv_reader_takes_over_from_the_slice_that_holds_a_quote(monkeypatch):
-    # numpy decodes the slices before the quote, the CSV reader the rest,
-    # and no byte is read twice
-    lines = save_dataset(simulate_dataset(20_000, 0)).splitlines(keepends=True)
-    lines[15_000] = lines[15_000].replace("Answer", '"Answer"', 1)
-    text = "".join(lines)
+_QUOTING_SCHEMA = Schema((
+    VariableSpec("Gender", ("Male", "Female")),
+    VariableSpec("Q", ("a,b", 'Ma"le', "x\ny", "p\r\nq", "r\rs", '"', "Male"), "game"),
+    VariableSpec("honesty", ("Yes", "No"), "meta"),
+))
+_QUOTED_CELLS = ["Male", '"Male"', '" Female "', '""', '"?"', "", "?", '"a,b"', '"Ma""le"',
+                 '"x\ny"', '"p\r\nq"', '"r\rs"', '""""', "900", '"900"', '"9""00"', "Blue",
+                 '"Bl,ue"', "M\xe4le", '"M\xe4,le"', '"Yes"']
+_REFUSED_CELLS = ['"Ma"le', 'Ma"le', '"Male" ', ' "Male"', '"Ma']
+
+
+@given(st.lists(st.sampled_from(["Gender", '"Q"', "Q", "rt_Q", '"rt_Q"', '"hon""esty"',
+                                 '"honesty"']), min_size=1, max_size=3, unique=True),
+       st.lists(st.lists(st.sampled_from(_QUOTED_CELLS), min_size=1, max_size=3), max_size=10),
+       st.one_of(st.none(), st.tuples(st.integers(0, 10), st.sampled_from(_REFUSED_CELLS))),
+       st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1, max_size=3),
+       st.booleans(), st.integers(1, 9))
+@example(['"Gender"', "Q"], [['"Male"', '"a,b"'], ["Male", '"Ma""le"']], None, ["\n"], True, 1)
+@example(["Q"], [['"x\ny"'], ['"p\r\nq"'], ['"r\rs"'], ['""""']], None, ["\r"], False, 2)
+@example(["Gender"], [["Male"]] * 3, (2, '"Ma"le'), ["\r\n"], True, 3)
+@example(["Gender"], [["Male"]] * 3, (1, 'Ma"le'), ["\n"], True, 3)
+@example(["Gender"], [["Male"]] * 3, (3, '"Ma'), ["\n"], False, 3)
+@settings(max_examples=200, deadline=None)
+def test_quoted_cohort_matches_per_row_oracle_in_any_slice_size(
+        header, rows, refused, line_ends, last_end, most):
+    # quoted cells and headers, doubled quotes, and commas and line ends
+    # inside quotes; at most one cell in a form that is refused
+    rows = [list(row) for row in rows]
+    if refused is not None:
+        at, cell = refused
+        if at < len(rows):
+            rows[at][0] = cell
+        else:
+            rows.append([cell])
+    lines = [",".join(row) for row in [header, *rows]]
+    text = "".join(line + line_ends[i % len(line_ends)] for i, line in enumerate(lines))
+    if not last_end:
+        text = text[:-len(line_ends[(len(lines) - 1) % len(line_ends)])]
     raw = text.encode()
-    rows_read = []
-    reader = csv.reader
+    expected = _load_outcome(load_dataset_per_row, text, _QUOTING_SCHEMA)
+    if refused is not None:
+        assert expected[0] is MalformedCsv
+    for slice_bytes in (1, 7, 64, 1 << 18):
+        with mock.patch("riskbn.data._SLICE_BYTES", slice_bytes):
+            assert _load_text_and_bytes(text, _QUOTING_SCHEMA) == expected
+            assert _load_outcome(lambda t, s: load_dataset(_Pipe(raw, most), s),
+                                 text, _QUOTING_SCHEMA) == expected
 
-    def spy(source):
-        for row in reader(source):
-            rows_read.append(row)
-            yield row
 
-    monkeypatch.setattr(csv, "reader", spy)
-    pipe = _Pipe(raw, 1 << 30)
-    ds = load_dataset(pipe, default_schema())
-    assert pipe.at == len(raw) and ds.n == 20_000
-    assert 1 < len(rows_read) < 6_000  # the header line, then the rows from the quote's slice
-    assert _load_outcome(lambda t, s: ds, text, ds.schema) \
-        == _load_outcome(load_dataset_per_row, text, ds.schema)
-    monkeypatch.undo()
-    # row and line numbers count the rows numpy decoded
-    for bad, expected in ((lines[19_000].replace("Answer1", "Blue", 1), "data row 19000"),
-                          ("x" * 200_000 + "\n", "line 19001: field larger than field limit")):
-        broken = "".join(lines[:19_000] + [bad] + lines[19_001:])
-        with pytest.raises(RiskbnError) as exc:
-            load_dataset(_Pipe(broken.encode(), 1 << 30), default_schema())
-        assert expected in str(exc.value)
-        assert str(exc.value) == str(_load_outcome(load_dataset_per_row, broken, ds.schema)[1])
+@pytest.mark.parametrize("text, message", [
+    ('Gender\nMale\n"Ma"le\n', "line 3: text after a closing quote"),
+    ('Gender\n"Ma\nle"x\nMale\n', "line 3: text after a closing quote"),
+    ('Gender\nMa"le\nMale\n', "line 2: a quote inside an unquoted field"),
+    ('Gender\nMale\n "Male"\n', "line 3: a quote inside an unquoted field"),
+    ('Gender\nMale\r\n"Ma\r\nMale\r\n',
+     "line 3: a quoted field still open at the end of the input"),
+    ('Gender\nBlue\n"' + "x" * 200_000 + '"\n', "line 3: field larger than field limit (131072)"),
+])
+def test_odd_quotes_are_refused_naming_their_line(monkeypatch, text, message):
+    # the lenient csv dialect reads these; RFC 4180 does not allow them
+    assert _load_in_every_chunking(monkeypatch, text, default_schema(), (1, 7, 1 << 18)) \
+        == (MalformedCsv, message)
+
+
+def test_cells_that_differ_only_by_trailing_nuls_are_told_apart():
+    # a cell of at most 8 bytes is its own key only where no cell holds a NUL
+    schema = Schema((VariableSpec("Q", ("Ma", "Ma\0", "Ma\0\0\0\0\0\0", "Ma\0\0\0\0\0\0\0")),
+                     VariableSpec("Gender", ("Male", "Female"))))
+    text = "Q,Gender\nMa,Male\nMa\0,Male\nMa\0\0\0\0\0\0,\nMa\0\0\0\0\0\0\0,\nMa,Female\n"
+    assert _load_text_and_bytes(text, schema) == _load_outcome(load_dataset_per_row, text, schema) \
+        == (5, {"Q": [0, 1, 2, 3, 0], "Gender": [0, 0, -1, -1, 1]}, {})
+    text = "Q,Gender\nMa,\n\0,Male\n"  # an empty cell and a NUL
+    assert _load_text_and_bytes(text, schema) == _load_outcome(load_dataset_per_row, text, schema) \
+        == (IllegalState, "illegal value '\\x00' for column 'Q' in data row 2")
+
+
+def test_every_cell_quoted_100k_cohort_loads_the_same_columns_in_bounded_memory():
+    text = save_dataset(simulate_dataset(100_000, 0))
+    quoted = "".join(",".join(f'"{cell}"' for cell in line.split(",")) + "\n"
+                     for line in text.splitlines())
+    plain = load_dataset(text, default_schema())
+    assert _load_peak(quoted, 100_000) <= 32e6
+    ds = load_dataset(quoted.encode(), default_schema())
+    assert ds.columns.keys() == plain.columns.keys()
+    for name, column in plain.columns.items():
+        assert np.array_equal(ds.columns[name], column)
 
 
 def test_load_from_a_file_grows_only_by_the_columns(tmp_path):
@@ -690,6 +732,15 @@ def test_missing_meta_column_raises():
         apply_filters(ds, FilterConfig(min_response_time_ms=800))
     with pytest.raises(MissingMetaColumn):
         apply_filters(ds, FilterConfig(min_response_time_ms=None, require_honesty=True))
+
+
+def test_honesty_filter_without_a_no_state_is_a_schema_mismatch():
+    schema = Schema((VariableSpec("Gender", ("Male", "Female")),
+                     VariableSpec("honesty", ("Y", "N"), "meta")))
+    ds = load_dataset("Gender,honesty\nMale,Y\nFemale,N\n", schema)
+    with pytest.raises(SchemaMismatch) as exc:
+        apply_filters(ds, FilterConfig(min_response_time_ms=None, require_honesty=True))
+    assert str(exc.value) == "honesty filter needs a 'No' state; honesty has ['Y', 'N']"
 
 
 # --- generator ----------------------------------------------------------------------
