@@ -2,9 +2,9 @@
 
 Core surface: network construction and serialization (:mod:`riskbn.core`),
 exact inference and sampling (:mod:`riskbn.inference`), Dirichlet/EM
-parameter learning (:mod:`riskbn.learning`), the influence/multi-factor/
-rank-comparison analyses (:mod:`riskbn.analysis`) and the schema, ingestion
-and synthetic-generator layer (:mod:`riskbn.data`).
+parameter learning (:mod:`riskbn.learning`), the influence and multi-factor
+analyses (:mod:`riskbn.analysis`), rank comparison (:mod:`riskbn.ranks`) and
+the schema, ingestion and synthetic-generator layer (:mod:`riskbn.data`).
 
 ``import riskbn`` loads no submodule and not numpy: each name below, and
 each submodule, is imported on first access (PEP 562), so a command pays
@@ -35,11 +35,11 @@ _EXPORTS = {
         "log_likelihood",
     ),
     "analysis": (
-        "MultiFactorResult", "RankComparison", "RiskProfileSet", "StrengthReport",
-        "bayes_factor", "bf_threshold_posterior", "conditional_profile",
-        "influence_strength", "multifactor_search", "risk_profiles", "spearman",
-        "strength_ranking",
+        "MultiFactorResult", "RiskProfileSet", "StrengthReport", "bayes_factor",
+        "bf_threshold_posterior", "conditional_profile", "influence_strength",
+        "multifactor_search", "risk_profiles", "strength_ranking",
     ),
+    "ranks": ("RankComparison", "spearman"),
     "data": (
         "Dataset", "FilterConfig", "GeneratorSpec", "Schema", "apply_filters",
         "build_default_generator", "calibration_targets", "dataset_from_batch",

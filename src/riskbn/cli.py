@@ -17,8 +17,9 @@ peak memory.
 
 Each command imports the modules it runs, numpy among them, inside its
 handler: ``validate`` loads no data, learning or analysis code, and
-``--version``, ``--help`` and a refused flag load no numpy. The cohort is
-never held whole: ``summarize`` and ``fit`` pass the open ``--data`` file to
+``--version``, ``--help``, a refused flag and ``compare`` (plain Python,
+:mod:`riskbn.ranks`) load no numpy. The cohort is never held whole:
+``summarize`` and ``fit`` pass the open ``--data`` file to
 :func:`~riskbn.data.load_dataset`, which reads it a slice at a time, and
 ``simulate`` samples, renders and writes one block of records at a time.
 
@@ -484,7 +485,10 @@ def _read_ranking_csv(path: str) -> dict[str, float]:
         raise VariableSetMismatch(f"{path} is not a strength CSV (variable/score columns)")
     scores: dict[str, float] = {}
     for i, row in enumerate(rows, start=1):
-        if None in row.values():  # DictReader pads a short row with None
+        extra = row.pop(None, None)  # DictReader keys a long row's extra cells None
+        if extra is not None:
+            raise RaggedRow(i, len(reader.fieldnames), len(reader.fieldnames) + len(extra))
+        if None in row.values():  # and pads a short row with None
             raise RaggedRow(i, len(row), len(row) - list(row.values()).count(None))
         try:
             score = float(row["score"])
@@ -502,7 +506,7 @@ def _read_ranking_csv(path: str) -> dict[str, float]:
 
 
 def cmd_compare(args, run: _Run) -> None:
-    from .analysis import spearman
+    from .ranks import spearman
 
     ranking_a = _read_ranking_csv(args.ranking_a)
     ranking_b = _read_ranking_csv(args.ranking_b)

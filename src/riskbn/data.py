@@ -258,23 +258,29 @@ def _slices(source: bytes | BinaryIO, check: bool = False) -> Iterator[bytes]:
     input, so no record, and no UTF-8 character, straddles two slices. A
     byte is outside quotes where the quotes before it are even in number.
     While the last line end read is not such a one, each read doubles, so a
-    long record costs time linear in its length.
+    long record costs time linear in its length. Once the quoted field that
+    holds that line end is longer than ``_FIELD_LIMIT``, the slice ends
+    there instead: :func:`_split` refuses it, and the later slices, cut at
+    any line end, are only read for their UTF-8 check.
 
     With ``check``, each slice is checked as strict UTF-8 as it is read
     (NotUtf8 names the input offset of the first bad byte), and a leading
     byte-order mark is dropped."""
     if isinstance(source, (bytes, bytearray)):
         source = io.BytesIO(source)  # shares the bytes; reads copy a slice at a time
-    buf, at, eof = b"", 0, False  # ``at``: the input offset of ``buf``
+    buf, at, eof, refused = b"", 0, False, False  # ``at``: the input offset of ``buf``
     while not eof:
         more = source.read(max(_SLICE_BYTES, len(buf)))
         eof = not more
         buf += more
         # a \r that ends what was read may be the first half of a \r\n
         last = max(buf.rfind(b"\n"), buf.rfind(b"\r", 0, len(buf) - (not eof)))
-        if (buf.find(b'"', 0, last) >= 0
+        if (not refused and buf.find(b'"', 0, last) >= 0
                 and np.count_nonzero(np.frombuffer(buf, np.uint8, max(last, 0)) == 34) % 2):
-            last = -1  # that line end is inside quotes: read on
+            # that line end is inside quotes: read on, unless its field is past the limit
+            refused = last - _quote_opener(np.frombuffer(buf, np.uint8, last)) >= _FIELD_LIMIT
+            if not refused:
+                last = -1
         cut = len(buf) if eof else last + 1
         if cut == 0:
             continue
@@ -289,6 +295,14 @@ def _slices(source: bytes | BinaryIO, check: bool = False) -> Iterator[bytes]:
         at += cut
         if piece:
             yield piece
+
+
+def _quote_opener(b: np.ndarray) -> int:
+    """Where the quoted field still open at the end of ``b`` (which holds an
+    odd number of quotes) opens: at the last opening quote that is not the
+    second half of a ``""``."""
+    opening = np.flatnonzero(b == 34)[::2]
+    return int(opening[(opening == 0) | (b[opening - 1] != 34)][-1])
 
 
 def _field_text(raw: bytes, start: int, end: int) -> str:
@@ -400,9 +414,9 @@ def _split(b: np.ndarray, size: int, lines: int, quoted: bool):
         errors += [(at[0], 1, message) for at, message in (
             (stray, "a quote inside an unquoted field"), (after, "text after a closing quote"))
             if len(at)]
-        if len(quotes) % 2:  # only the input's last slice can end inside quotes
-            opener = opening[(opening == 0) | (b[opening - 1] != 34)][-1]
-            errors.append((opener, 2, "a quoted field still open at the end of the input"))
+        if len(quotes) % 2:  # the input's last slice, or one ``_slices`` ended in a long field
+            errors.append((_quote_opener(data), 2,
+                           "a quoted field still open at the end of the input"))
     if not len(line_end) or next_line[-1] < size:  # the last record has no line end
         line_end = np.append(line_end, size)
         next_line = np.append(next_line, size + 1)

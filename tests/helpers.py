@@ -1,7 +1,8 @@
 """Shared test fixtures: hand-built networks, a random-network generator, an
 independent full-joint enumeration oracle, a brute-force topological-order
 oracle, the fill-in-graph elimination-order oracle, per-row dataset CSV
-oracles and a model parse through ``json`` alone.
+oracles, a model parse through ``json`` alone, and Spearman's rho through
+numpy.
 
 The joint oracle builds the complete joint tensor directly from CPT lookups
 over index grids; it shares no code with the variable-elimination engine, so
@@ -15,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import re
 from itertools import chain
@@ -26,7 +28,16 @@ import numpy as np
 import riskbn
 from riskbn.core import Cpt, DagStructure, Network, VariableSpec, _json_limit_error, build_network
 from riskbn.data import MISSING_TOKENS, Dataset, Schema
-from riskbn.errors import IllegalState, MalformedCsv, ModelSyntaxError, RaggedRow, UnknownColumn
+from riskbn.errors import (
+    DomainError,
+    IllegalState,
+    LengthMismatch,
+    MalformedCsv,
+    ModelSyntaxError,
+    RaggedRow,
+    UnknownColumn,
+)
+from riskbn.ranks import RankComparison, _student_t_two_sided
 
 _RT_MAX = 2**31 - 1
 
@@ -438,3 +449,45 @@ def _rows_array(pairs: list[tuple[str, object]]) -> dict:
         except OverflowError:  # an integer past float64
             pass
     return obj
+
+
+def average_ranks_numpy(x: np.ndarray) -> np.ndarray:
+    """1-based ranks from a stable argsort; each run of tied values gets the
+    mean of its positions."""
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts_run = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    starts = np.flatnonzero(starts_run)
+    ends = np.append(starts[1:], x.shape[0])
+    ranks = np.empty(x.shape[0])
+    ranks[order] = ((starts + 1 + ends) / 2.0)[np.cumsum(starts_run) - 1]
+    return ranks
+
+
+def spearman_numpy(scores_a, scores_b) -> RankComparison:
+    """Spearman's rho from numpy's ranks and ``np.corrcoef``, with the same
+    checks, messages and t tail as :func:`riskbn.ranks.spearman`."""
+    a = np.asarray(scores_a, dtype=np.float64)
+    b = np.asarray(scores_b, dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 1:
+        raise LengthMismatch(f"paired score lists differ: {a.shape} vs {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DomainError("scores must be finite")
+    n = a.shape[0]
+    if n < 2:
+        raise DomainError("need at least two paired scores")
+    ra = average_ranks_numpy(a)
+    rb = average_ranks_numpy(b)
+    if np.ptp(ra) == 0 or np.ptp(rb) == 0:
+        raise DomainError("constant ranks: correlation undefined")
+    if np.array_equal(ra, rb):
+        rho = 1.0
+    elif np.array_equal(ra + rb, np.full(n, n + 1.0)):
+        rho = -1.0
+    else:
+        rho = float(np.corrcoef(ra, rb)[0, 1])
+        rho = max(-1.0, min(1.0, rho))
+    if abs(rho) == 1.0 or n == 2:
+        return RankComparison(rho, 0.0, n, exact_extreme=True)
+    t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
+    return RankComparison(rho, _student_t_two_sided(t, n - 2), n)

@@ -16,7 +16,6 @@ from riskbn.analysis import (
     bf_threshold_posterior,
     influence_strength,
     multifactor_search,
-    spearman,
     strength_ranking,
 )
 from riskbn.cli import main
@@ -37,6 +36,7 @@ from riskbn.inference import (
     posterior,
 )
 from riskbn.learning import EmConfig, em_fit, fit_cpts
+from riskbn.ranks import spearman
 from riskbn.data import build_default_generator
 
 from helpers import JointOracle, random_evidence, random_network

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from riskbn import analysis, inference
 from riskbn.analysis import (
     DEFAULT_MAX_EVALS,
-    _average_ranks,
-    _student_t_two_sided,
     bayes_factor,
     bf_threshold_posterior,
     conditional_profile,
@@ -20,7 +18,6 @@ from riskbn.analysis import (
     influence_strength,
     multifactor_search,
     risk_profiles,
-    spearman,
     strength_ranking,
 )
 from riskbn.core import Cpt, DagStructure, VariableSpec, build_network
@@ -33,8 +30,16 @@ from riskbn.errors import (
 )
 from riskbn.inference import joint_table, marginal
 from riskbn.learning import fit_cpts
+from riskbn.ranks import _average_ranks, _student_t_two_sided, spearman
 
-from helpers import JointOracle, chain_network, copy_network, random_network
+from helpers import (
+    JointOracle,
+    average_ranks_numpy,
+    chain_network,
+    copy_network,
+    random_network,
+    spearman_numpy,
+)
 
 
 def h2(p: float) -> float:
@@ -638,7 +643,7 @@ def test_student_t_tail_closed_forms(t):
 @settings(max_examples=200, deadline=None)
 def test_average_ranks_match_scipy(xs):
     from scipy import stats as sps
-    assert np.array_equal(_average_ranks(np.array(xs, dtype=np.float64)), sps.rankdata(xs))
+    assert np.array_equal(_average_ranks(xs), sps.rankdata(xs))
 
 
 @pytest.mark.parametrize("n", [3, 10, 100, 1000])
@@ -682,3 +687,39 @@ def test_spearman_invariant_under_monotone_transform(xs, scale):
     assert transformed.rho == pytest.approx(base.rho, abs=1e-12)
     cubed = spearman([x ** 3 for x in xs], ys)
     assert cubed.rho == pytest.approx(base.rho, abs=1e-12)
+
+
+def _spearman_outcome(compare, a, b):
+    """Rho and p-value to the bit, n and the exact flag; or the error class
+    and message."""
+    try:
+        r = compare(a, b)
+    except (DomainError, LengthMismatch) as exc:
+        return type(exc), str(exc)
+    return r.rho.hex(), r.p_value.hex(), r.n, r.exact_extreme
+
+
+@given(st.integers(2, 300), st.integers(1, 400), st.integers(0, 2**32 - 1),
+       st.sampled_from(["drawn", "identical", "reversed", "negated", "constant", "nan", "inf",
+                        "longer", "shorter"]))
+@settings(max_examples=400, deadline=None)
+def test_spearman_matches_the_numpy_formula_bit_for_bit(n, distinct, seed, pairing):
+    # scores drawn from a palette of ``distinct`` values: a small palette
+    # makes long runs of ties; -0.0 ties 0.0. Negated scores rank in the
+    # reverse order, ties included.
+    rng = np.random.default_rng(seed)
+    palette = np.append(rng.normal(0.0, 10.0 ** rng.integers(-3, 9), distinct), [0.0, -0.0])
+    a, b = rng.choice(palette, (2, n)).tolist()
+    if pairing in ("identical", "reversed", "negated"):
+        b = {"identical": a, "reversed": a[::-1], "negated": [-x for x in a]}[pairing]
+    elif pairing == "constant":
+        a = [a[0]] * n
+    elif pairing in ("nan", "inf"):
+        b[rng.integers(n)] = float(pairing)
+    elif pairing in ("longer", "shorter"):
+        b = b + [0.0] if pairing == "longer" else b[:-1]
+    assert _average_ranks(a) == average_ranks_numpy(np.array(a)).tolist()
+    expected = _spearman_outcome(spearman_numpy, a, b)
+    assert _spearman_outcome(spearman, a, b) == expected
+    if pairing in ("constant", "nan", "inf", "longer", "shorter"):
+        assert expected[0] in (DomainError, LengthMismatch)

@@ -605,6 +605,9 @@ def _bad_input_argv(case, tmp_path):
     if case == "compare_short_row":
         b.write_text("variable,score\nA,0.5\nB\n")
         return ["compare", str(b), str(b)]
+    if case == "compare_long_row":
+        b.write_text("variable,score\nA,0.5\nB,1,2,3\nC,0.7\n")
+        return ["compare", str(b), str(b)]
     if case == "rt_overflow":
         data = tmp_path / "rt.csv"
         data.write_text("Gender,rt_A1Q1_PhotoSharing\nMale,900\nFemale,3000000000\n")
@@ -649,6 +652,7 @@ _BAD_INPUT_MESSAGES = {
     "compare_duplicate_variable": "'x' repeats in data row 3",
     "compare_no_rows": "no data rows",
     "compare_short_row": "data row 2 has 1 cells, expected 2",
+    "compare_long_row": "data row 2 has 4 cells, expected 2",
     "honesty_filter_without_no": "honesty filter needs a 'No' state; honesty has ['Y', 'N']",
     "non_utf8_data": "not UTF-8",
     "rt_overflow": "'3000000000' for column 'rt_A1Q1_PhotoSharing' in data row 2",
@@ -676,7 +680,7 @@ _FLAG_KIND_CASES = ["fit_seed_negative", "profiles_max_evals_zero", "fit_ess_inf
                                   "fit_ess_inf", "fit_target_unknown", "fit_latent_unknown",
                                   "compare_non_numeric",
                                   "compare_nan", "compare_duplicate_variable",
-                                  "compare_no_rows", "compare_short_row",
+                                  "compare_no_rows", "compare_short_row", "compare_long_row",
                                   "honesty_filter_without_no", "non_utf8_data", "rt_overflow",
                                   "validate_deep_json", "validate_long_integer",
                                   "query_evidence_malformed", "multifactor_max_evals_nan",
@@ -1021,11 +1025,12 @@ def test_cli_runs_without_scipy(tmp_path):
 _COMMAND_MODULES = {
     "validate": set(),
     "query": {"inference"},
-    "strength": {"inference", "analysis", "charts"},
-    "profile": {"inference", "analysis", "charts"},
-    "multifactor": {"inference", "analysis", "charts"},
-    "profiles": {"inference", "analysis", "charts"},
-    "compare": {"inference", "analysis"},
+    # riskbn.analysis re-exports the names of riskbn.ranks
+    "strength": {"inference", "analysis", "ranks", "charts"},
+    "profile": {"inference", "analysis", "ranks", "charts"},
+    "multifactor": {"inference", "analysis", "ranks", "charts"},
+    "profiles": {"inference", "analysis", "ranks", "charts"},
+    "compare": {"ranks"},
     "simulate": {"data", "inference"},
     "summarize": {"data", "inference"},
     "fit": {"data", "learning", "inference"},
@@ -1066,6 +1071,8 @@ def test_each_command_imports_only_its_modules(tmp_path, command):
     loaded = _child_modules(script, cwd=tmp_path)
     allowed = _COMMAND_MODULES[command] | {"core", "errors", "cli"}
     assert set(loaded) - {"numpy", "riskbn"} <= {f"riskbn.{m}" for m in allowed}
+    if command == "compare":  # plain Python: no numpy, and so no riskbn.core
+        assert "numpy" not in loaded
 
 
 def test_every_public_name_and_submodule_resolves_to_its_modules_object():

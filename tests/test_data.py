@@ -411,7 +411,9 @@ def test_load_dataset_of_100k_cohort_bytes_makes_no_whole_copy(prefix):
     (_BOM + b"Gender\nF\xe9male\n", 11),  # the mark counts: offsets are the file's
     (b"Gender\nBlue\n" + b"x" * 200_000 + b"\nM\xc3", 200_014),  # past earlier CSV errors
     (b"Gender\nMale\n\xed\xa0\x80\n", 12),  # an encoded surrogate is not UTF-8
-], ids=["cell", "after-bom", "before-csv-errors", "surrogate"])
+    # after a quote that never closes, the field already refused as too long
+    (b'Gender\nBlue\n"' + b"x\n" * 100_000 + b"M\xff\n", 200_014),
+], ids=["cell", "after-bom", "before-csv-errors", "surrogate", "after-open-quote"])
 def test_bytes_that_are_not_utf8_name_the_first_bad_byte(monkeypatch, slice_bytes, raw, offset):
     monkeypatch.setattr("riskbn.data._SLICE_BYTES", slice_bytes)
     with pytest.raises(NotUtf8) as exc:
@@ -544,6 +546,12 @@ def test_quoted_cohort_matches_per_row_oracle_in_any_slice_size(
     ('Gender\nMale\r\n"Ma\r\nMale\r\n',
      "line 3: a quoted field still open at the end of the input"),
     ('Gender\nBlue\n"' + "x" * 200_000 + '"\n', "line 3: field larger than field limit (131072)"),
+    # line ends inside the long field, which never closes, or closes after
+    # many a "" and then errs again
+    pytest.param('Gender\nBlue\n"' + "x\n" * 100_000,
+                 "line 3: field larger than field limit (131072)", id="never-closed"),
+    pytest.param('Gender\nBlue\n"' + 'x""\n' * 50_000 + '"x\nMa"le\n',
+                 "line 3: field larger than field limit (131072)", id="closed-late"),
 ])
 def test_odd_quotes_are_refused_naming_their_line(monkeypatch, text, message):
     # the lenient csv dialect reads these; RFC 4180 does not allow them
@@ -573,6 +581,22 @@ def test_every_cell_quoted_100k_cohort_loads_the_same_columns_in_bounded_memory(
     assert ds.columns.keys() == plain.columns.keys()
     for name, column in plain.columns.items():
         assert np.array_equal(ds.columns[name], column)
+
+
+def test_a_quote_that_never_closes_is_refused_in_the_memory_of_a_plain_load():
+    # the quoted field it opens is refused once it holds _FIELD_LIMIT bytes,
+    # not when the input ends
+    raw = save_dataset(simulate_dataset(100_000, 0)).encode()
+    lines = raw.split(b"\n")
+    stray = b"\n".join([*lines[:2], b'"' + lines[2], *lines[3:]])
+    plain = _traced_peak(lambda: load_dataset(io.BytesIO(raw), default_schema()))
+
+    def refuse():
+        with pytest.raises(MalformedCsv) as exc:
+            load_dataset(io.BytesIO(stray), default_schema())
+        assert str(exc.value) == "line 3: field larger than field limit (131072)"
+
+    assert _traced_peak(refuse) <= plain
 
 
 def test_load_from_a_file_grows_only_by_the_columns(tmp_path):
