@@ -1,19 +1,23 @@
 """Command-line front end.
 
 Subcommands: validate, fit, strength, profile, multifactor, profiles,
-query, compare, simulate, summarize. ``main`` gives each command one run
-record (``_Run``), which derives once every path the command may write for
-``--out``; the command writes its outputs through it. Last, after every
-output, ``main`` writes the JSON run manifest next to the table (same path
-plus ``.manifest.json``). Its ``config`` is every parsed flag plus the
-values the command resolves; it also carries seeds, SHA-256 digests of the
-inputs and of exactly the files the command wrote (``outputs``), and the
-process's peak resident memory (``peak_rss_kb``). Each digest is of the
-bytes the command read or wrote, hashed as they pass, so no file is read
-twice and a piped input (``--data /dev/stdin``) gets the digest of what
-came through the pipe. Table outputs are byte-deterministic for a fixed
-configuration and seed; manifests additionally carry a timestamp and the
-peak memory.
+query, compare, simulate, summarize. ``main`` parses the flags, makes one
+run record (``_Run``) for the command, runs the command, and has the record
+write the manifest; it keeps no state of its own, so one call cannot
+disturb another running at the same time. The record is all the state a
+command has. Made, it refuses an ``--out`` that cannot be written or that
+would overwrite an input, and derives once every path the command may
+write for ``--out``. The command opens every input file and writes every
+output through it. Last, after every output, the record writes the JSON run
+manifest next to the table (same path plus ``.manifest.json``). Its
+``config`` is every parsed flag plus the values the command resolves; it
+also carries seeds, SHA-256 digests of the inputs and of exactly the files
+the command wrote (``outputs``), and the process's peak resident memory
+(``peak_rss_kb``). Each digest is of the bytes the command read or wrote,
+hashed as they pass, so no file is read twice and a piped input (``--data
+/dev/stdin``) gets the digest of what came through the pipe. Table outputs
+are byte-deterministic for a fixed configuration and seed; manifests
+additionally carry a timestamp and the peak memory.
 
 Each command imports the modules it runs, numpy among them, inside its
 handler: ``validate`` loads no data, learning or analysis code, and
@@ -81,17 +85,23 @@ def _fmt(x: float) -> str:
     return "%.12g" % x
 
 
-# The SHA-256 of each input file the running command has read, by the path
-# it was named by; ``main`` empties it before each command.
-_digests: dict[str, str] = {}
+def _csv(header: list[str], rows: list[list]) -> str:
+    """The text ``csv.writer`` writes for a table, with ``\\n`` line ends and
+    each float as :func:`_fmt` formats it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(c) if isinstance(c, float) else c for c in row])
+    return buf.getvalue()
 
 
 class _Input:
     """An input file open for binary reading that hashes the bytes read from
-    it; closing it records their digest under its path."""
+    it; closing it records their digest in ``digests`` under its path."""
 
-    def __init__(self, path: str):
-        self.path = path
+    def __init__(self, path: str, digests: dict[str, str]):
+        self.path, self.digests = path, digests
         self.file = open(path, "rb")
         self.hash = hashlib.sha256()
 
@@ -105,7 +115,7 @@ class _Input:
 
     def __exit__(self, *exc) -> None:
         self.file.close()
-        _digests[self.path] = self.hash.hexdigest()
+        self.digests[self.path] = self.hash.hexdigest()
 
 
 def _peak_rss_kb() -> int:
@@ -116,27 +126,54 @@ def _peak_rss_kb() -> int:
 
 
 class _Run:
-    """One command's run record, made by ``main`` once ``--out`` is known to
-    be writable: every path the command may write for ``--out``, derived
-    once; the digest of each file written through it; and the seeds, work
-    counters and resolved values the manifest records."""
+    """One command's run record: the parsed flags; every path the command
+    may write for ``--out``, derived once; the digest of each input file
+    read and each file written through it; and the seeds, work counters and
+    resolved values the manifest records. Making it refuses, before any
+    input is read, an ``--out`` that cannot be written (exit 1) or whose
+    files would overwrite an input file (exit 2)."""
 
     def __init__(self, args):
-        self.inputs = [getattr(args, k) for k in _INPUT_FLAGS if getattr(args, k, None)]
+        self.args = args
         out = getattr(args, "out", None)
+        if out is not None:
+            _check_writable(out)  # first: a directory has no .svg sibling to derive
         self.table = Path(out) if out is not None else None
         # a command with a chart or an EM trace requires --out
         self.chart = self.table.with_suffix(".svg") if getattr(args, "chart", False) else None
         self.trace = Path(f"{out}.trace.json") if getattr(args, "latent", None) else None
         self.manifest = Path(f"{out}.manifest.json") if out is not None else None
+        self.inputs: dict[str, str] = {}
         self.outputs: dict[str, str] = {}
         self.seeds: dict = {}
         self.counters: dict = {}
         self.resolved: dict = {}
+        sources = [getattr(args, k) for k in _INPUT_FLAGS if getattr(args, k, None)]
+        for path in filter(None, (self.table, self.chart, self.trace, self.manifest)):
+            for source in sources:
+                try:
+                    same = os.path.samefile(path, source)
+                except OSError:  # one of them does not exist
+                    same = False
+                if same:
+                    raise InvalidOption(f"--out {out} would overwrite the input file {source}")
 
-    def paths(self) -> list[Path]:
-        """Every file the command may write for ``--out``."""
-        return [p for p in (self.table, self.chart, self.trace, self.manifest) if p is not None]
+    def open(self, path: str) -> _Input:
+        """An input file, open for reading; every input file is read through
+        here."""
+        return _Input(path, self.inputs)
+
+    def read_text(self, path: str) -> str:
+        """A text input, less one leading UTF-8 byte-order mark (Excel writes
+        one). The mark is decoded with the text, so a bad byte is reported at
+        its offset in the file."""
+        with self.open(path) as f:
+            raw = f.read()
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise NotUtf8(path, exc.start) from None
+        return text.removeprefix("\ufeff")
 
     def write(self, path: Path, pieces: Iterable[str]) -> None:
         """Write the text ``pieces`` to ``path`` as UTF-8, one at a time, and
@@ -151,74 +188,52 @@ class _Run:
         self.outputs[str(path)] = digest.hexdigest()
 
     def write_csv(self, header: list[str], rows: list[list]) -> None:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(c) if isinstance(c, float) else c for c in row])
-        self.write(self.table, [buf.getvalue()])
+        self.write(self.table, [_csv(header, rows)])
+
+    def write_manifest(self) -> None:
+        """For a command with ``--out``, the manifest beside the table: every
+        parsed flag plus the resolved values as config, the seeds and work
+        counters, and the digests of every input file flag that is set and
+        of every file the command wrote, as it read or wrote them."""
+        if self.manifest is None:
+            return
+        args = self.args
+        config = {k: v for k, v in vars(args).items() if k not in ("func", "command", "chart")}
+        config.update(self.resolved)
+        manifest = {
+            "tool": "riskbn",
+            "version": __version__,
+            "command": args.command,
+            "timestamp_utc": datetime.now(timezone.utc).isoformat(),
+            "config": config,
+            "seeds": self.seeds,
+            "counters": self.counters,
+            "inputs": self.inputs,
+            "outputs": self.outputs,
+            "peak_rss_kb": _peak_rss_kb(),
+        }
+        self.manifest.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _write_manifest(args, run: _Run) -> None:
-    """The manifest beside the table: every parsed flag plus the resolved
-    values as config, the seeds and work counters, and the digests of every
-    input file flag that is set and of every file the command wrote, as it
-    read or wrote them."""
-    config = {k: v for k, v in vars(args).items() if k not in ("func", "command", "chart")}
-    config.update(run.resolved)
-    manifest = {
-        "tool": "riskbn",
-        "version": __version__,
-        "command": args.command,
-        "timestamp_utc": datetime.now(timezone.utc).isoformat(),
-        "config": config,
-        "seeds": run.seeds,
-        "counters": run.counters,
-        "inputs": {p: _digests[p] for p in run.inputs},
-        "outputs": run.outputs,
-        "peak_rss_kb": _peak_rss_kb(),
-    }
-    run.manifest.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def _read_input(path: str) -> _Input:
-    """An input file, open for reading; every input file is read through
-    here."""
-    return _Input(path)
-
-
-def _read_text(path: str) -> str:
-    """A text input, less one leading UTF-8 byte-order mark (Excel writes
-    one). The mark is decoded with the text, so a bad byte is reported at
-    its offset in the file."""
-    with _read_input(path) as f:
-        raw = f.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise NotUtf8(path, exc.start) from None
-    return text.removeprefix("\ufeff")
-
-
-def _load_model(path: str) -> Network:
+def _load_model(run: _Run, path: str) -> Network:
     from .core import parse_model
 
-    return parse_model(_read_text(path))
+    return parse_model(run.read_text(path))
 
 
-def _resolve_structure(args) -> tuple[tuple[VariableSpec, ...], DagStructure]:
+def _resolve_structure(run: _Run, args) -> tuple[tuple[VariableSpec, ...], DagStructure]:
     """Schema/DAG from --schema/--dag model files, defaulting to the bundled
     schema and placeholder DAG."""
     from .core import parse_model_parts
     from .data import default_dag, default_schema
 
     if getattr(args, "schema", None):
-        schema, file_dag, _ = parse_model_parts(_read_text(args.schema))
+        schema, file_dag, _ = parse_model_parts(run.read_text(args.schema))
     else:
         schema = default_schema().network_variables
         file_dag = None
     if getattr(args, "dag", None):
-        dag_schema, dag, _ = parse_model_parts(_read_text(args.dag))
+        dag_schema, dag, _ = parse_model_parts(run.read_text(args.dag))
         if tuple(v.name for v in dag_schema) != tuple(v.name for v in schema):
             raise VariableSetMismatch("--dag file declares different variables than the schema")
     elif file_dag is not None and file_dag.edges:
@@ -238,17 +253,17 @@ def _data_schema(network_specs: tuple[VariableSpec, ...]) -> Schema:
     return Schema(tuple(specs))
 
 
-def _load_data(args, network_specs: tuple[VariableSpec, ...]) -> Dataset:
+def _load_data(run: _Run, path: str, network_specs: tuple[VariableSpec, ...]) -> Dataset:
     """The ``--data`` cohort, read from the open file one slice at a time by
     ``load_dataset``, so the file is never held whole."""
     from .data import load_dataset
 
     schema = _data_schema(network_specs)
     try:
-        with _read_input(args.data) as f:
+        with run.open(path) as f:
             return load_dataset(f, schema)
     except NotUtf8 as exc:
-        raise NotUtf8(args.data, exc.offset) from None
+        raise NotUtf8(path, exc.offset) from None
 
 
 def _target_state(args, network: Network) -> str:
@@ -267,7 +282,7 @@ def _pool_by_kind(network: Network, kinds: tuple[str, ...], target: str) -> list
 # --- subcommands ---------------------------------------------------------------
 
 def cmd_validate(args, run: _Run) -> None:
-    network = _load_model(args.model)
+    network = _load_model(run, args.model)
     print(f"OK: {len(network.schema)} variables, {len(network.dag.edges)} edges")
 
 
@@ -290,7 +305,7 @@ def cmd_fit(args, run: _Run) -> None:
     from .core import render_model
     from .learning import EmConfig, default_prior, em_fit, fit_cpts
 
-    schema, dag = _resolve_structure(args)
+    schema, dag = _resolve_structure(run, args)
     names = {v.name for v in schema}
     if args.target != DEFAULT_OUTCOME and args.target not in names:
         # custom schemas need not carry the built-in outcome
@@ -298,7 +313,7 @@ def cmd_fit(args, run: _Run) -> None:
     for name in args.latent:
         if name not in names:
             raise UnknownVariable(f"--latent {name!r} is not in the schema")
-    dataset = _load_data(args, schema)
+    dataset = _load_data(run, args.data, schema)
 
     if args.filter_rt is not None or args.filter_honesty:
         config = FilterConfig(
@@ -340,7 +355,7 @@ def cmd_strength(args, run: _Run) -> None:
     from .analysis import strength_ranking
     from .charts import hbar_chart
 
-    network = _load_model(args.model)
+    network = _load_model(run, args.model)
     control = args.control if args.control != "none" else None
     if args.control is None and DEFAULT_CONTROL in network.variables \
             and DEFAULT_CONTROL != args.target:
@@ -368,7 +383,7 @@ def cmd_profile(args, run: _Run) -> None:
     from .analysis import conditional_profile
     from .charts import vbar_chart
 
-    network = _load_model(args.model)
+    network = _load_model(run, args.model)
     target_state = run.resolved["target_state"] = _target_state(args, network)
     profile = conditional_profile(network, args.target, args.source, target_state)
     run.write_csv(["state", "posterior"], [[s, float(p)] for s, p in profile])
@@ -385,7 +400,7 @@ def cmd_multifactor(args, run: _Run) -> None:
 
     if args.k_min > args.k_max:
         raise InvalidOption(f"--k-min {args.k_min} is above --k-max {args.k_max}")
-    network = _load_model(args.model)
+    network = _load_model(run, args.model)
     target_state = run.resolved["target_state"] = _target_state(args, network)
     k_range = range(args.k_min, args.k_max + 1)
     if args.pool:
@@ -432,7 +447,7 @@ def cmd_profiles(args, run: _Run) -> None:
     from .analysis import bf_threshold_posterior, risk_profiles
     from .charts import hbar_chart
 
-    network = _load_model(args.model)
+    network = _load_model(run, args.model)
     target_state = run.resolved["target_state"] = _target_state(args, network)
     pool = args.pool or _pool_by_kind(network, ("demographic", "psychological", "outcome"),
                                       args.target)
@@ -460,7 +475,7 @@ def cmd_profiles(args, run: _Run) -> None:
 def cmd_query(args, run: _Run) -> None:
     from .inference import evidence_probability, posterior
 
-    network = _load_model(args.model)
+    network = _load_model(run, args.model)
     dist = posterior(network, args.target, args.evidence)
     p_evidence = evidence_probability(network, args.evidence)
     for state, p in zip(dist.states, dist.probabilities):
@@ -474,8 +489,8 @@ def cmd_query(args, run: _Run) -> None:
         }, indent=2, sort_keys=True) + "\n"])
 
 
-def _read_ranking_csv(path: str) -> dict[str, float]:
-    reader = csv.DictReader(io.StringIO(_read_text(path), newline=""))
+def _read_ranking_csv(run: _Run, path: str) -> dict[str, float]:
+    reader = csv.DictReader(io.StringIO(run.read_text(path), newline=""))
     try:
         rows = list(reader)
     except csv.Error as exc:
@@ -508,8 +523,8 @@ def _read_ranking_csv(path: str) -> dict[str, float]:
 def cmd_compare(args, run: _Run) -> None:
     from .ranks import spearman
 
-    ranking_a = _read_ranking_csv(args.ranking_a)
-    ranking_b = _read_ranking_csv(args.ranking_b)
+    ranking_a = _read_ranking_csv(run, args.ranking_a)
+    ranking_b = _read_ranking_csv(run, args.ranking_b)
     if set(ranking_a) != set(ranking_b):
         only_a = sorted(set(ranking_a) - set(ranking_b))
         only_b = sorted(set(ranking_b) - set(ranking_a))
@@ -535,7 +550,7 @@ def cmd_simulate(args, run: _Run) -> None:
 
     generated = args.seed is None
     seed = int(np.random.SeedSequence().entropy % 2 ** 32) if generated else args.seed
-    network = _load_model(args.model) if args.model else None
+    network = _load_model(run, args.model) if args.model else None
     schema = _data_schema(network.schema) if network else None
     run.seeds.update(seed=seed, generated=generated)
     run.resolved["generator"] = GENERATOR_ID
@@ -546,17 +561,16 @@ def cmd_simulate(args, run: _Run) -> None:
 def cmd_summarize(args, run: _Run) -> None:
     from .data import summarize
 
-    schema, _ = _resolve_structure(args)
-    table = summarize(_load_data(args, schema))
-    rows = [[r.variable, r.state, r.count,
-             float(r.percent) if r.percent is not None else ""] for r in table]
-    if args.out is not None:
-        run.write_csv(["variable", "state", "count", "percent"], rows)
-        print(f"summary written to {run.table}")
+    schema, _ = _resolve_structure(run, args)
+    table = summarize(_load_data(run, args.data, schema))
+    text = _csv(["variable", "state", "count", "percent"],
+                [[r.variable, r.state, r.count, float(r.percent) if r.percent is not None else ""]
+                 for r in table])
+    if args.out is None:
+        print(text, end="")
     else:
-        for row in rows:
-            pct = _fmt(row[3]) if isinstance(row[3], float) else "-"
-            print(f"{row[0]},{row[1]},{row[2]},{pct}")
+        run.write(run.table, [text])
+        print(f"summary written to {run.table}")
 
 
 # --- flag types ------------------------------------------------------------------
@@ -626,19 +640,6 @@ def _check_writable(out: str) -> None:
     if not directory.is_dir() or not os.access(directory, os.W_OK):
         raise PermissionError(f"cannot write --out {out}: "
                               f"{directory} is not a writable directory")
-
-
-def _check_not_an_input(args, run: _Run) -> None:
-    """Refuse an ``--out`` that would overwrite an input file before any
-    input is read."""
-    for path in run.paths():
-        for source in run.inputs:
-            try:
-                same = os.path.samefile(path, source)
-            except OSError:  # one of them does not exist
-                same = False
-            if same:
-                raise InvalidOption(f"--out {args.out} would overwrite the input file {source}")
 
 
 def _evidence(text: str) -> dict[str, str]:
@@ -769,17 +770,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    _digests.clear()
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "out", None) is not None:
-            _check_writable(args.out)  # a directory has no .svg sibling to derive
+        args = _build_parser().parse_args(argv)
         run = _Run(args)
-        _check_not_an_input(args, run)
         args.func(args, run)
-        if run.manifest is not None:
-            _write_manifest(args, run)
+        run.write_manifest()
         return 0
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -258,10 +258,11 @@ def _slices(source: bytes | BinaryIO, check: bool = False) -> Iterator[bytes]:
     input, so no record, and no UTF-8 character, straddles two slices. A
     byte is outside quotes where the quotes before it are even in number.
     While the last line end read is not such a one, each read doubles, so a
-    long record costs time linear in its length. Once the quoted field that
-    holds that line end is longer than ``_FIELD_LIMIT``, the slice ends
-    there instead: :func:`_split` refuses it, and the later slices, cut at
-    any line end, are only read for their UTF-8 check.
+    long record costs time linear in its length. Once the field open at the
+    end of what was read, quoted or not, holds more than ``_FIELD_LIMIT``
+    bytes, the slice ends there instead, at a character boundary:
+    :func:`_split` refuses it, and the later slices, cut at any character
+    boundary, are only read for their UTF-8 check.
 
     With ``check``, each slice is checked as strict UTF-8 as it is read
     (NotUtf8 names the input offset of the first bad byte), and a leading
@@ -273,15 +274,21 @@ def _slices(source: bytes | BinaryIO, check: bool = False) -> Iterator[bytes]:
         more = source.read(max(_SLICE_BYTES, len(buf)))
         eof = not more
         buf += more
-        # a \r that ends what was read may be the first half of a \r\n
-        last = max(buf.rfind(b"\n"), buf.rfind(b"\r", 0, len(buf) - (not eof)))
-        if (not refused and buf.find(b'"', 0, last) >= 0
-                and np.count_nonzero(np.frombuffer(buf, np.uint8, max(last, 0)) == 34) % 2):
-            # that line end is inside quotes: read on, unless its field is past the limit
-            refused = last - _quote_opener(np.frombuffer(buf, np.uint8, last)) >= _FIELD_LIMIT
-            if not refused:
-                last = -1
-        cut = len(buf) if eof else last + 1
+        if eof:
+            cut = len(buf)
+        elif refused:
+            cut = _char_start(buf)
+        else:
+            # a \r that ends what was read may be the first half of a \r\n
+            last = max(buf.rfind(b"\n"), buf.rfind(b"\r", 0, len(buf) - 1))
+            if (last > 0 and buf.find(b'"', 0, last) >= 0
+                    and np.count_nonzero(np.frombuffer(buf, np.uint8, last) == 34) % 2):
+                last = -1  # that line end is inside quotes: read on
+            cut = last + 1  # ``buf`` is outside quotes from here
+            if len(buf) - cut > _FIELD_LIMIT:  # unless the field open at its end is too long
+                end = _char_start(buf)
+                if end - _field_start(buf, cut) > _FIELD_LIMIT:
+                    cut, refused = end, True
         if cut == 0:
             continue
         piece, buf = buf[:cut], buf[cut:]
@@ -295,6 +302,28 @@ def _slices(source: bytes | BinaryIO, check: bool = False) -> Iterator[bytes]:
         at += cut
         if piece:
             yield piece
+
+
+def _char_start(buf: bytes) -> int:
+    """Where the last UTF-8 character of ``buf`` starts, the last of its
+    final four bytes that is not a continuation byte (the length of ``buf``
+    if there is none): no character straddles a cut there."""
+    for i in range(len(buf) - 1, max(len(buf) - 5, -1), -1):
+        if buf[i] & 0xC0 != 0x80:
+            return i
+    return len(buf)
+
+
+def _field_start(buf: bytes, lo: int) -> int:
+    """Where the field open at the end of ``buf`` starts, where ``buf[lo:]``
+    starts outside quotes: just after the last comma or line end outside
+    quotes, or at ``lo``."""
+    b = np.frombuffer(buf, np.uint8)[lo:]
+    ends = (b == 44) | (b == 10) | (b == 13)
+    if buf.find(b'"', lo) >= 0:
+        ends &= ~np.logical_xor.accumulate(b == 34)
+    at = np.flatnonzero(ends)
+    return lo + int(at[-1]) + 1 if len(at) else lo
 
 
 def _quote_opener(b: np.ndarray) -> int:

@@ -13,10 +13,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import riskbn
+import riskbn.charts
 import riskbn.cli
 import riskbn.learning
 from riskbn.analysis import bf_threshold_posterior, conditional_profile
-from riskbn.cli import _build_parser, _read_ranking_csv, main
+from riskbn.cli import _Run, _build_parser, _read_ranking_csv, main
 from riskbn.errors import RiskbnError
 from riskbn.core import DagStructure, parse_model, serialize_model
 from riskbn.data import build_default_generator, save_dataset, simulate_dataset
@@ -494,6 +495,21 @@ def test_summarize_stdout_without_out(tmp_path, capsys):
     data.write_text("Gender\nMale\nFemale\n")
     assert main(["summarize", "--data", str(data)]) == 0
     assert "Gender,Male,1,50" in capsys.readouterr().out
+    # stdout is the CSV text --out writes: a label with a comma is quoted
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({
+        "variables": [{"name": "Gender", "states": ["Fe,male", "Male"], "kind": "demographic"},
+                      {"name": "Age", "states": ["12", "13"], "kind": "demographic"}],
+        "edges": []}))
+    data.write_text('Gender\n"Fe,male"\nMale\n')
+    out = tmp_path / "m.csv"
+    assert main(["summarize", "--data", str(data), "--schema", str(schema)]) == 0
+    stdout = capsys.readouterr().out
+    assert main(["summarize", "--data", str(data), "--schema", str(schema),
+                 "--out", str(out)]) == 0
+    assert stdout == out.read_text()
+    assert stdout.splitlines() == ["variable,state,count,percent", 'Gender,"Fe,male",1,50',
+                                   "Gender,Male,1,50", "Age,12,0,", "Age,13,0,"]
 
 
 def test_byte_order_mark_is_dropped_from_every_text_input(tmp_path):
@@ -774,12 +790,12 @@ def _out_index(command):
 def input_reads(monkeypatch):
     """Paths of the input files the CLI reads, in order."""
     reads = []
-    read_input = riskbn.cli._read_input
+    open_input = riskbn.cli._Run.open
 
-    def recording(path):
+    def recording(run, path):
         reads.append(path)
-        return read_input(path)
-    monkeypatch.setattr(riskbn.cli, "_read_input", recording)
+        return open_input(run, path)
+    monkeypatch.setattr(riskbn.cli._Run, "open", recording)
     return reads
 
 
@@ -910,6 +926,27 @@ def test_guarded_files_are_the_written_files_and_the_manifest_digests_them(
     assert manifest["inputs"] == {name: sha256(name) for name in argv if name in before}
 
 
+def test_a_command_run_inside_another_leaves_its_record_alone(tmp_path, monkeypatch):
+    # the second command runs between the first's input read and its
+    # manifest; main keeps no state, so each manifest has its own inputs
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    first.write_text(serialize_model(chain_network()))
+    second.write_text(serialize_model(uniform_network(["A", "B"], DagStructure(("A", "B"), ()))))
+    chart, nested = riskbn.charts.hbar_chart, []
+
+    def hbar_chart(*args, **kwargs):
+        nested.append(main(["query", "--model", str(second), "--target", "B",
+                            "--out", str(tmp_path / "q.json")]))
+        return chart(*args, **kwargs)
+    monkeypatch.setattr(riskbn.charts, "hbar_chart", hbar_chart)
+    assert main(["strength", "--model", str(first), "--target", "B",
+                 "--out", str(tmp_path / "s.csv")]) == 0
+    assert nested == [0]
+    for out, model in [("s.csv", first), ("q.json", second)]:
+        manifest = json.loads((tmp_path / f"{out}.manifest.json").read_text())
+        assert manifest["inputs"] == {str(model): hashlib.sha256(model.read_bytes()).hexdigest()}
+
+
 _NAME_LISTS = [("strength", "--candidates"), ("multifactor", "--pool"), ("profiles", "--pool")]
 
 
@@ -980,7 +1017,7 @@ def test_ranking_csv_parses_or_raises_riskbn_error(tmp_path, text):
     path = tmp_path / "ranking.csv"
     path.write_text(text, encoding="utf-8")
     try:
-        _read_ranking_csv(str(path))
+        _read_ranking_csv(_Run(argparse.Namespace()), str(path))
     except RiskbnError:
         pass
 

@@ -413,7 +413,11 @@ def test_load_dataset_of_100k_cohort_bytes_makes_no_whole_copy(prefix):
     (b"Gender\nMale\n\xed\xa0\x80\n", 12),  # an encoded surrogate is not UTF-8
     # after a quote that never closes, the field already refused as too long
     (b'Gender\nBlue\n"' + b"x\n" * 100_000 + b"M\xff\n", 200_014),
-], ids=["cell", "after-bom", "before-csv-errors", "surrogate", "after-open-quote"])
+    # after a field of two-byte characters refused as too long, which is cut
+    # between characters
+    (b"Gender\nBlue\n" + "\xe4".encode() * 100_000 + b"\nM\xff\n", 200_014),
+], ids=["cell", "after-bom", "before-csv-errors", "surrogate", "after-open-quote",
+        "after-long-field"])
 def test_bytes_that_are_not_utf8_name_the_first_bad_byte(monkeypatch, slice_bytes, raw, offset):
     monkeypatch.setattr("riskbn.data._SLICE_BYTES", slice_bytes)
     with pytest.raises(NotUtf8) as exc:
@@ -545,7 +549,8 @@ def test_quoted_cohort_matches_per_row_oracle_in_any_slice_size(
     ('Gender\nMale\n "Male"\n', "line 3: a quote inside an unquoted field"),
     ('Gender\nMale\r\n"Ma\r\nMale\r\n',
      "line 3: a quoted field still open at the end of the input"),
-    ('Gender\nBlue\n"' + "x" * 200_000 + '"\n', "line 3: field larger than field limit (131072)"),
+    pytest.param('Gender\nBlue\n"' + "x" * 200_000 + '"\n',
+                 "line 3: field larger than field limit (131072)", id="long-quoted-field"),
     # line ends inside the long field, which never closes, or closes after
     # many a "" and then errs again
     pytest.param('Gender\nBlue\n"' + "x\n" * 100_000,
@@ -584,19 +589,28 @@ def test_every_cell_quoted_100k_cohort_loads_the_same_columns_in_bounded_memory(
 
 
 def test_a_quote_that_never_closes_is_refused_in_the_memory_of_a_plain_load():
-    # the quoted field it opens is refused once it holds _FIELD_LIMIT bytes,
-    # not when the input ends
+    # a field, quoted or not, is refused once it holds _FIELD_LIMIT bytes,
+    # not when it or the input ends
     raw = save_dataset(simulate_dataset(100_000, 0)).encode()
     lines = raw.split(b"\n")
-    stray = b"\n".join([*lines[:2], b'"' + lines[2], *lines[3:]])
+    field = b"x" * 20_000_000
+    too_long = "line 3: field larger than field limit (131072)"
+    cases = [
+        (b"\n".join([*lines[:2], b'"' + lines[2], *lines[3:]]), MalformedCsv, too_long),
+        (b"Gender\nBlue\n" + field + b"\n", MalformedCsv, too_long),
+        (b'Gender\nBlue\n"' + field + b'"\n', MalformedCsv, too_long),
+        # a byte that is not UTF-8 after the refused field still wins
+        (b"Gender\nBlue\n" + field + b"\nM\xff\n", NotUtf8,
+         "dataset is not UTF-8 text (byte 20000014)"),
+    ]
     plain = _traced_peak(lambda: load_dataset(io.BytesIO(raw), default_schema()))
+    for data, error, message in cases:
+        def refuse():
+            with pytest.raises(error) as exc:
+                load_dataset(io.BytesIO(data), default_schema())
+            assert str(exc.value) == message
 
-    def refuse():
-        with pytest.raises(MalformedCsv) as exc:
-            load_dataset(io.BytesIO(stray), default_schema())
-        assert str(exc.value) == "line 3: field larger than field limit (131072)"
-
-    assert _traced_peak(refuse) <= plain
+        assert _traced_peak(refuse) <= plain
 
 
 def test_load_from_a_file_grows_only_by_the_columns(tmp_path):
